@@ -12,6 +12,7 @@ Riemann sphere.  Writing B = (b1 + b2 sqrt(-d))/2, primitivity means
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .psl2 import Mat2, PslElement
@@ -139,6 +140,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@cache  # a rejected d raises, so only accepted values are remembered
 def _check_odd_prime(d: int) -> None:
     if d < 3 or not is_prime(d):
         raise ValueError(f"d must be a prime >= 3, got {d}")

@@ -147,17 +147,16 @@ def sigma_from_xi(xi: QuadInt) -> PslElement:
 def bezout_rt(d: int, c: int) -> tuple[int, int]:
     """Solve -d*r - c*t = 1 with t of minimal |t|, ties broken toward
     negative t; r is then determined."""
-    if c < 1:
-        raise ValueError(f"c must be positive, got {c}")
+    if d < 1 or c < 1:
+        raise ValueError(f"d and c must be positive, got d={d}, c={c}")
     if gcd(d, c) != 1:
         raise ValueError(f"gcd({d}, {c}) != 1")
-    for magnitude in range(d + 1):
-        for t in ((-magnitude, magnitude) if magnitude else (0,)):
-            if (1 + c * t) % d == 0:
-                r = -(1 + c * t) // d
-                assert -d * r - c * t == 1
-                return r, t
-    raise AssertionError("no Bezout solution found")  # unreachable: solutions repeat mod d
+    t = -pow(c, -1, d) % d  # the least t >= 0 with d | 1 + c*t
+    if d - t <= t:  # t - d is as short or shorter
+        t -= d
+    r = -(1 + c * t) // d
+    assert -d * r - c * t == 1
+    return r, t
 
 
 def build_h(mode: str, d: int, xi: QuadInt, r: int, t: int) -> PslElement:

@@ -81,6 +81,10 @@ class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
+def _inverse_word(word: Word) -> Word:
+    return tuple((g, -e) for g, e in reversed(word))
+
+
 @dataclass(frozen=True)
 class PslElement:
     """Determinant-1 matrix over O_d up to global sign, with optional word
@@ -122,22 +126,10 @@ class PslElement:
         return PslElement(self.rep * other.rep, word)
 
     def inv(self) -> "PslElement":
-        word = None
-        if self.word is not None:
-            word = tuple((g, -e) for g, e in reversed(self.word))
+        word = None if self.word is None else _inverse_word(self.word)
         return PslElement(self.rep.adjugate(), word)
 
     def __pow__(self, n: int) -> "PslElement":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = PslElement.identity(self.d)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = PslElement(result.rep * base.rep)
-            base = PslElement(base.rep * base.rep)
-            e >>= 1
         word: Optional[Word] = None
         if self.word is not None:
             if len(self.word) == 1:
@@ -145,6 +137,21 @@ class PslElement:
                 word = ((g, k * n),) if k * n != 0 else ()
             elif n >= 0:
                 word = self.word * n
+            else:
+                word = _inverse_word(self.word) * -n
+        one = QuadInt.integer(self.d, 1)
+        m = self.rep
+        if m.a11 == one and m.a22 == one and m.a21.is_zero():
+            # unipotent: (1, b; 0, 1)^n = (1, n*b; 0, 1) for every integer n
+            return PslElement(Mat2(one, m.a12 * n, m.a21, one), word)
+        if n == 0:
+            return PslElement(Mat2.identity(self.d), word)
+        base = self if n > 0 else self.inv()
+        result = base
+        for bit in bin(abs(n))[3:]:  # left to right, after the leading 1
+            result = PslElement(result.rep * result.rep)
+            if bit == "1":
+                result = PslElement(result.rep * base.rep)
         return PslElement(result.rep, word)
 
     def negate(self) -> "PslElement":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 
@@ -28,6 +29,7 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
+@cache  # a rejected d raises, so only accepted values are remembered
 def _check_d(d: int) -> None:
     if not is_squarefree(d):
         raise ValueError(f"d must be a positive square-free integer, got {d}")

@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
-from bianchicert.circles import circle_action, circle_at_origin
+from bianchicert.circles import circle_action, circle_at_origin, is_prime
 from bianchicert.pipeline import (FIG8, FIG8_CHECKS, GENERAL, GENERAL_CHECKS,
                                   ConsistencyError, InvalidParams, Slope,
                                   bezout_rt, build_h, construct_series,
@@ -14,6 +15,15 @@ from bianchicert.pipeline import (FIG8, FIG8_CHECKS, GENERAL, GENERAL_CHECKS,
                                   witness_word, xi_fig8)
 from bianchicert.psl2 import PslElement, eval_word, parse_psl
 from bianchicert.quadint import QuadInt, parse_quadint
+
+
+def bezout_rt_scan(d, c):
+    """Oracle: scan t = 0, -1, 1, -2, 2, ... for the first t with d | 1 + c*t."""
+    for magnitude in range(d + 1):
+        for t in ((-magnitude, magnitude) if magnitude else (0,)):
+            if (1 + c * t) % d == 0:
+                return -(1 + c * t) // d, t
+    raise AssertionError("no Bezout solution found")
 
 
 def fig8_witness(p=20, q=7, k=1):
@@ -97,6 +107,26 @@ class TestXiAndBezout:
             r, t = bezout_rt(d, c)
             assert -d * r - c * t == 1
             assert abs(t) <= d
+
+    def test_bezout_matches_scan(self):
+        # every prime 3 <= d < 2000 (fig8 uses d=3, c=4|xi|^2), plus every
+        # d < 200 so that even d and the tie |t| = d/2 are covered
+        rng = random.Random(2000)
+        checked = 0
+        for d in range(1, 2000):
+            if d >= 200 and not is_prime(d):
+                continue
+            wide = [rng.randint(1, 10**12) for _ in range(3)]
+            for c in [*range(1, 9), d - 1, d + 1, 2 * d + 1, 4 * 988, *wide]:
+                if c >= 1 and gcd(d, c) == 1:
+                    assert bezout_rt(d, c) == bezout_rt_scan(d, c), (d, c)
+                    checked += 1
+        assert checked > 4000
+
+    def test_bezout_rejects_bad_input(self):
+        for d, c in ((3, 0), (0, 1), (-3, 1), (3, 6)):
+            with pytest.raises(ValueError):
+                bezout_rt(d, c)
 
 
 class TestConjugator:

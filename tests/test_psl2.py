@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign,
                               eval_word, parse_mat2, parse_psl, parse_word,
@@ -90,6 +92,83 @@ class TestGroupOps:
             m, n = random_psl(rng, 3), random_psl(rng, 3)
             assert (m * n).rep.det() == QuadInt.integer(3, 1)
             assert m.inv().rep.det() == QuadInt.integer(3, 1)
+
+
+def oracle_pow(m, n):
+    """m**n by repeated squaring on raw Mat2s; never calls PslElement.__pow__."""
+    if n < 0:
+        m, n = m.adjugate(), -n
+    result = Mat2.identity(m.a11.d)
+    while n:
+        if n & 1:
+            result = result * m
+        m = m * m
+        n >>= 1
+    return result
+
+
+def power_and_products(g, n):
+    """(g ** n, number of Mat2 products it took)."""
+    calls = 0
+    original = Mat2.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    Mat2.__mul__ = counting
+    try:
+        return g ** n, calls
+    finally:
+        Mat2.__mul__ = original
+
+
+FAST_PATH_DS = (3, 5, 7, 11, 43, 89)  # both classes mod 4
+WIDE = 2 ** 80
+COORD = st.integers(-10**6, 10**6)
+EXPONENT = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-WIDE, WIDE))
+SMALL_EXPONENT = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-40, 40))
+
+
+class TestUnipotentFastPath:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
+    def test_sigma_power_is_closed_form(self, d, x, y, n):
+        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+        sigma = PslElement.from_entries(one, QuadInt(d, x, y), zero, one,
+                                        word=(("sigma", 1),))
+        power, products = power_and_products(sigma, n)
+        assert power.rep == oracle_pow(sigma.rep, n)
+        assert products == 0
+        assert power.word == ((("sigma", n),) if n else ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
+    def test_negated_unipotent_takes_generic_path(self, d, x, y, n):
+        minus_one, zero = QuadInt.integer(d, -1), QuadInt.integer(d, 0)
+        g = PslElement.from_entries(minus_one, QuadInt(d, x, y), zero, minus_one,
+                                    word=(("s", 2),))
+        power, products = power_and_products(g, n)
+        assert power.rep == oracle_pow(g.rep, n)
+        assert (products > 0) == (abs(n) > 1)
+        assert power.word == ((("s", 2 * n),) if n else ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, SMALL_EXPONENT)
+    def test_non_unipotent_takes_generic_path(self, d, x, y, n):
+        one, xi = QuadInt.integer(d, 1), QuadInt(d, x, y)
+        h = PslElement.from_entries(one, xi, one, one + xi, word=(("a", 1), ("b", -1)))
+        power, products = power_and_products(h, n)
+        assert power.rep == oracle_pow(h.rep, n)
+        assert (products > 0) == (abs(n) > 1)
+        expected = (("a", 1), ("b", -1)) * n if n >= 0 else (("b", 1), ("a", -1)) * -n
+        assert power.word == expected
+
+    def test_power_one_costs_no_product(self):
+        h = psl("[[2,1],[1,1]]")
+        assert power_and_products(h, 1) == (h, 0)
+        assert power_and_products(h, -1)[1] == 0
 
 
 class TestProjectiveEquality:

@@ -1,7 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+from bianchicert import quadint
+from bianchicert.circles import is_quadratic_nonresidue
+from bianchicert.pipeline import (FIG8, GENERAL, construct_series, validate_fig8,
+                                  validate_general)
 from bianchicert.quadint import QuadInt, ResidueElement, parse_quadint
 
 
@@ -35,6 +40,34 @@ class TestRingOps:
             QuadInt.integer(12, 1)
         with pytest.raises(ValueError):
             QuadInt.integer(-3, 1)
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("call", [
+        lambda: QuadInt(4, 1, 0),
+        lambda: QuadInt(12, 0, 1),
+        lambda: parse_quadint("1", 18),
+        lambda: is_quadratic_nonresidue(2, 9),
+    ], ids=["QuadInt-4", "QuadInt-12", "parse_quadint-18", "nonresidue-mod-9"])
+    def test_rejected_d_raises_every_time(self, call):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_squarefree_runs_once_per_d(self, monkeypatch):
+        calls = Counter()
+        original = quadint.is_squarefree
+
+        def counting(d):
+            calls[d] += 1
+            return original(d)
+
+        monkeypatch.setattr(quadint, "is_squarefree", counting)
+        quadint._check_d.cache_clear()
+        construct_series(FIG8, validate_fig8(20, 7), range(1, 11))
+        xi = parse_quadint("1+7*eta", 7)
+        construct_series(GENERAL, validate_general(7, xi), range(1, 11))
+        assert calls == Counter({3: 1, 7: 1})
 
 
 class TestConj:
