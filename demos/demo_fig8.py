@@ -7,14 +7,13 @@ Run:  python3 demos/demo_fig8.py
 """
 
 from bianchicert.pipeline import (FIG8, bezout_rt, build_h, construct_series,
-                                  middle_factor, sigma_from_xi, validate_fig8,
-                                  xi_fig8)
-from bianchicert.psl2 import render_word
+                                  sigma_from_xi, validate_fig8)
+from bianchicert.psl2 import eval_word, render_word
 
 
 def main() -> None:
     params = validate_fig8(20, 7)
-    xi = xi_fig8(params)
+    xi = params.xi
     n = xi.norm()
     print(f"slope p/q = {params.p}/{params.q}")
     print(f"xi = {xi}   |xi|^2 = {n}")
@@ -23,10 +22,10 @@ def main() -> None:
     print(f"Bezout: -3*{r} - {4 * n}*({t}) = {-3 * r - 4 * n * t}")
 
     sigma = sigma_from_xi(xi)
-    h = build_h(FIG8, 3, xi, r, t)
+    h = build_h(params.level, 3, xi, r, t)
     print(f"h = {h.render()}")
 
-    f = middle_factor(FIG8, h, sigma)
+    f = eval_word({"h": h, "sigma": sigma}, (("h", 1), ("sigma", 6), ("h", -1)))
     print(f"h sigma^6 h^-1 = {f.render()}   trace = {f.trace()}")
 
     print()

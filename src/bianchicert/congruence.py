@@ -179,8 +179,8 @@ def gamma8_generators() -> tuple[PslElement, PslElement]:
     one = QuadInt.integer(d, 1)
     zero = QuadInt.integer(d, 0)
     omega = QuadInt.tau(d) - 1  # omega^2 + omega + 1 = 0
-    g1 = PslElement.from_entries(one, one, zero, one, word=(("m1", 1),))
-    g2 = PslElement.from_entries(one, zero, -omega, one, word=(("m2", 1),))
+    g1 = PslElement.from_entries(one, one, zero, one)
+    g2 = PslElement.from_entries(one, zero, -omega, one)
     return g1, g2
 
 

@@ -1,9 +1,10 @@
-"""Constructive engines producing certified compression witnesses.
+"""The constructive engine producing certified compression witnesses.
 
-Two modes share one skeleton.  Figure-eight mode (d=3) starts from a
-surgery slope p/q with 4|p, 3 not dividing p, gcd(p,q)=1; general mode
-works over any prime d >= 3 from a parabolic translation xi with
-d not dividing |xi|^2 and a chosen quadratic non-residue x mod d.
+One engine works over any prime d >= 3 from a parabolic translation xi with
+d not dividing |xi|^2, a quadratic non-residue x mod d and a level (1, or 4
+for the figure-eight group).  Figure-eight mode is its preset d = 3, x = 2,
+level 4, with xi read off a surgery slope p/q (4|p, 3 not dividing p,
+gcd(p, q) = 1) and the Gamma_8 level-4 certificate added to the checks.
 
 A witness packages (params, r, t, h, k, n_k, D_k, g_k, alpha_k, beta_k),
 a generator word certifying g_k lies in the normal closure of sigma, and
@@ -25,12 +26,13 @@ from .quadint import QuadInt, parse_quadint
 FIG8 = "fig8"
 GENERAL = "general"
 
-FIG8_CHECKS = (
+# render order; gamma8_membership applies at level 4 only
+CHECKS = (
     "closed_form", "unit_determinant", "residue_class", "nontrivial",
     "hyperbolic_trace", "stabilizer_membership", "normal_closure_word",
     "gamma8_membership", "cocompact",
 )
-GENERAL_CHECKS = tuple(c for c in FIG8_CHECKS if c != "gamma8_membership")
+GAMMA8_LEVEL = 4
 
 
 class InvalidParams(ValueError):
@@ -42,58 +44,36 @@ class ConsistencyError(RuntimeError):
     valid input, so this signals an implementation bug, not bad input."""
 
 
-# -- slopes -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Slope:
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p == 0 and self.q == 0:
-            raise ValueError("slope 0/0 is not a slope")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not primitive")
-
-
-def delta(alpha: Slope, beta: Slope) -> int:
-    """Distance |p q' - p' q| between slopes."""
-    return abs(alpha.p * beta.q - beta.p * alpha.q)
-
-
 # -- parameters -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SlopeParams:
-    """Validated figure-eight surgery slope: sigma = mu^p lambda^q."""
+class Params:
+    """Validated input: prime d >= 3, parabolic translation xi with d not
+    dividing |xi|^2, a quadratic non-residue x mod d, and the level (4 for
+    the figure-eight preset, else 1).  p and q record the preset's slope."""
 
-    p: int
-    q: int
+    mode: str
+    d: int
+    xi: QuadInt
+    x: int
+    level: int
+    p: Optional[int] = None
+    q: Optional[int] = None
 
 
-def validate_fig8(p: int, q: int) -> SlopeParams:
+def validate_fig8(p: int, q: int) -> Params:
+    """The figure-eight preset for the surgery slope p/q: sigma = mu^p lambda^q."""
     if p % 4 != 0:
         raise InvalidParams(f"4 does not divide p={p}")
     if p % 3 == 0:
         raise InvalidParams(f"3 divides p={p}")
     if gcd(p, q) != 1:
         raise InvalidParams(f"gcd(p, q) = {gcd(p, q)} != 1 for p={p}, q={q}")
-    return SlopeParams(p, q)
+    return Params(FIG8, 3, xi_fig8(p, q), 2, GAMMA8_LEVEL, p, q)
 
 
-@dataclass(frozen=True)
-class GeneralParams:
-    """Prime d >= 3, parabolic translation xi with d not dividing |xi|^2,
-    and a quadratic non-residue x mod d."""
-
-    d: int
-    xi: QuadInt
-    x: int
-
-
-def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> GeneralParams:
+def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> Params:
     if d < 3 or not is_prime(d):
         raise InvalidParams(f"d={d} is not a prime >= 3")
     if xi.d != d:
@@ -108,37 +88,21 @@ def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> GeneralPar
         raise InvalidParams(f"x={x} is not in (1, {d})")
     if not is_quadratic_nonresidue(x, d):
         raise InvalidParams(f"x={x} is a quadratic residue mod {d}")
-    return GeneralParams(d, xi, x)
+    return Params(GENERAL, d, xi, x, 1)
 
 
-# -- fixed generators (d=3 peripheral basis) --------------------------------
-
-
-def mu() -> PslElement:
-    one = QuadInt.integer(3, 1)
-    zero = QuadInt.integer(3, 0)
-    return PslElement.from_entries(one, one, zero, one, word=(("mu", 1),))
-
-
-def lam() -> PslElement:
-    one = QuadInt.integer(3, 1)
-    zero = QuadInt.integer(3, 0)
-    omega = QuadInt.tau(3) - 1
-    return PslElement.from_entries(one, 4 * omega + 2, zero, one, word=(("lambda", 1),))
-
-
-def xi_fig8(params: SlopeParams) -> QuadInt:
+def xi_fig8(p: int, q: int) -> QuadInt:
     """xi = p + q(4 omega + 2); |xi|^2 = p^2 + 12 q^2."""
     omega = QuadInt.tau(3) - 1
-    xi = params.p + params.q * (4 * omega + 2)
-    assert xi.norm() == params.p ** 2 + 12 * params.q ** 2
+    xi = p + q * (4 * omega + 2)
+    assert xi.norm() == p ** 2 + 12 * q ** 2
     return xi
 
 
 def sigma_from_xi(xi: QuadInt) -> PslElement:
     one = QuadInt.integer(xi.d, 1)
     zero = QuadInt.integer(xi.d, 0)
-    return PslElement.from_entries(one, xi, zero, one, word=(("sigma", 1),))
+    return PslElement.from_entries(one, xi, zero, one)
 
 
 # -- the Bezout step and the conjugator h -----------------------------------
@@ -159,39 +123,11 @@ def bezout_rt(d: int, c: int) -> tuple[int, int]:
     return r, t
 
 
-def build_h(mode: str, d: int, xi: QuadInt, r: int, t: int) -> PslElement:
-    """The conjugator:
-
-        fig8:    (sqrt(-3), 4 xi t; conj(xi), sqrt(-3) r)
-        general: (sqrt(-d), xi t;   conj(xi), sqrt(-d) r)
-    """
+def build_h(level: int, d: int, xi: QuadInt, r: int, t: int) -> PslElement:
+    """The conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r), of
+    determinant 1 when -d r - level |xi|^2 t = 1."""
     root = QuadInt.sqrt_minus_d(d)
-    top = 4 * xi * t if mode == FIG8 else xi * t
-    h = PslElement.from_entries(root, top, xi.conj(), root * r, word=(("h", 1),))
-    if mode == FIG8 and not congruence.in_gamma8(h):
-        raise ConsistencyError("conjugator fell outside the figure-eight group")
-    return h
-
-
-def middle_exponent(mode: str, d: int) -> int:
-    return 6 if mode == FIG8 else 2 * d
-
-
-def middle_factor(mode: str, h: PslElement, sigma: PslElement) -> PslElement:
-    """h sigma^m h^-1 with m = 6 (fig8) or 2d (general), word-evaluated and,
-    in fig8 mode, checked against its closed form."""
-    d = h.d
-    m = middle_exponent(mode, d)
-    result = eval_word({"h": h, "sigma": sigma}, (("h", 1), ("sigma", m), ("h", -1)))
-    if mode == FIG8:
-        xi = sigma.rep.a12
-        n = xi.norm()
-        root = QuadInt.sqrt_minus_d(3)
-        one = QuadInt.integer(3, 1)
-        closed = Mat2(one - 6 * n * root, -18 * xi, -6 * n * xi.conj(), one + 6 * n * root)
-        if not result.psl_eq(PslElement(closed)):
-            raise ConsistencyError("middle factor does not match its closed form")
-    return result
+    return PslElement.from_entries(root, xi * (level * t), xi.conj(), root * r)
 
 
 # -- witnesses --------------------------------------------------------------
@@ -242,104 +178,102 @@ class CompressionWitness:
             f"g_k: {render_mat2(self.g_k)}",
             f"word: {render_word(self.word)}",
         ]
-        order = FIG8_CHECKS if self.mode == FIG8 else GENERAL_CHECKS
-        for name in order:
-            lines.append(f"check.{name}: {'pass' if self.checks.get(name) else 'fail'}")
+        for name in CHECKS:
+            if name in self.checks:
+                lines.append(f"check.{name}: {'pass' if self.checks[name] else 'fail'}")
         for note in self.assumptions:
             lines.append(f"assumption: {note}")
         return "\n".join(lines) + "\n"
 
 
-def _derive(mode: str, params: SlopeParams | GeneralParams, k: int):
-    """Shared exact derivation: (xi, sigma, r, t, h, m, n_k, D_k, alpha, beta)."""
+@dataclass(frozen=True)
+class Derivation:
+    """Everything (params, k) determine exactly."""
+
+    sigma: PslElement
+    norm_xi: int
+    r: int
+    t: int
+    h: PslElement
+    m: int  # the middle exponent of the word
+    n_k: int
+    D_k: int
+    alpha: QuadInt
+    beta: QuadInt
+
+
+def _derive(params: Params, k: int) -> Derivation:
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
-    if mode == FIG8:
-        assert isinstance(params, SlopeParams)
-        d = 3
-        xi = xi_fig8(params)
-        n_xi = xi.norm()
-        r, t = bezout_rt(d, 4 * n_xi)
-        n_k = -3 * n_xi * (2 + 3 * k) + 9
-        D_k = n_xi * n_k ** 2 + 2 + 3 * k
-        scale = 6
-    elif mode == GENERAL:
-        assert isinstance(params, GeneralParams)
-        d = params.d
-        xi = params.xi
-        n_xi = xi.norm()
-        r, t = bezout_rt(d, n_xi)
-        n_k = -d * n_xi * (d * k + params.x) + d * d
-        D_k = n_xi * n_k ** 2 + d * k + params.x
-        scale = 2 * d
-    else:
-        raise InvalidParams(f"unknown mode {mode!r}")
+    d, xi, x = params.d, params.xi, params.x
+    n_xi = xi.norm()
+    r, t = bezout_rt(d, params.level * n_xi)
+    m = 2 * d
+    n_k = -d * n_xi * (d * k + x) + d * d
+    D_k = n_xi * n_k ** 2 + d * k + x
     root = QuadInt.sqrt_minus_d(d)
     one = QuadInt.integer(d, 1)
-    alpha = one - scale * n_k * n_xi ** 2 - scale * n_xi * root
-    beta = -scale * n_xi * xi
-    sigma = sigma_from_xi(xi)
-    h = build_h(mode, d, xi, r, t)
-    return d, xi, n_xi, sigma, r, t, h, scale, n_k, D_k, alpha, beta
+    alpha = one - m * n_k * n_xi ** 2 - m * n_xi * root
+    beta = -m * n_xi * xi
+    h = build_h(params.level, d, xi, r, t)
+    return Derivation(sigma_from_xi(xi), n_xi, r, t, h, m, n_k, D_k, alpha, beta)
 
 
 def witness_word(n_k: int, m: int) -> Word:
     return (("sigma", n_k), ("h", 1), ("sigma", m), ("h", -1), ("sigma", n_k))
 
 
-def run_checks(mode: str, d: int, x: Optional[int], sigma: PslElement, h: PslElement,
-               n_xi: int, n_k: int, D_k: int, g_word: PslElement, g_closed: PslElement,
-               alpha: QuadInt, beta: QuadInt, word: Word) -> dict[str, bool]:
-    m = middle_exponent(mode, d)
+def run_checks(params: Params, der: Derivation, n_k: int, D_k: int, alpha: QuadInt,
+               beta: QuadInt, word: Word, g_word: PslElement,
+               g_closed: PslElement) -> dict[str, bool]:
+    """The named checks on claimed (n_k, D_k, alpha, beta, word, g_closed),
+    with sigma, h and |xi|^2 taken from the derivation."""
+    d, x = params.d, params.x
     checks: dict[str, bool] = {}
     checks["closed_form"] = g_word.psl_eq(g_closed)
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
-    if mode == FIG8:
-        checks["residue_class"] = D_k % 3 == 2
-    else:
-        checks["residue_class"] = (x is not None and D_k % d == x
-                                   and is_quadratic_nonresidue(x, d))
+    checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
     checks["nontrivial"] = not g_closed.psl_eq(PslElement.identity(d))
-    expected_trace = 2 - 2 * m * n_k * n_xi ** 2
+    expected_trace = 2 - 2 * der.m * n_k * der.norm_xi ** 2
     tr = g_closed.trace()
     checks["hyperbolic_trace"] = (g_closed.classify() is IsometryClass.HYPERBOLIC
                                   and tr.is_rational()
                                   and abs(tr.rational_value()) == abs(expected_trace))
-    checks["stabilizer_membership"] = stab_form(g_closed, D_k) is not None
-    checks["normal_closure_word"] = word == witness_word(n_k, m)
-    if mode == FIG8:
-        checks["gamma8_membership"] = congruence.in_gamma8(g_closed) and congruence.in_gamma8(h)
-    checks["cocompact"] = cocompact_certificate(d, D_k).certified
+    # a claimed D_k < 1 names no circle; both circle checks then fail
+    checks["stabilizer_membership"] = D_k >= 1 and stab_form(g_closed, D_k) is not None
+    checks["normal_closure_word"] = word == witness_word(n_k, der.m)
+    if params.level == GAMMA8_LEVEL:
+        checks["gamma8_membership"] = (congruence.in_gamma8(g_closed)
+                                       and congruence.in_gamma8(der.h))
+    checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k).certified
     return checks
 
 
-def construct_witness(mode: str, params: SlopeParams | GeneralParams, k: int) -> CompressionWitness:
+def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
     """Build and fully check the witness for one k.  Any failed check is an
     internal consistency error."""
-    d, xi, n_xi, sigma, r, t, h, scale, n_k, D_k, alpha, beta = _derive(mode, params, k)
-    m = middle_exponent(mode, d)
-    word = witness_word(n_k, m)
-    g_word = eval_word({"sigma": sigma, "h": h}, word)
-    g_closed = PslElement(
-        Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()), word)
-    x = params.x if isinstance(params, GeneralParams) else None
-    checks = run_checks(mode, d, x, sigma, h, n_xi, n_k, D_k, g_word, g_closed,
-                        alpha, beta, word)
+    if mode != params.mode:
+        raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
+    der = _derive(params, k)
+    word = witness_word(der.n_k, der.m)
+    g_word = eval_word({"sigma": der.sigma, "h": der.h}, word)
+    alpha, beta = der.alpha, der.beta
+    g_closed = PslElement(Mat2(alpha, beta * der.D_k, beta.conj(), alpha.conj()))
+    checks = run_checks(params, der, der.n_k, der.D_k, alpha, beta, word, g_word, g_closed)
     for name, ok in checks.items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")
-    assumptions = (congruence.SURJECTIVITY_NOTE,) if mode == FIG8 else ()
     return CompressionWitness(
-        mode=mode, d=d,
-        p=params.p if isinstance(params, SlopeParams) else None,
-        q=params.q if isinstance(params, SlopeParams) else None,
-        x=x, xi=xi, norm_xi=n_xi, r=r, t=t, h=h.canonical_rep(),
-        k=k, n_k=n_k, D_k=D_k,
-        g_k=g_closed.canonical_rep(), alpha_k=alpha, beta_k=beta, word=word,
-        checks=checks, assumptions=assumptions)
+        mode=mode, d=params.d, p=params.p, q=params.q,
+        x=params.x if mode == GENERAL else None,  # the fig8 record carries p/q
+        xi=params.xi, norm_xi=der.norm_xi, r=der.r, t=der.t, h=der.h.canonical_rep(),
+        k=k, n_k=der.n_k, D_k=der.D_k, g_k=g_closed.canonical_rep(),
+        alpha_k=alpha, beta_k=beta, word=word, checks=checks,
+        assumptions=((congruence.SURJECTIVITY_NOTE,) if params.level == GAMMA8_LEVEL
+                     else ()))
 
 
-def construct_series(mode: str, params: SlopeParams | GeneralParams,
+def construct_series(mode: str, params: Params,
                      k_range: Iterable[int]) -> list[CompressionWitness]:
     """Witnesses for each k, with a strict-monotonicity certificate on D_k."""
     ks = list(k_range)
@@ -424,26 +358,39 @@ class VerificationReport:
 
 def verify_witness(w: CompressionWitness) -> VerificationReport:
     """Re-derive everything from (mode, params, k) and the stored word;
-    never trust stored alpha_k, beta_k, D_k, g_k."""
-    results: dict[str, bool] = {}
+    never trust stored alpha_k, beta_k, D_k, g_k.  Every record, however
+    malformed, gets a report; a failed entry names what is at fault."""
+    needed = {FIG8: ("p", "q"), GENERAL: ("x",)}.get(w.mode)
+    if needed is None:
+        return VerificationReport({"params": False})  # unknown mode
+    for key in needed:
+        if getattr(w, key) is None:
+            return VerificationReport({f"parse.{key}": False})
     try:
         if w.mode == FIG8:
-            params: SlopeParams | GeneralParams = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
+            params = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
         else:
             params = validate_general(w.d, w.xi, w.x)
-        d, xi, n_xi, sigma, r, t, h, scale, n_k, D_k, alpha, beta = _derive(w.mode, params, w.k)
-    except (InvalidParams, ValueError):
+        der = _derive(params, w.k)
+    except InvalidParams:
         return VerificationReport({"params": False})
-    results["field.xi"] = xi == w.xi
-    results["field.norm_xi"] = n_xi == w.norm_xi
-    results["field.r"] = r == w.r
-    results["field.t"] = t == w.t
-    results["field.h"] = h.canonical_rep() == canonical_sign(w.h)
-    results["field.n_k"] = n_k == w.n_k
-    results["field.D_k"] = D_k == w.D_k
-    results["field.alpha_k"] = alpha == w.alpha_k
-    results["field.beta_k"] = beta == w.beta_k
-    g_word = eval_word({"sigma": sigma, "h": h}, w.word)
+    if params.d != w.d:
+        return VerificationReport({"field.d": False})
+    results: dict[str, bool] = {}
+    results["field.xi"] = params.xi == w.xi
+    results["field.norm_xi"] = der.norm_xi == w.norm_xi
+    results["field.r"] = der.r == w.r
+    results["field.t"] = der.t == w.t
+    results["field.h"] = der.h.canonical_rep() == canonical_sign(w.h)
+    results["field.n_k"] = der.n_k == w.n_k
+    results["field.D_k"] = der.D_k == w.D_k
+    results["field.alpha_k"] = der.alpha == w.alpha_k
+    results["field.beta_k"] = der.beta == w.beta_k
+    try:
+        g_word = eval_word({"sigma": der.sigma, "h": der.h}, w.word)
+    except (KeyError, ValueError):  # an unbound generator, or no term at all
+        results["field.word"] = False
+        return VerificationReport(results)
     try:
         g_stored: Optional[PslElement] = PslElement(w.g_k)
     except ValueError:
@@ -451,9 +398,8 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
     results["field.g_k"] = g_stored is not None and g_word.psl_eq(g_stored)
     # run the named checks against the *stored* D_k and g_k, so tampering
     # with either is caught by the corresponding check as well
-    checks = run_checks(w.mode, w.d, w.x if w.mode == GENERAL else None, sigma, h,
-                        n_xi, w.n_k, w.D_k, g_word, g_stored or g_word,
-                        w.alpha_k, w.beta_k, w.word)
+    checks = run_checks(params, der, w.n_k, w.D_k, w.alpha_k, w.beta_k, w.word,
+                        g_word, g_stored or g_word)
     if g_stored is None:
         checks["closed_form"] = False  # stored matrix is not even unimodular
     for name, ok in checks.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .quadint import QuadInt, parse_quadint
@@ -81,17 +81,11 @@ class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-def _inverse_word(word: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 @dataclass(frozen=True)
 class PslElement:
-    """Determinant-1 matrix over O_d up to global sign, with optional word
-    provenance.  The word never participates in algebraic equality."""
+    """Determinant-1 matrix over O_d up to global sign."""
 
     rep: Mat2
-    word: Optional[Word] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         d = self.rep.a11.d
@@ -106,13 +100,13 @@ class PslElement:
         return self.rep.a11.d
 
     @classmethod
-    def from_entries(cls, a11: QuadInt, a12: QuadInt, a21: QuadInt, a22: QuadInt,
-                     word: Optional[Word] = None) -> "PslElement":
-        return cls(Mat2(a11, a12, a21, a22), word)
+    def from_entries(cls, a11: QuadInt, a12: QuadInt, a21: QuadInt,
+                     a22: QuadInt) -> "PslElement":
+        return cls(Mat2(a11, a12, a21, a22))
 
     @classmethod
     def identity(cls, d: int) -> "PslElement":
-        return cls(Mat2.identity(d), ())
+        return cls(Mat2.identity(d))
 
     def _check(self, other: "PslElement") -> None:
         if self.d != other.d:
@@ -120,42 +114,29 @@ class PslElement:
 
     def __mul__(self, other: "PslElement") -> "PslElement":
         self._check(other)
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return PslElement(self.rep * other.rep, word)
+        return PslElement(self.rep * other.rep)
 
     def inv(self) -> "PslElement":
-        word = None if self.word is None else _inverse_word(self.word)
-        return PslElement(self.rep.adjugate(), word)
+        return PslElement(self.rep.adjugate())
 
     def __pow__(self, n: int) -> "PslElement":
-        word: Optional[Word] = None
-        if self.word is not None:
-            if len(self.word) == 1:
-                g, k = self.word[0]
-                word = ((g, k * n),) if k * n != 0 else ()
-            elif n >= 0:
-                word = self.word * n
-            else:
-                word = _inverse_word(self.word) * -n
         one = QuadInt.integer(self.d, 1)
         m = self.rep
         if m.a11 == one and m.a22 == one and m.a21.is_zero():
             # unipotent: (1, b; 0, 1)^n = (1, n*b; 0, 1) for every integer n
-            return PslElement(Mat2(one, m.a12 * n, m.a21, one), word)
+            return PslElement(Mat2(one, m.a12 * n, m.a21, one))
         if n == 0:
-            return PslElement(Mat2.identity(self.d), word)
+            return PslElement.identity(self.d)
         base = self if n > 0 else self.inv()
         result = base
         for bit in bin(abs(n))[3:]:  # left to right, after the leading 1
             result = PslElement(result.rep * result.rep)
             if bit == "1":
                 result = PslElement(result.rep * base.rep)
-        return PslElement(result.rep, word)
+        return result
 
     def negate(self) -> "PslElement":
-        return PslElement(-self.rep, self.word)
+        return PslElement(-self.rep)
 
     def psl_eq(self, other: "PslElement") -> bool:
         self._check(other)
@@ -203,8 +184,8 @@ def parse_mat2(text: str, d: int) -> Mat2:
     return Mat2(*(parse_quadint(g, d) for g in m.groups()))
 
 
-def parse_psl(text: str, d: int, word: Optional[Word] = None) -> PslElement:
-    return PslElement(parse_mat2(text, d), word)
+def parse_psl(text: str, d: int) -> PslElement:
+    return PslElement(parse_mat2(text, d))
 
 
 def eval_word(gens: Mapping[str, PslElement], word: Iterable[tuple[str, int]]) -> PslElement:
@@ -219,7 +200,7 @@ def eval_word(gens: Mapping[str, PslElement], word: Iterable[tuple[str, int]]) -
         factor = gens[gen_id] ** exponent
         result = factor if result is None else result * factor
     assert result is not None
-    return PslElement(result.rep, word)
+    return result
 
 
 def render_word(word: Word) -> str:

@@ -67,13 +67,6 @@ class QuadInt:
         return cls(d, 0, 1)
 
     @classmethod
-    def from_sqrt_pair(cls, d: int, u: int, v: int) -> "QuadInt":
-        """The element u + v*sqrt(-d) with integer u, v."""
-        if _half_discriminant_case(d):
-            return cls(d, u - v, 2 * v)
-        return cls(d, u, v)
-
-    @classmethod
     def from_half_pair(cls, d: int, b1: int, b2: int) -> "QuadInt":
         """The element (b1 + b2*sqrt(-d))/2; requires b1 = b2 (mod 2)."""
         if (b1 - b2) % 2 != 0:
@@ -91,10 +84,6 @@ class QuadInt:
         if _half_discriminant_case(self.d):
             return (2 * self.x + self.y, self.y)
         return (2 * self.x, 2 * self.y)
-
-    def sqrt_pair(self) -> tuple[Fraction, Fraction]:
-        b1, b2 = self.half_pair()
-        return (Fraction(b1, 2), Fraction(b2, 2))
 
     def is_rational(self) -> bool:
         return self.y == 0

@@ -17,17 +17,16 @@ from bianchicert.congruence import (enumerate_psl2, gamma8_generators,
                                     group_closure, in_gamma8, phi_n,
                                     reduce_level)
 from bianchicert.golden import (GOLDEN_P, GOLDEN_Q, golden_h, golden_rows)
-from bianchicert.pipeline import (FIG8, GENERAL, InvalidParams, bezout_rt,
-                                  build_h, construct_series,
+from bianchicert.pipeline import (FIG8, GENERAL, InvalidParams, construct_series,
                                   construct_witness, parse_witnesses,
                                   render_witnesses, validate_fig8,
-                                  validate_general, verify_witness, xi_fig8)
+                                  validate_general, verify_witness)
 from bianchicert.psl2 import PslElement, parse_psl
 from bianchicert.quadint import QuadInt
 from bianchicert.quat import QuatAlgebra, Quaternion, order_unit_to_stab, rho
 
 from test_circles import random_circle
-from test_pipeline import random_valid_slope
+from test_pipeline import fig8_h, random_valid_slope
 from test_psl2 import random_psl
 from test_quat import random_quaternion
 
@@ -48,9 +47,7 @@ def random_general_params(rng, d):
 
 def test_criterion_1_golden_table_reproduction():
     params = validate_fig8(GOLDEN_P, GOLDEN_Q)
-    xi = xi_fig8(params)
-    h = build_h(FIG8, 3, xi, *bezout_rt(3, 4 * xi.norm()))
-    ok = h.rep == golden_h()
+    ok = fig8_h(params).rep == golden_h()
     witnesses = construct_series(FIG8, params, range(1, 11))
     for w, row in zip(witnesses, golden_rows()):
         ok = ok and w.k == row.k and w.D_k == row.D_k and w.g_k == row.g_k
@@ -111,9 +108,7 @@ def test_criterion_5_congruence_claim():
     rng = random.Random(104)
     ok = True
     for _ in range(20):
-        params = random_valid_slope(rng)
-        xi = xi_fig8(params)
-        h = build_h(FIG8, 3, xi, *bezout_rt(3, 4 * xi.norm()))
+        h = fig8_h(random_valid_slope(rng))
         ok = ok and phi_n(h, 4) == target and in_gamma8(h)
     report(5, "congruence claim", ok)
 

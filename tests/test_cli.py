@@ -1,8 +1,11 @@
 import pytest
 
-from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_MISMATCH, EXIT_OK, main,
-                             parse_k_range)
+from bianchicert import cli
+from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
+                             main, parse_k_range)
 from bianchicert.pipeline import InvalidParams
+
+from test_pipeline import edited
 
 
 def run(capsys, *argv):
@@ -100,6 +103,32 @@ class TestVerify:
         path.write_text("not a witness\n")
         code, _, _ = run(capsys, "verify", str(path))
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("key, value, failed", [
+        ("p", None, "parse.p"),
+        ("word", "tau^1 h^1 sigma^6 h^-1 tau^1", "field.word"),
+        ("word", "", "field.word"),
+        ("D_k", "-5", "field.D_k"),
+        ("D_k", "0", "field.D_k"),
+    ], ids=["no-p", "unbound-word", "empty-word", "negative-D_k", "zero-D_k"])
+    def test_malformed_record_is_a_mismatch(self, tmp_path, capsys, key, value, failed):
+        path = self.witness_file(tmp_path, capsys)
+        path.write_text(edited(path.read_text().split("\n\n")[0], key, value))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_MISMATCH
+        assert "witness k=1 mode=fig8: FAIL" in out
+        assert f"  {failed}: fail" in out
+        assert err == ""
+
+    def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
+        def crash(_w):
+            raise RuntimeError("boom")
+
+        path = self.witness_file(tmp_path, capsys)
+        monkeypatch.setattr(cli, "verify_witness", crash)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestResidues:

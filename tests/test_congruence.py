@@ -35,7 +35,7 @@ class TestPhiN:
     def test_conjugator_matches_displayed_element(self):
         # the conjugator for any valid slope reduces to the same level-4
         # class as ((1,2;0,1)(1,0;omega,1))^2
-        from bianchicert.pipeline import bezout_rt, build_h, validate_fig8, xi_fig8
+        from bianchicert.pipeline import bezout_rt, build_h, validate_fig8
         omega = QuadInt.tau(3) - 1
         a = parse_psl("[[1,2],[0,1]]", 3)
         b = PslElement.from_entries(QuadInt.integer(3, 1), QuadInt.integer(3, 0),
@@ -51,9 +51,8 @@ class TestPhiN:
             except ValueError:
                 continue
             seen += 1
-            xi = xi_fig8(params)
-            r, t = bezout_rt(3, 4 * xi.norm())
-            h = build_h("fig8", 3, xi, r, t)
+            r, t = bezout_rt(3, 4 * params.xi.norm())
+            h = build_h(4, 3, params.xi, r, t)
             assert phi_n(h, 4) == phi_n(g, 4)
 
 

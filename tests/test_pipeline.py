@@ -1,20 +1,70 @@
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from math import gcd
 
 import pytest
 
 from bianchicert.circles import circle_action, circle_at_origin, is_prime
-from bianchicert.pipeline import (FIG8, FIG8_CHECKS, GENERAL, GENERAL_CHECKS,
-                                  ConsistencyError, InvalidParams, Slope,
+from bianchicert.pipeline import (CHECKS, FIG8, GENERAL, InvalidParams,
                                   bezout_rt, build_h, construct_series,
-                                  construct_witness, delta, lam, middle_factor,
-                                  mu, parse_witnesses, render_witnesses,
-                                  sigma_from_xi, validate_fig8,
+                                  construct_witness, parse_witnesses,
+                                  render_witnesses, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import PslElement, eval_word, parse_psl
+from bianchicert.psl2 import Mat2, PslElement, eval_word, parse_psl
 from bianchicert.quadint import QuadInt, parse_quadint
+
+GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
+
+
+# -- oracles: the d=3 peripheral basis and the fig8 middle factor ------------
+
+
+@dataclass(frozen=True)
+class Slope:
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if self.p == 0 and self.q == 0:
+            raise ValueError("slope 0/0 is not a slope")
+        if gcd(self.p, self.q) != 1:
+            raise ValueError(f"slope {self.p}/{self.q} is not primitive")
+
+
+def delta(alpha, beta):
+    """Distance |p q' - p' q| between slopes."""
+    return abs(alpha.p * beta.q - beta.p * alpha.q)
+
+
+def mu():
+    one, zero = QuadInt.integer(3, 1), QuadInt.integer(3, 0)
+    return PslElement.from_entries(one, one, zero, one)
+
+
+def lam():
+    one, zero = QuadInt.integer(3, 1), QuadInt.integer(3, 0)
+    omega = QuadInt.tau(3) - 1
+    return PslElement.from_entries(one, 4 * omega + 2, zero, one)
+
+
+def fig8_middle_closed_form(xi):
+    """h sigma^6 h^-1 = (1 - 6n sqrt(-3), -18 xi; -6n conj(xi), 1 + 6n sqrt(-3))
+    with n = |xi|^2."""
+    n = xi.norm()
+    root = QuadInt.sqrt_minus_d(3)
+    one = QuadInt.integer(3, 1)
+    return PslElement(Mat2(one - 6 * n * root, -18 * xi, -6 * n * xi.conj(), one + 6 * n * root))
+
+
+def fig8_h(params):
+    return build_h(4, 3, params.xi, *bezout_rt(3, 4 * params.xi.norm()))
+
+
+def fig8_middle_factor(params):
+    """h sigma^6 h^-1 by word evaluation."""
+    gens = {"h": fig8_h(params), "sigma": sigma_from_xi(params.xi)}
+    return eval_word(gens, (("h", 1), ("sigma", 6), ("h", -1)))
 
 
 def bezout_rt_scan(d, c):
@@ -53,7 +103,7 @@ class TestSlopes:
         rng = random.Random(51)
         for _ in range(30):
             params = random_valid_slope(rng)
-            sigma = sigma_from_xi(xi_fig8(params))
+            sigma = sigma_from_xi(params.xi)
             direct = (mu() ** params.p) * (lam() ** params.q)
             assert sigma.psl_eq(direct)
 
@@ -71,6 +121,12 @@ class TestValidation:
         params = validate_fig8(20, 7)
         assert (params.p, params.q) == (20, 7)
 
+    def test_fig8_is_the_level_4_preset(self):
+        params = validate_fig8(20, 7)
+        assert (params.mode, params.d, params.x, params.level) == (FIG8, 3, 2, 4)
+        assert params.xi == xi_fig8(20, 7)
+        assert validate_general(3, params.xi, 2).level == 1
+
     def test_general_rejections(self):
         eta = QuadInt.tau(7)
         with pytest.raises(InvalidParams, match="not a prime"):
@@ -87,8 +143,7 @@ class TestValidation:
 
 class TestXiAndBezout:
     def test_xi_4_1(self):
-        params = validate_fig8(4, 1)
-        assert xi_fig8(params).norm() == 16 + 12
+        assert xi_fig8(4, 1).norm() == 16 + 12
 
     def test_bezout_golden(self):
         # -3*1317 - 3952*(-1) = 1 with |xi|^2 = 988
@@ -131,31 +186,22 @@ class TestXiAndBezout:
 
 class TestConjugator:
     def test_golden_h(self):
-        params = validate_fig8(20, 7)
-        xi = xi_fig8(params)
-        r, t = bezout_rt(3, 4 * xi.norm())
-        h = build_h(FIG8, 3, xi, r, t)
+        h = fig8_h(validate_fig8(20, 7))
         assert h.render() == ("[[0+1*sqrt(-3),-80-56*sqrt(-3)],"
                               "[20-14*sqrt(-3),0+1317*sqrt(-3)]]")
 
     def test_unit_determinant_many(self):
         rng = random.Random(53)
         for _ in range(50):
-            params = random_valid_slope(rng)
-            xi = xi_fig8(params)
-            r, t = bezout_rt(3, 4 * xi.norm())
-            h = build_h(FIG8, 3, xi, r, t)
+            h = fig8_h(random_valid_slope(rng))
             assert h.rep.det() == QuadInt.integer(3, 1)
 
 
 class TestMiddleFactor:
     def test_entries_20_7(self):
         params = validate_fig8(20, 7)
-        xi = xi_fig8(params)
-        sigma = sigma_from_xi(xi)
-        r, t = bezout_rt(3, 4 * xi.norm())
-        h = build_h(FIG8, 3, xi, r, t)
-        f = middle_factor(FIG8, h, sigma)
+        xi = params.xi
+        f = fig8_middle_factor(params)
         rep = f.canonical_rep()
         assert rep.a12 == -18 * xi
         assert rep.a21 == -6 * xi.norm() * xi.conj()
@@ -165,11 +211,8 @@ class TestMiddleFactor:
         rng = random.Random(54)
         for _ in range(50):
             params = random_valid_slope(rng)
-            xi = xi_fig8(params)
-            sigma = sigma_from_xi(xi)
-            r, t = bezout_rt(3, 4 * xi.norm())
-            h = build_h(FIG8, 3, xi, r, t)
-            middle_factor(FIG8, h, sigma)  # raises on mismatch
+            f = fig8_middle_factor(params)
+            assert f.psl_eq(fig8_middle_closed_form(params.xi))
 
 
 class TestConstructFig8:
@@ -185,7 +228,7 @@ class TestConstructFig8:
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
         assert PslElement(w.g_k).psl_eq(g1)
         assert w.all_checks_pass()
-        assert set(w.checks) == set(FIG8_CHECKS)
+        assert tuple(w.checks) == CHECKS
         assert w.assumptions
 
     def test_k10_golden_values(self):
@@ -219,7 +262,7 @@ class TestConstructGeneral:
         assert w.D_k == 7371 ** 2 * 106 + 10
         assert w.D_k == 5759153956
         assert w.all_checks_pass()
-        assert set(w.checks) == set(GENERAL_CHECKS)
+        assert tuple(w.checks) == GENERAL_CHECKS
         assert not w.assumptions
 
     def test_general_word_reproduces_g(self):
@@ -228,7 +271,7 @@ class TestConstructGeneral:
         w = construct_witness(GENERAL, params, 2)
         sigma = sigma_from_xi(params.xi)
         r, t = bezout_rt(7, 106)
-        h = build_h(GENERAL, 7, params.xi, r, t)
+        h = build_h(1, 7, params.xi, r, t)
         g = eval_word({"sigma": sigma, "h": h}, w.word)
         assert g.psl_eq(PslElement(w.g_k))
 
@@ -245,6 +288,31 @@ class TestConstructGeneral:
                 built += 1
                 w = construct_witness(GENERAL, params, rng.randint(1, 6))
                 assert w.all_checks_pass()
+
+
+class TestFig8IsGeneralPreset:
+    def test_fig8_equals_general_d3_x2(self):
+        # the same witness but for the conjugator (r, t, h): its Bezout
+        # modulus and top-right entry carry the level factor 4
+        rng = random.Random(56)
+        for _ in range(40):
+            fig8 = random_valid_slope(rng, bound=2500)
+            general = validate_general(3, fig8.xi, 2)
+            k = rng.randint(1, 10**6)
+            a = construct_witness(FIG8, fig8, k)
+            b = construct_witness(GENERAL, general, k)
+            for name in ("xi", "norm_xi", "k", "n_k", "D_k", "alpha_k", "beta_k",
+                         "g_k", "word"):
+                assert getattr(a, name) == getattr(b, name), name
+            assert a.h != b.h
+            for h in (a.h, b.h):
+                assert h.det() == QuadInt.integer(3, 1)
+
+    def test_mode_must_match_params(self):
+        with pytest.raises(InvalidParams, match="does not match"):
+            construct_witness(GENERAL, validate_fig8(20, 7), 1)
+        with pytest.raises(InvalidParams, match="does not match"):
+            construct_witness(FIG8, validate_general(3, xi_fig8(20, 7), 2), 1)
 
 
 class TestSeries:
@@ -310,3 +378,46 @@ class TestVerify:
         bad = replace(w, p=12)
         report = verify_witness(bad)
         assert report.results == {"params": False}
+
+
+def edited(text, key, value):
+    """text with the `key:` line replaced by `key: value`, or dropped for None."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key}:")]
+    if value is not None:
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestVerifyIsTotal:
+    """Malformed records get a failing report naming the entry at fault."""
+
+    def verify_text(self, text):
+        (w,) = parse_witnesses(text)
+        return verify_witness(w)
+
+    def test_fig8_record_without_p_or_q(self):
+        text = fig8_witness(k=1).render()
+        assert self.verify_text(edited(text, "p", None)).results == {"parse.p": False}
+        assert self.verify_text(edited(text, "q", None)).results == {"parse.q": False}
+
+    def test_general_record_without_x(self):
+        w = construct_witness(GENERAL, validate_general(7, 1 + 7 * QuadInt.tau(7)), 1)
+        assert self.verify_text(edited(w.render(), "x", None)).results == {"parse.x": False}
+
+    def test_fig8_record_over_another_ring(self):
+        text = fig8_witness(k=1).render().replace("sqrt(-3)", "sqrt(-7)")
+        assert self.verify_text(edited(text, "d", 7)).results == {"field.d": False}
+
+    def test_unbound_or_empty_word(self):
+        text = fig8_witness(k=1).render()
+        for word in ("tau^1 h^1 sigma^6 h^-1 tau^1", ""):
+            report = self.verify_text(edited(text, "word", word))
+            assert report.failures() == ["field.word"]
+
+    def test_non_positive_D_k(self):
+        text = fig8_witness(k=1).render()
+        for D in (-5, 0):
+            report = self.verify_text(edited(text, "D_k", D))
+            failed = set(report.failures())
+            assert {"field.D_k", "check.stabilizer_membership", "check.cocompact"} <= failed
+            assert "field.g_k" not in failed

@@ -136,34 +136,28 @@ class TestUnipotentFastPath:
     @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
     def test_sigma_power_is_closed_form(self, d, x, y, n):
         one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
-        sigma = PslElement.from_entries(one, QuadInt(d, x, y), zero, one,
-                                        word=(("sigma", 1),))
+        sigma = PslElement.from_entries(one, QuadInt(d, x, y), zero, one)
         power, products = power_and_products(sigma, n)
         assert power.rep == oracle_pow(sigma.rep, n)
         assert products == 0
-        assert power.word == ((("sigma", n),) if n else ())
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
     def test_negated_unipotent_takes_generic_path(self, d, x, y, n):
         minus_one, zero = QuadInt.integer(d, -1), QuadInt.integer(d, 0)
-        g = PslElement.from_entries(minus_one, QuadInt(d, x, y), zero, minus_one,
-                                    word=(("s", 2),))
+        g = PslElement.from_entries(minus_one, QuadInt(d, x, y), zero, minus_one)
         power, products = power_and_products(g, n)
         assert power.rep == oracle_pow(g.rep, n)
         assert (products > 0) == (abs(n) > 1)
-        assert power.word == ((("s", 2 * n),) if n else ())
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, SMALL_EXPONENT)
     def test_non_unipotent_takes_generic_path(self, d, x, y, n):
         one, xi = QuadInt.integer(d, 1), QuadInt(d, x, y)
-        h = PslElement.from_entries(one, xi, one, one + xi, word=(("a", 1), ("b", -1)))
+        h = PslElement.from_entries(one, xi, one, one + xi)
         power, products = power_and_products(h, n)
         assert power.rep == oracle_pow(h.rep, n)
         assert (products > 0) == (abs(n) > 1)
-        expected = (("a", 1), ("b", -1)) * n if n >= 0 else (("b", 1), ("a", -1)) * -n
-        assert power.word == expected
 
     def test_power_one_costs_no_product(self):
         h = psl("[[2,1],[1,1]]")
