@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import golden
-from .circles import is_prime, is_quadratic_nonresidue, smallest_nonresidue
+from .circles import is_prime, smallest_nonresidue
 from .pipeline import (FIG8, GENERAL, CompressionWitness, ConsistencyError,
                        InvalidParams, Params, construct_series, parse_witnesses,
                        render_witnesses, validate_fig8, validate_general,

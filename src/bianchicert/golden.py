@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .psl2 import Mat2, parse_mat2
-from .quadint import QuadInt
+from .quadint import parse_quadint
 
 GOLDEN_P = 20
 GOLDEN_Q = 7
@@ -64,8 +64,6 @@ def golden_h() -> Mat2:
 
 
 def golden_rows() -> list[GoldenRow]:
-    from .quadint import parse_quadint
-
     rows = []
     for k, D, *entries in _ROWS:
         mat = Mat2(*(parse_quadint(e, 3) for e in entries))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd
 
@@ -201,10 +200,11 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_coeff(tok: str) -> Fraction:
+def _parse_coeff4(tok: str) -> int:
+    """Four times the coefficient token n or n/2, an even integer."""
     if tok.endswith("/2"):
-        return Fraction(int(tok[:-2]), 2)
-    return Fraction(int(tok))
+        return 2 * int(tok[:-2])
+    return 4 * int(tok)
 
 
 def parse_quadint(text: str, d: int) -> QuadInt:
@@ -218,47 +218,48 @@ def parse_quadint(text: str, d: int) -> QuadInt:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty element text")
-    u = Fraction(0)  # rational part in the u + v*sqrt(-d) view
-    v = Fraction(0)
+    # 4u and 4v in the u + v*sqrt(-d) view: every term is a multiple of 1/4
+    u4 = v4 = 0
     pos = 0
     first = True
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if m is None or (not first and m.group(1) == ""):
             raise ValueError(f"cannot parse {text!r} at position {pos}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group(7) is not None:
-            u += sign * _parse_coeff(m.group(7))
+        sign, coeff, sym, dd, bare_sym, bare_dd, number = m.groups()
+        c4 = _parse_coeff4(number or coeff or "1")
+        if sign == "-":
+            c4 = -c4
+        if number is not None:
+            u4 += c4
         else:
-            coeff = _parse_coeff(m.group(2)) if m.group(2) else Fraction(1)
-            sym = m.group(3) or m.group(5)
+            sym = sym or bare_sym
             if sym.startswith("sqrt"):
-                dd = int(m.group(4) or m.group(6))
+                dd = int(dd or bare_dd)
                 if dd != d:
                     raise ValueError(f"sqrt(-{dd}) does not live in O_{d}")
-                v += sign * coeff
+                v4 += c4
             elif sym == "tau":
                 if _half_discriminant_case(d):
-                    u += sign * coeff / 2
-                    v += sign * coeff / 2
+                    u4 += c4 // 2  # c4 is even, so the halves are exact
+                    v4 += c4 // 2
                 else:
-                    v += sign * coeff
+                    v4 += c4
             elif sym == "eta":
                 if not _half_discriminant_case(d):
                     raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
-                u += sign * coeff / 2
-                v += sign * coeff / 2
+                u4 += c4 // 2
+                v4 += c4 // 2
             else:  # omega
                 if d != 3:
                     raise ValueError("omega is only defined for d=3")
-                u -= sign * coeff / 2
-                v += sign * coeff / 2
+                u4 -= c4 // 2
+                v4 += c4 // 2
         pos = m.end()
         first = False
-    b1, b2 = 2 * u, 2 * v
-    if b1.denominator != 1 or b2.denominator != 1:
+    if u4 % 2 or v4 % 2:  # 2u or 2v is not an integer
         raise ValueError(f"{text!r} is not in O_{d}")
-    return QuadInt.from_half_pair(d, int(b1), int(b2))
+    return QuadInt.from_half_pair(d, u4 // 2, v4 // 2)
 
 
 # -- residue ring O_d/(n) ---------------------------------------------------

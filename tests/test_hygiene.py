@@ -1,0 +1,81 @@
+"""Import hygiene of the library, read from the source with `ast`.
+
+Every name a module in `src/bianchicert/` imports is used in that module
+(`__init__.py`, the re-export surface, is exempt), and only `quat.py`, whose
+quaternion algebras have rational coefficients, imports `fractions`: the ring
+O_d and everything built on it is exact integer arithmetic.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bianchicert"
+MODULES = sorted(p for p in PACKAGE.glob("*.py"))
+FRACTIONS_ALLOWED = {"quat.py"}
+
+
+def imported_names(tree):
+    """(bound name, imported module) for each import outside `__future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.module or ""
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None:
+                    yield arg.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Names loaded anywhere, string annotations included."""
+    trees = [tree]
+    for ann in annotations(tree):
+        for node in ast.walk(ann) if ann is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_package_found():
+    assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = used_names(tree)
+    unused = sorted(name for name, _ in imported_names(tree) if name not in used)
+    assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FRACTIONS_ALLOWED],
+                         ids=lambda p: p.name)
+def test_only_quat_imports_fractions(path):
+    modules = {module for _, module in imported_names(parse(path))}
+    assert "fractions" not in modules, f"{path.name} imports fractions"
+
+
+def test_checker_sees_an_unused_import():
+    tree = ast.parse("from typing import Sequence, Optional\nx: Optional[int] = None\n"
+                     "def f(a: 'Mapping') -> None: ...\nimport fractions\n")
+    used = used_names(tree)
+    assert [n for n, _ in imported_names(tree) if n not in used] == ["Sequence", "fractions"]
+    assert "Mapping" in used

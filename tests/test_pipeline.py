@@ -1,8 +1,12 @@
 import random
+import re
+import time
 from dataclasses import dataclass, replace
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchicert.circles import circle_action, circle_at_origin, is_prime
 from bianchicert.pipeline import (CHECKS, FIG8, GENERAL, InvalidParams,
@@ -11,7 +15,7 @@ from bianchicert.pipeline import (CHECKS, FIG8, GENERAL, InvalidParams,
                                   render_witnesses, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import Mat2, PslElement, eval_word, parse_psl
+from bianchicert.psl2 import Mat2, PslElement, eval_word, parse_psl, render_word
 from bianchicert.quadint import QuadInt, parse_quadint
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
@@ -421,3 +425,74 @@ class TestVerifyIsTotal:
             failed = set(report.failures())
             assert {"field.D_k", "check.stabilizer_membership", "check.cocompact"} <= failed
             assert "field.g_k" not in failed
+
+    @pytest.mark.parametrize("reshape", [
+        lambda word: word.replace(" h^1 ", " h^65536 "),
+        lambda word: word.replace(" h^1 ", " h^2 "),
+        lambda word: word.replace("h^1", "h^+").replace("h^-1", "h^1").replace("h^+", "h^-1"),
+        lambda word: word + " sigma^1",
+        lambda word: word.rsplit(" ", 1)[0],
+    ], ids=["h^65536", "h^2", "h-exponents-swapped", "sixth-term", "missing-term"])
+    def test_word_of_another_shape_is_not_evaluated(self, reshape):
+        w = fig8_witness(k=1)
+        text = edited(w.render(), "word", reshape(render_word(w.word)))
+        start = time.perf_counter()
+        report = self.verify_text(text)
+        assert time.perf_counter() - start < 0.5
+        assert report.failures() == ["field.word"]
+
+
+FUZZ_RECORDS = {
+    "golden": fig8_witness(k=1),
+    "general-d7": construct_witness(GENERAL, validate_general(7, 1 + 7 * QuadInt.tau(7)), 2),
+}
+MEANING = {FIG8: ("mode", "d", "p", "q"), GENERAL: ("mode", "d", "x")}
+DERIVED = ("xi", "norm_xi", "r", "t", "k", "n_k", "D_k", "alpha_k", "beta_k", "word")
+FUZZ_CHARS = list("0123456789+-*/^:()[],. \n#_") + ["sqrt(-3)", "eta", "h^", "sigma^"]
+
+
+def same_meaning(record, honest):
+    """Equal on every field verification reads; h and g_k up to global sign."""
+    return (all(getattr(record, f) == getattr(honest, f)
+                for f in MEANING[honest.mode] + DERIVED)
+            and all(getattr(record, f) in (getattr(honest, f), -getattr(honest, f))
+                    for f in ("h", "g_k")))
+
+
+@st.composite
+def mutated_record(draw):
+    """(honest witness, its text with one to three character-level edits)."""
+    name = draw(st.sampled_from(sorted(FUZZ_RECORDS)))
+    honest = FUZZ_RECORDS[name]
+    text = honest.render()
+    for _ in range(draw(st.integers(1, 3))):
+        values = [m.span(1) for m in re.finditer(r": (.+)$", text, re.M)]
+        if values and draw(st.integers(0, 3)):  # mostly inside a value
+            start, end = draw(st.sampled_from(values))
+            at = draw(st.integers(start, end - 1))
+        else:
+            at = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        new = draw(st.sampled_from(FUZZ_CHARS)) if edit != "delete" else ""
+        text = text[:at] + new + text[at + (edit != "insert"):]
+    return honest, text
+
+
+class TestVerifyFuzz:
+    """Verification is total on mutated witness text and passes no record
+    whose meaning changed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_record())
+    def test_mutated_record(self, case):
+        honest, text = case
+        try:
+            records = parse_witnesses(text)
+        except (ValueError, KeyError):  # mapped to exit 2 by `bianchicert verify`
+            return
+        for record in records:
+            if record.mode not in MEANING:
+                assert verify_witness(record).results == {"params": False}
+                continue
+            if verify_witness(record).ok:
+                assert same_meaning(record, honest)

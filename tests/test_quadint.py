@@ -1,7 +1,11 @@
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchicert import quadint
 from bianchicert.circles import is_quadratic_nonresidue
@@ -192,6 +196,142 @@ class TestText:
             parse_quadint("1+1*sqrt(-5)", 3)
         with pytest.raises(ValueError):
             parse_quadint("1/2", 2)  # not integral for d=2
+
+
+# -- oracle: the Fraction-based parser the integer one replaced ---------------
+
+
+ORACLE_TERM_RE = re.compile(
+    r"([+-]?)"
+    r"(?:"
+    r"(\d+(?:/2)?)\*(sqrt\(-(\d+)\)|tau|eta|omega)"
+    r"|(sqrt\(-(\d+)\)|tau|eta|omega)"
+    r"|(\d+(?:/2)?)"
+    r")"
+)
+
+
+def _oracle_coeff(tok):
+    if tok.endswith("/2"):
+        return Fraction(int(tok[:-2]), 2)
+    return Fraction(int(tok))
+
+
+def oracle_parse_quadint(text, d):
+    quadint._check_d(d)
+    half_case = quadint._half_discriminant_case(d)
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty element text")
+    u = Fraction(0)
+    v = Fraction(0)
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = ORACLE_TERM_RE.match(s, pos)
+        if m is None or (not first and m.group(1) == ""):
+            raise ValueError(f"cannot parse {text!r} at position {pos}")
+        sign = -1 if m.group(1) == "-" else 1
+        if m.group(7) is not None:
+            u += sign * _oracle_coeff(m.group(7))
+        else:
+            coeff = _oracle_coeff(m.group(2)) if m.group(2) else Fraction(1)
+            sym = m.group(3) or m.group(5)
+            if sym.startswith("sqrt"):
+                dd = int(m.group(4) or m.group(6))
+                if dd != d:
+                    raise ValueError(f"sqrt(-{dd}) does not live in O_{d}")
+                v += sign * coeff
+            elif sym == "tau":
+                if half_case:
+                    u += sign * coeff / 2
+                    v += sign * coeff / 2
+                else:
+                    v += sign * coeff
+            elif sym == "eta":
+                if not half_case:
+                    raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
+                u += sign * coeff / 2
+                v += sign * coeff / 2
+            else:
+                if d != 3:
+                    raise ValueError("omega is only defined for d=3")
+                u -= sign * coeff / 2
+                v += sign * coeff / 2
+        pos = m.end()
+        first = False
+    b1, b2 = 2 * u, 2 * v
+    if b1.denominator != 1 or b2.denominator != 1:
+        raise ValueError(f"{text!r} is not in O_{d}")
+    return QuadInt.from_half_pair(d, int(b1), int(b2))
+
+
+def outcome(parse, text, d):
+    """The parsed element, or the ValueError message."""
+    try:
+        return parse(text, d)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+PARSE_DS = (1, 2, 3, 5, 7, 11, 43)
+NATURAL = st.one_of(st.integers(0, 20), st.integers(0, 2**80))
+COEFF = st.one_of(NATURAL.map(str), NATURAL.map(lambda n: f"{n}/2"))
+
+
+@st.composite
+def symbol(draw, d):
+    return draw(st.sampled_from((
+        f"sqrt(-{d})", f"sqrt(-{draw(st.sampled_from(PARSE_DS))})", "tau", "eta", "omega")))
+
+
+@st.composite
+def element_text(draw):
+    """(text, d): a run of terms from the element grammar with up to three
+    inserted spaces or stray characters, and now and then a missing sign."""
+    d = draw(st.sampled_from(PARSE_DS))
+    terms = []
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(("+", "-", "") if i == 0 or draw(st.integers(0, 19)) == 0
+                                    else ("+", "-")))
+        shape = draw(st.integers(0, 2))
+        if shape == 0:
+            body = draw(COEFF)
+        elif shape == 1:
+            body = draw(symbol(d))
+        else:
+            body = f"{draw(COEFF)}*{draw(symbol(d))}"
+        terms.append(sign + body)
+    text = "".join(terms)
+    stray = st.sampled_from([" "] * 10 + list("*/^()x.+-0"))
+    inserts = draw(st.lists(st.tuples(st.integers(0, len(text)), stray), max_size=3))
+    for at, ch in sorted(inserts, reverse=True):
+        text = text[:at] + ch + text[at:]
+    return text, d
+
+
+class TestIntegerParser:
+    """parse_quadint against the Fraction-based oracle it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(element_text())
+    def test_same_result_or_same_error(self, case):
+        text, d = case
+        assert outcome(parse_quadint, text, d) == outcome(oracle_parse_quadint, text, d)
+
+    @pytest.mark.parametrize("d", PARSE_DS)
+    def test_edge_cases(self, d):
+        for text in ("", " ", "1/2", "3/2+1/2*sqrt(-3)", "1/2+1/2*tau", "1/2*eta",
+                     "1/2*omega", "1+-2", "1 2", "2*sqrt(-5)", "+eta", "-omega", "0/2",
+                     "1/2+1/2"):
+            assert outcome(parse_quadint, text, d) == outcome(oracle_parse_quadint, text, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PARSE_DS), st.integers(-2**256, 2**256),
+           st.integers(-2**256, 2**256))
+    def test_wide_round_trip(self, d, x, y):
+        a = QuadInt(d, x, y)
+        assert parse_quadint(a.render(), d) == a == oracle_parse_quadint(a.render(), d)
 
 
 class TestResidueRing:
