@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import circles, congruence
 from .circles import cocompact_certificate, is_prime, is_quadratic_nonresidue, stab_form
@@ -123,14 +123,45 @@ def bezout_rt(d: int, c: int) -> tuple[int, int]:
     return r, t
 
 
+def _h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
+    root = QuadInt.sqrt_minus_d(d)
+    return Mat2(root, xi * (level * t), xi.conj(), root * r)
+
+
 def build_h(level: int, d: int, xi: QuadInt, r: int, t: int) -> PslElement:
     """The conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r), of
     determinant 1 when -d r - level |xi|^2 t = 1."""
-    root = QuadInt.sqrt_minus_d(d)
-    return PslElement.from_entries(root, xi * (level * t), xi.conj(), root * r)
+    return PslElement(_h_matrix(level, d, xi, r, t))
 
 
 # -- witnesses --------------------------------------------------------------
+
+# The record's keys in render order: (key, parser (text, d) -> value, renderer,
+# whether verify_witness compares the claimed value with the honest one as
+# field.<key>).  The parsers look parse_* up when called, so a tracer that
+# rebinds those module names sees every call.
+FIELDS: tuple[tuple[str, Callable[[str, int], Any], Callable[[Any], str], bool], ...] = (
+    ("mode", lambda text, d: text, str, False),
+    ("d", lambda text, d: int(text), str, False),
+    ("p", lambda text, d: int(text), str, False),
+    ("q", lambda text, d: int(text), str, False),
+    ("x", lambda text, d: int(text), str, False),
+    ("xi", lambda text, d: parse_quadint(text, d), str, True),
+    ("norm_xi", lambda text, d: int(text), str, True),
+    ("r", lambda text, d: int(text), str, True),
+    ("t", lambda text, d: int(text), str, True),
+    ("h", lambda text, d: parse_mat2(text, d), render_mat2, True),  # compared up to sign
+    ("k", lambda text, d: int(text), str, False),
+    ("n_k", lambda text, d: int(text), str, True),
+    ("D_k", lambda text, d: int(text), str, True),
+    ("alpha_k", lambda text, d: parse_quadint(text, d), str, True),
+    ("beta_k", lambda text, d: parse_quadint(text, d), str, True),
+    ("g_k", lambda text, d: parse_mat2(text, d), render_mat2, False),
+    ("word", lambda text, d: parse_word(text), render_word, False),
+)
+# the preset keys each mode's record carries; a record without them is None there
+_PRESET_KEYS = {FIG8: ("p", "q"), GENERAL: ("x",)}
+_OPTIONAL_KEYS = frozenset(key for keys in _PRESET_KEYS.values() for key in keys)
 
 
 @dataclass(frozen=True)
@@ -159,64 +190,37 @@ class CompressionWitness:
         return all(self.checks.values())
 
     def render(self) -> str:
-        lines = [f"mode: {self.mode}", f"d: {self.d}"]
-        if self.mode == FIG8:
-            lines += [f"p: {self.p}", f"q: {self.q}"]
-        else:
-            lines += [f"x: {self.x}"]
-        lines += [
-            f"xi: {self.xi}",
-            f"norm_xi: {self.norm_xi}",
-            f"r: {self.r}",
-            f"t: {self.t}",
-            f"h: {render_mat2(self.h)}",
-            f"k: {self.k}",
-            f"n_k: {self.n_k}",
-            f"D_k: {self.D_k}",
-            f"alpha_k: {self.alpha_k}",
-            f"beta_k: {self.beta_k}",
-            f"g_k: {render_mat2(self.g_k)}",
-            f"word: {render_word(self.word)}",
-        ]
-        for name in CHECKS:
-            if name in self.checks:
-                lines.append(f"check.{name}: {'pass' if self.checks[name] else 'fail'}")
-        for note in self.assumptions:
-            lines.append(f"assumption: {note}")
+        shown = _PRESET_KEYS.get(self.mode, ())
+        lines = [f"{key}: {show(getattr(self, key))}" for key, _, show, _ in FIELDS
+                 if key not in _OPTIONAL_KEYS or key in shown]
+        lines += [f"check.{name}: {'pass' if self.checks[name] else 'fail'}"
+                  for name in CHECKS if name in self.checks]
+        lines += [f"assumption: {note}" for note in self.assumptions]
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """Everything (params, k) determine exactly."""
-
-    sigma: PslElement
-    norm_xi: int
-    r: int
-    t: int
-    h: PslElement
-    m: int  # the middle exponent of the word
-    n_k: int
-    D_k: int
-    alpha: QuadInt
-    beta: QuadInt
-
-
-def _derive(params: Params, k: int) -> Derivation:
+def _derive(params: Params, k: int) -> CompressionWitness:
+    """The honest record for (params, k), with no checks run yet."""
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
     d, xi, x = params.d, params.xi, params.x
     n_xi = xi.norm()
     r, t = bezout_rt(d, params.level * n_xi)
-    m = 2 * d
+    m = 2 * d  # the middle exponent of the word
     n_k = -d * n_xi * (d * k + x) + d * d
     D_k = n_xi * n_k ** 2 + d * k + x
     root = QuadInt.sqrt_minus_d(d)
-    one = QuadInt.integer(d, 1)
-    alpha = one - m * n_k * n_xi ** 2 - m * n_xi * root
+    alpha = QuadInt.integer(d, 1 - m * n_k * n_xi ** 2) - m * n_xi * root
     beta = -m * n_xi * xi
-    h = build_h(params.level, d, xi, r, t)
-    return Derivation(sigma_from_xi(xi), n_xi, r, t, h, m, n_k, D_k, alpha, beta)
+    return CompressionWitness(
+        mode=params.mode, d=d, p=params.p, q=params.q,
+        x=x if "x" in _PRESET_KEYS[params.mode] else None,  # the fig8 record carries p/q
+        xi=xi, norm_xi=n_xi, r=r, t=t,
+        h=canonical_sign(_h_matrix(params.level, d, xi, r, t)), k=k, n_k=n_k, D_k=D_k,
+        g_k=canonical_sign(Mat2(alpha, beta * D_k, beta.conj(), alpha.conj())),
+        alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m),
+        assumptions=((congruence.SURJECTIVITY_NOTE,) if params.level == GAMMA8_LEVEL
+                     else ()))
 
 
 def witness_word(n_k: int, m: int) -> Word:
@@ -231,30 +235,46 @@ def _has_witness_shape(word: Word) -> bool:
             and word[1][1] == 1 and word[3][1] == -1)
 
 
-def run_checks(params: Params, der: Derivation, n_k: int, D_k: int, alpha: QuadInt,
-               beta: QuadInt, word: Word, g_word: PslElement,
-               g_closed: PslElement) -> dict[str, bool]:
-    """The named checks on claimed (n_k, D_k, alpha, beta, word, g_closed),
-    with sigma, h and |xi|^2 taken from the derivation."""
+def run_checks(params: Params, honest: CompressionWitness, h: PslElement,
+               claimed: CompressionWitness, g_word: PslElement,
+               g_closed: Optional[PslElement]) -> dict[str, bool]:
+    """The named checks on claimed n_k, D_k, alpha_k, beta_k, word and g_k
+    (g_closed; None if not unimodular), with |xi|^2 and the middle exponent
+    taken from `honest`; g_word is the value of the claimed word."""
     d, x = params.d, params.x
+    n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
+    m = honest.word[2][1]  # sigma^m, the middle term
+    g = g_closed or g_word
     checks: dict[str, bool] = {}
-    checks["closed_form"] = g_word.psl_eq(g_closed)
+    checks["closed_form"] = g_closed is not None and g_word.psl_eq(g_closed)
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
     checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
-    checks["nontrivial"] = not g_closed.psl_eq(PslElement.identity(d))
-    expected_trace = 2 - 2 * der.m * n_k * der.norm_xi ** 2
-    tr = g_closed.trace()
-    checks["hyperbolic_trace"] = (g_closed.classify() is IsometryClass.HYPERBOLIC
+    checks["nontrivial"] = not g.psl_eq(PslElement.identity(d))
+    expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
+    tr = g.trace()
+    checks["hyperbolic_trace"] = (g.classify() is IsometryClass.HYPERBOLIC
                                   and tr.is_rational()
                                   and abs(tr.rational_value()) == abs(expected_trace))
     # a claimed D_k < 1 names no circle; both circle checks then fail
-    checks["stabilizer_membership"] = D_k >= 1 and stab_form(g_closed, D_k) is not None
-    checks["normal_closure_word"] = word == witness_word(n_k, der.m)
+    checks["stabilizer_membership"] = D_k >= 1 and stab_form(g, D_k) is not None
+    checks["normal_closure_word"] = claimed.word == witness_word(n_k, m)
     if params.level == GAMMA8_LEVEL:
-        checks["gamma8_membership"] = (congruence.in_gamma8(g_closed)
-                                       and congruence.in_gamma8(der.h))
+        checks["gamma8_membership"] = congruence.in_gamma8(g) and congruence.in_gamma8(h)
     checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k).certified
     return checks
+
+
+def _check_claims(params: Params, honest: CompressionWitness,
+                  claimed: CompressionWitness) -> dict[str, bool]:
+    """Evaluate the claimed word over sigma and the honest h, checking both
+    h and the claimed g_k for determinant 1, then run the named checks."""
+    h = PslElement(honest.h)
+    g_word = eval_word({"sigma": sigma_from_xi(params.xi), "h": h}, claimed.word)
+    try:
+        g_claimed: Optional[PslElement] = PslElement(claimed.g_k)
+    except ValueError:
+        g_claimed = None  # not even unimodular: closed_form fails
+    return run_checks(params, honest, h, claimed, g_word, g_claimed)
 
 
 def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
@@ -262,23 +282,13 @@ def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
     internal consistency error."""
     if mode != params.mode:
         raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
-    der = _derive(params, k)
-    word = witness_word(der.n_k, der.m)
-    g_word = eval_word({"sigma": der.sigma, "h": der.h}, word)
-    alpha, beta = der.alpha, der.beta
-    g_closed = PslElement(Mat2(alpha, beta * der.D_k, beta.conj(), alpha.conj()))
-    checks = run_checks(params, der, der.n_k, der.D_k, alpha, beta, word, g_word, g_closed)
+    w = _derive(params, k)
+    checks = _check_claims(params, w, w)
     for name, ok in checks.items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")
-    return CompressionWitness(
-        mode=mode, d=params.d, p=params.p, q=params.q,
-        x=params.x if mode == GENERAL else None,  # the fig8 record carries p/q
-        xi=params.xi, norm_xi=der.norm_xi, r=der.r, t=der.t, h=der.h.canonical_rep(),
-        k=k, n_k=der.n_k, D_k=der.D_k, g_k=g_closed.canonical_rep(),
-        alpha_k=alpha, beta_k=beta, word=word, checks=checks,
-        assumptions=((congruence.SURJECTIVITY_NOTE,) if params.level == GAMMA8_LEVEL
-                     else ()))
+    w.checks.update(checks)  # w is not shared yet, so it needs no copy
+    return w
 
 
 def construct_series(mode: str, params: Params,
@@ -304,52 +314,36 @@ def render_witnesses(witnesses: Sequence[CompressionWitness]) -> str:
 
 def _parse_block(lines: list[str]) -> CompressionWitness:
     fields: dict[str, str] = {}
-    checks: dict[str, bool] = {}
     assumptions: list[str] = []
     for line in lines:
         key, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed witness line {line!r}")
         key, value = key.strip(), value.strip()
-        if key.startswith("check."):
-            checks[key[len("check."):]] = value == "pass"
-        elif key == "assumption":
+        if key == "assumption":
             assumptions.append(value)
+        elif key in fields:  # a second value could show what the verifier never reads
+            raise ValueError(f"repeated witness key {key!r}")
         else:
             fields[key] = value
-    mode = fields["mode"]
     d = int(fields["d"])
-    return CompressionWitness(
-        mode=mode, d=d,
-        p=int(fields["p"]) if "p" in fields else None,
-        q=int(fields["q"]) if "q" in fields else None,
-        x=int(fields["x"]) if "x" in fields else None,
-        xi=parse_quadint(fields["xi"], d),
-        norm_xi=int(fields["norm_xi"]),
-        r=int(fields["r"]), t=int(fields["t"]),
-        h=parse_mat2(fields["h"], d),
-        k=int(fields["k"]), n_k=int(fields["n_k"]), D_k=int(fields["D_k"]),
-        g_k=parse_mat2(fields["g_k"], d),
-        alpha_k=parse_quadint(fields["alpha_k"], d),
-        beta_k=parse_quadint(fields["beta_k"], d),
-        word=parse_word(fields["word"]),
-        checks=checks, assumptions=tuple(assumptions))
+    values = {key: parse(fields[key], d) if key in fields or key not in _OPTIONAL_KEYS else None
+              for key, parse, _, _ in FIELDS}  # a missing required key raises KeyError
+    checks = {key[len("check."):]: value == "pass"
+              for key, value in fields.items() if key.startswith("check.")}
+    return CompressionWitness(**values, checks=checks, assumptions=tuple(assumptions))
 
 
 def parse_witnesses(text: str) -> list[CompressionWitness]:
-    blocks: list[list[str]] = []
-    current: list[str] = []
+    """The records of text; blank and `#` comment lines separate them."""
+    blocks: list[list[str]] = [[]]
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        current.append(line)
-    if current:
-        blocks.append(current)
-    return [_parse_block(b) for b in blocks]
+        if line and not line.startswith("#"):
+            blocks[-1].append(line)
+        elif blocks[-1]:
+            blocks.append([])
+    return [_parse_block(b) for b in blocks if b]
 
 
 @dataclass(frozen=True)
@@ -365,10 +359,11 @@ class VerificationReport:
 
 
 def verify_witness(w: CompressionWitness) -> VerificationReport:
-    """Re-derive everything from (mode, params, k) and the stored word;
-    never trust stored alpha_k, beta_k, D_k, g_k.  Every record, however
-    malformed, gets a report; a failed entry names what is at fault."""
-    needed = {FIG8: ("p", "q"), GENERAL: ("x",)}.get(w.mode)
+    """Derive the honest record from (mode, params, k), compare the claimed
+    record with it field by field, then run the named checks on the claimed
+    values.  Every record, however malformed, gets a report; a failed entry
+    names what is at fault."""
+    needed = _PRESET_KEYS.get(w.mode)
     if needed is None:
         return VerificationReport({"params": False})  # unknown mode
     for key in needed:
@@ -379,36 +374,21 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
             params = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
         else:
             params = validate_general(w.d, w.xi, w.x)
-        der = _derive(params, w.k)
+        honest = _derive(params, w.k)
     except InvalidParams:
         return VerificationReport({"params": False})
     if params.d != w.d:
         return VerificationReport({"field.d": False})
-    results: dict[str, bool] = {}
-    results["field.xi"] = params.xi == w.xi
-    results["field.norm_xi"] = der.norm_xi == w.norm_xi
-    results["field.r"] = der.r == w.r
-    results["field.t"] = der.t == w.t
-    results["field.h"] = der.h.canonical_rep() == canonical_sign(w.h)
-    results["field.n_k"] = der.n_k == w.n_k
-    results["field.D_k"] = der.D_k == w.D_k
-    results["field.alpha_k"] = der.alpha == w.alpha_k
-    results["field.beta_k"] = der.beta == w.beta_k
+    results = {f"field.{key}": getattr(honest, key) == (canonical_sign(w.h) if key == "h"
+                                                          else getattr(w, key))
+               for key, _, _, compared in FIELDS if compared}
     if not _has_witness_shape(w.word):  # h^N has entries of ~N bits: evaluate no other word
         results["field.word"] = False
         return VerificationReport(results)
-    g_word = eval_word({"sigma": der.sigma, "h": der.h}, w.word)
-    try:
-        g_stored: Optional[PslElement] = PslElement(w.g_k)
-    except ValueError:
-        g_stored = None
-    results["field.g_k"] = g_stored is not None and g_word.psl_eq(g_stored)
-    # run the named checks against the *stored* D_k and g_k, so tampering
-    # with either is caught by the corresponding check as well
-    checks = run_checks(params, der, w.n_k, w.D_k, w.alpha_k, w.beta_k, w.word,
-                        g_word, g_stored or g_word)
-    if g_stored is None:
-        checks["closed_form"] = False  # stored matrix is not even unimodular
+    # the named checks run against the *stored* values, so tampering with
+    # D_k or g_k is caught by the corresponding check as well
+    checks = _check_claims(params, honest, w)
+    results["field.g_k"] = checks["closed_form"]  # the stored g_k is the word's value
     for name, ok in checks.items():
         results[f"check.{name}"] = ok
     return VerificationReport(results)

@@ -162,8 +162,7 @@ class PslElement:
         return canonical_sign(self.rep)
 
     def render(self) -> str:
-        m = self.canonical_rep()
-        return f"[[{m.a11},{m.a12}],[{m.a21},{m.a22}]]"
+        return render_mat2(self.canonical_rep())
 
     def __str__(self) -> str:
         return self.render()

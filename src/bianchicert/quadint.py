@@ -161,11 +161,6 @@ class QuadInt:
             return 2 * self.x + self.y
         return 2 * self.x
 
-    def divide_exact(self, n: int) -> "QuadInt":
-        if n == 0 or self.x % n != 0 or self.y % n != 0:
-            raise ValueError(f"{self!r} is not divisible by {n}")
-        return QuadInt(self.d, self.x // n, self.y // n)
-
     def reduce_mod(self, n: int) -> "ResidueElement":
         """Image in R_n = O_d/(n)."""
         if n < 2:

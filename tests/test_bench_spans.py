@@ -36,8 +36,16 @@ def test_traced_construct_and_verify_count_calls():
     try:
         w = pipeline.construct_witness(pipeline.FIG8, pipeline.validate_fig8(20, 7), 1)
         assert pipeline.verify_witness(w).ok
+        calls = dict(zip(tracer.names, tracer.calls))
+        tracer.reset()
+        assert pipeline.parse_witnesses(pipeline.render_witnesses([w])) == [w]
+        parsed = dict(zip(tracer.names, tracer.calls))
     finally:
         tracer.uninstall()
-    calls = dict(zip(tracer.names, tracer.calls))
     for name in ("pipeline.construct_witness", "pipeline.run_checks", "psl2.PslElement.pow"):
         assert calls[name] >= 1, name
+    # the parsers are looked up by name on every call, so the tracer sees each
+    # one: h and g_k are two matrices of four ring elements, plus xi, alpha_k
+    # and beta_k
+    assert parsed["psl2.parse_mat2"] == 2
+    assert parsed["quadint.parse_quadint"] == 11

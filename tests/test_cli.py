@@ -5,7 +5,7 @@ from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_
                              main, parse_k_range)
 from bianchicert.pipeline import InvalidParams
 
-from test_pipeline import edited
+from test_pipeline import REPEATED_KEYS, edited, inserted_ahead
 
 
 def run(capsys, *argv):
@@ -119,6 +119,15 @@ class TestVerify:
         assert "witness k=1 mode=fig8: FAIL" in out
         assert f"  {failed}: fail" in out
         assert err == ""
+
+    @pytest.mark.parametrize("key, line", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+    def test_repeated_key_is_bad_input(self, tmp_path, capsys, key, line):
+        path = self.witness_file(tmp_path, capsys)
+        path.write_text(inserted_ahead(path.read_text(), key, line))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == f"error: cannot read witness file: repeated witness key {key!r}\n"
 
     def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
         def crash(_w):

@@ -1,19 +1,27 @@
-"""Import hygiene of the library, read from the source with `ast`.
+"""Hygiene of the library, read from the source with `ast` and `re`.
 
 Every name a module in `src/bianchicert/` imports is used in that module
 (`__init__.py`, the re-export surface, is exempt), and only `quat.py`, whose
 quaternion algebras have rational coefficients, imports `fractions`: the ring
-O_d and everything built on it is exact integer arithmetic.
+O_d and everything built on it is exact integer arithmetic.  Every function,
+class and method the library defines is named somewhere in `src/`, `tests/`,
+`demos/` or `benchmarks/` outside its own definition, so nothing is dead.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bianchicert"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bianchicert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py"))
 FRACTIONS_ALLOWED = {"quat.py"}
+SCANNED = sorted(p for top in ("src", "tests", "demos", "benchmarks")
+                 for p in (ROOT / top).rglob("*.py"))
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def imported_names(tree):
@@ -79,3 +87,39 @@ def test_checker_sees_an_unused_import():
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["Sequence", "fractions"]
     assert "Mapping" in used
+
+
+def definitions(tree):
+    """(name, first line, last line) of each function, class and method
+    outside the dunders."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def unreferenced(sources, defining):
+    """`<file>:<line> <name>` for each definition in the `defining` files that
+    no text in `sources` (file -> text) names outside the definition itself;
+    comments and strings count as naming it."""
+    per_line = {f: [Counter(IDENTIFIER.findall(line)) for line in sources[f].splitlines()]
+                for f in defining}
+    total = Counter(name for text in sources.values() for name in IDENTIFIER.findall(text))
+    return [f"{f}:{first} {name}"
+            for f in defining
+            for name, first, last in definitions(ast.parse(sources[f]))
+            if total[name] == sum(c[name] for c in per_line[f][first - 1:last])]
+
+
+def test_every_definition_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SCANNED}
+    defining = [str(p.relative_to(ROOT)) for p in MODULES]
+    assert unreferenced(sources, defining) == []
+
+
+def test_checker_sees_an_unreferenced_definition():
+    lib = ("class Used:\n    def method(self):\n        return self.method()\n"
+           "    def __repr__(self):\n        return ''\n"
+           "def dead(n):\n    return dead(n - 1)\n")
+    user = "from lib import Used  # mentions method\n"
+    assert unreferenced({"lib.py": lib, "user.py": user}, ["lib.py"]) == ["lib.py:6 dead"]

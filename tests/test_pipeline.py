@@ -392,6 +392,36 @@ def edited(text, key, value):
     return "\n".join(lines) + "\n"
 
 
+def inserted_ahead(text, key, line):
+    """text with `line` inserted ahead of its first `key:` line."""
+    lines = text.splitlines()
+    at = next(i for i, old in enumerate(lines) if old.startswith(f"{key}:"))
+    return "\n".join(lines[:at] + [line] + lines[at:]) + "\n"
+
+
+# (key, a second line for it, put ahead of the first); each of these records
+# passed verify_witness when the later line silently won
+REPEATED_KEYS = {
+    "false-g_k": ("g_k", "g_k: [[1,0],[0,1]]"),
+    "failing-check": ("check.cocompact", "check.cocompact: fail"),
+    "spaced-k": ("k", "k : 1"),
+}
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("key, line", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+    def test_repeated_key_is_malformed(self, key, line):
+        text = inserted_ahead(fig8_witness(k=1).render(), key, line)
+        with pytest.raises(ValueError, match=re.escape(f"repeated witness key {key!r}")):
+            parse_witnesses(text)
+
+    def test_assumption_may_repeat(self):
+        w = fig8_witness(k=1)
+        (back,) = parse_witnesses(w.render() + "assumption: another note\n")
+        assert back.assumptions == w.assumptions + ("another note",)
+        assert verify_witness(back).ok
+
+
 class TestVerifyIsTotal:
     """Malformed records get a failing report naming the entry at fault."""
 
