@@ -14,5 +14,5 @@ from .pipeline import (CompressionWitness, Params, construct_series,
                        construct_witness, parse_witnesses, render_witnesses,
                        validate_fig8, validate_general, verify_witness)
 from .psl2 import IsometryClass, Mat2, PslElement, eval_word, parse_psl
-from .quadint import QuadInt, ResidueElement, parse_quadint
+from .quadint import QuadInt, parse_quadint
 from .quat import QuadRat, QuatAlgebra, Quaternion, in_order, order_unit_to_stab, rho

@@ -141,14 +141,15 @@ def is_prime(n: int) -> bool:
 
 
 @cache  # a rejected d raises, so only accepted values are remembered
-def _check_odd_prime(d: int) -> None:
+def check_odd_prime(d: int) -> None:
+    """The one test of "d is an odd prime"; decided once per accepted d."""
     if d < 3 or not is_prime(d):
-        raise ValueError(f"d must be a prime >= 3, got {d}")
+        raise ValueError(f"d={d} is not a prime >= 3")
 
 
 def is_quadratic_nonresidue(D: int, d: int) -> bool:
     """Euler criterion: D is a non-residue mod the odd prime d."""
-    _check_odd_prime(d)
+    check_odd_prime(d)
     if D % d == 0:
         return False
     return pow(D % d, (d - 1) // 2, d) != 1
@@ -156,7 +157,7 @@ def is_quadratic_nonresidue(D: int, d: int) -> bool:
 
 def smallest_nonresidue(d: int) -> int:
     """Least x in [2, d-1] that is a quadratic non-residue mod d."""
-    _check_odd_prime(d)
+    check_odd_prime(d)
     for x in range(2, d):
         if is_quadratic_nonresidue(x, d):
             return x
@@ -183,6 +184,8 @@ def cocompact_certificate(d: int, D: int) -> CocompactCertificate:
     not-applicable without raising."""
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
-    d_ok = d >= 3 and is_prime(d)
-    nonres = is_quadratic_nonresidue(D, d) if d_ok else False
-    return CocompactCertificate(d, D, d_ok, nonres)
+    try:
+        check_odd_prime(d)
+    except ValueError:
+        return CocompactCertificate(d, D, False, False)
+    return CocompactCertificate(d, D, True, is_quadratic_nonresidue(D, d))

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import golden
-from .circles import is_prime, smallest_nonresidue
+from .circles import check_odd_prime, smallest_nonresidue
 from .pipeline import (FIG8, GENERAL, CompressionWitness, ConsistencyError,
                        InvalidParams, Params, construct_series, parse_witnesses,
                        render_witnesses, validate_fig8, validate_general,
@@ -85,19 +85,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        return _verify_file(args.path)
-    except Exception as exc:  # the verifier is meant to be total; report, no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-
-
-def _verify_file(path: str) -> int:
-    try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.path, encoding="utf-8") as fh:
             witnesses = parse_witnesses(fh.read())
         if not witnesses:
             raise ValueError("no witness records found")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read witness file: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     all_ok = True
@@ -113,8 +105,10 @@ def _verify_file(path: str) -> int:
 
 def cmd_residues(args: argparse.Namespace) -> int:
     d = args.d
-    if d < 3 or not is_prime(d):
-        print(f"error: d={d} is not a prime >= 3", file=sys.stderr)
+    try:
+        check_odd_prime(d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     residues = sorted({x * x % d for x in range(1, d)})
     nonresidues = [x for x in range(1, d) if x not in residues]
@@ -186,7 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a crash is one line and exit 3, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 """Finite quotients PSL2(O_d/(n)), entrywise reduction, principal
 congruence subgroups, finite-group closure from generators, and the
 figure-eight group membership test through its level-4 image.
+
+A residue matrix is a Mat2 of QuadInts whose coordinates lie in [0, n), so
+the finite quotients reuse the ring and matrix arithmetic of O_d: a product
+or an inverse is computed over O_d and then reduced.
 """
 
 from __future__ import annotations
@@ -9,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .psl2 import PslElement
-from .quadint import QuadInt, ResidueElement
+from .psl2 import Mat2, PslElement
+from .quadint import QuadInt
 
 SURJECTIVITY_NOTE = (
     "finite-model indices are exact statements about subgroups of the "
@@ -26,68 +30,54 @@ class ClosureCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class ResidueMatrix:
     """Determinant-1 matrix over R_n = O_d/(n) in projective normal form:
-    of M and -M, the lexicographically smaller coordinate tuple is stored."""
+    rep has coordinates in [0, n), and of M and -M it is the one with the
+    lexicographically smaller coordinate tuple.  Built by residue_matrix."""
 
-    e11: ResidueElement
-    e12: ResidueElement
-    e21: ResidueElement
-    e22: ResidueElement
+    n: int
+    rep: Mat2
 
     @property
     def d(self) -> int:
-        return self.e11.d
-
-    @property
-    def n(self) -> int:
-        return self.e11.n
-
-    def entries(self) -> tuple[ResidueElement, ...]:
-        return (self.e11, self.e12, self.e21, self.e22)
+        return self.rep.a11.d
 
     def coords(self) -> tuple[int, ...]:
-        return tuple(c for e in self.entries() for c in (e.s, e.t))
+        return tuple(c for e in self.rep.entries() for c in (e.x, e.y))
 
     def is_identity(self) -> bool:
-        one = ResidueElement.one(self.d, self.n)
-        zero = ResidueElement.zero(self.d, self.n)
-        return self.entries() == (one, zero, zero, one) or \
-            self.entries() == (-one, zero, zero, -one)
+        return self.coords() == (1, 0, 0, 0, 0, 0, 1, 0)  # normal form of +-1, as n >= 2
 
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        return residue_matrix(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
+        if other.n != self.n:
+            raise ValueError(f"mismatched residue rings: n={self.n} vs n={other.n}")
+        return residue_matrix(self.rep * other.rep, self.n)
 
     def inv(self) -> "ResidueMatrix":
         # adjugate; valid since det = 1 in R_n
-        return residue_matrix(self.e22, -self.e12, -self.e21, self.e11)
+        return residue_matrix(self.rep.adjugate(), self.n)
 
 
-def residue_matrix(e11: ResidueElement, e12: ResidueElement,
-                   e21: ResidueElement, e22: ResidueElement) -> ResidueMatrix:
-    det = e11 * e22 - e12 * e21
-    if not det.is_one():
-        raise ValueError(f"determinant {det} is not 1 in R_{e11.n}")
-    plus = (e11, e12, e21, e22)
-    minus = tuple(-e for e in plus)
-    key = lambda es: tuple(c for e in es for c in (e.s, e.t))
-    chosen = plus if key(plus) <= key(minus) else minus
-    return ResidueMatrix(*chosen)
+def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
+    """The class of m in PSL2(O_d/(n)); raises ValueError unless det = 1 mod n."""
+    rep = Mat2(*(e.reduce_mod(n) for e in m.entries()))
+    det = rep.det()
+    if (det.x % n, det.y % n) != (1, 0):
+        raise ValueError(f"determinant {det.reduce_mod(n)} is not 1 in R_{n}")
+    plus = ResidueMatrix(n, rep)
+    coords = plus.coords()
+    negated = tuple(-c % n for c in coords)  # the coordinates of -rep, reduced
+    if coords <= negated:
+        return plus
+    d = rep.a11.d
+    return ResidueMatrix(n, Mat2(*(QuadInt(d, x, y) for x, y in zip(negated[::2], negated[1::2]))))
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:
-    one = ResidueElement.one(d, n)
-    zero = ResidueElement.zero(d, n)
-    return residue_matrix(one, zero, zero, one)
+    return residue_matrix(Mat2.identity(d), n)
 
 
 def phi_n(M: PslElement, n: int) -> ResidueMatrix:
     """Entrywise reduction modulo (n), projectively normalized."""
-    m = M.rep
-    return residue_matrix(*(e.reduce_mod(n) for e in m.entries()))
+    return residue_matrix(M.rep, n)
 
 
 def in_gamma_n(M: PslElement, n: int) -> bool:
@@ -99,7 +89,7 @@ def reduce_level(m: ResidueMatrix, n2: int) -> ResidueMatrix:
     """Push a level-n residue matrix down to level n2 (n2 must divide n)."""
     if m.n % n2 != 0:
         raise ValueError(f"{n2} does not divide level {m.n}")
-    return residue_matrix(*(ResidueElement(m.d, n2, e.s % n2, e.t % n2) for e in m.entries()))
+    return residue_matrix(m.rep, n2)
 
 
 @dataclass(frozen=True)
@@ -145,24 +135,22 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> FiniteSubg
 def enumerate_psl2(d: int, n: int, cap: int = 10**6) -> FiniteSubgroup:
     """All determinant-1 matrices over R_n up to sign, by exhaustive scan
     of the (n^2)^4 coordinate tuples.  Intended for small n (2 or 4)."""
-    ring = [ResidueElement(d, n, s, t) for s in range(n) for t in range(n)]
+    ring = [QuadInt(d, s, t) for s in range(n) for t in range(n)]
     if len(ring) ** 4 > 2 * 10**7:
         raise ClosureCapExceeded(f"scan of ({n}^2)^4 tuples is too large")
-    # multiplication and subtraction tables on ring-element indices
-    index = {(e.s, e.t): i for i, e in enumerate(ring)}
-    mul = [[index[((a * b).s, (a * b).t)] for b in ring] for a in ring]
-    one = index[(1 % n, 0)]
+    # index i stands for the residue with coordinates (s, t) = divmod(i, n)
+    index = lambda e: (e.x % n) * n + e.y % n
+    mul = [[index(a * b) for b in ring] for a in ring]
     found: set[ResidueMatrix] = set()
     size = len(ring)
     for i11 in range(size):
         for i22 in range(size):
-            prod_diag = mul[i11][i22]
+            target = index(ring[mul[i11][i22]] - 1)  # a12*a21 = a11*a22 - 1 gives det 1
             for i12 in range(size):
                 row = mul[i12]
                 for i21 in range(size):
-                    det = ring[prod_diag] - ring[row[i21]]
-                    if det.is_one():
-                        m = residue_matrix(ring[i11], ring[i12], ring[i21], ring[i22])
+                    if row[i21] == target:
+                        m = residue_matrix(Mat2(ring[i11], ring[i12], ring[i21], ring[i22]), n)
                         if m not in found:
                             if len(found) >= cap:
                                 raise ClosureCapExceeded(f"enumeration exceeded cap {cap}")

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import circles, congruence
-from .circles import cocompact_certificate, is_prime, is_quadratic_nonresidue, stab_form
+from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
 from .psl2 import (IsometryClass, Mat2, PslElement, Word, canonical_sign,
                    eval_word, parse_mat2, parse_word, render_mat2, render_word)
 from .quadint import QuadInt, parse_quadint
@@ -74,8 +74,10 @@ def validate_fig8(p: int, q: int) -> Params:
 
 
 def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> Params:
-    if d < 3 or not is_prime(d):
-        raise InvalidParams(f"d={d} is not a prime >= 3")
+    try:
+        check_odd_prime(d)
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from None
     if xi.d != d:
         raise InvalidParams(f"xi lives over d={xi.d}, not d={d}")
     if xi.is_zero():
@@ -326,9 +328,12 @@ def _parse_block(lines: list[str]) -> CompressionWitness:
             raise ValueError(f"repeated witness key {key!r}")
         else:
             fields[key] = value
+    for key, _, _, _ in FIELDS:
+        if key not in fields and key not in _OPTIONAL_KEYS:
+            raise ValueError(f"missing witness key {key!r}")
     d = int(fields["d"])
-    values = {key: parse(fields[key], d) if key in fields or key not in _OPTIONAL_KEYS else None
-              for key, parse, _, _ in FIELDS}  # a missing required key raises KeyError
+    values = {key: parse(fields[key], d) if key in fields else None
+              for key, parse, _, _ in FIELDS}
     checks = {key[len("check."):]: value == "pass"
               for key, value in fields.items() if key.startswith("check.")}
     return CompressionWitness(**values, checks=checks, assumptions=tuple(assumptions))

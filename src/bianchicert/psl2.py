@@ -1,8 +1,9 @@
 """Exact 2x2 matrix algebra over O_d and projective (PSL) elements.
 
 Mat2 is duck-typed over its entries: anything with ring operators works
-(QuadInt, QuadRat, ResidueElement).  PslElement enforces determinant 1 over
-O_d and compares projectively (M ~ -M).
+(QuadInt, QuadRat).  The finite quotients PSL2(O_d/(n)) use Mat2s of
+QuadInts with coordinates reduced mod n.  PslElement enforces determinant 1
+over O_d and compares projectively (M ~ -M).
 """
 
 from __future__ import annotations

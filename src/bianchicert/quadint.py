@@ -161,11 +161,11 @@ class QuadInt:
             return 2 * self.x + self.y
         return 2 * self.x
 
-    def reduce_mod(self, n: int) -> "ResidueElement":
-        """Image in R_n = O_d/(n)."""
+    def reduce_mod(self, n: int) -> "QuadInt":
+        """The representative of self mod (n) with both coordinates in [0, n)."""
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
-        return ResidueElement(self.d, n, self.x % n, self.y % n)
+        return QuadInt(self.d, self.x % n, self.y % n)
 
     # -- text form ----------------------------------------------------------
 
@@ -255,66 +255,6 @@ def parse_quadint(text: str, d: int) -> QuadInt:
     if u4 % 2 or v4 % 2:  # 2u or 2v is not an integer
         raise ValueError(f"{text!r} is not in O_{d}")
     return QuadInt.from_half_pair(d, u4 // 2, v4 // 2)
-
-
-# -- residue ring O_d/(n) ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidueElement:
-    """Element of R_n = O_d/(n) on the reduced integral basis."""
-
-    d: int
-    n: int
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
-        if not (0 <= self.s < self.n and 0 <= self.t < self.n):
-            raise ValueError("residue coordinates out of range")
-
-    @classmethod
-    def zero(cls, d: int, n: int) -> "ResidueElement":
-        return cls(d, n, 0, 0)
-
-    @classmethod
-    def one(cls, d: int, n: int) -> "ResidueElement":
-        return cls(d, n, 1 % n, 0)
-
-    def _check(self, other: "ResidueElement") -> None:
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("mismatched residue rings")
-
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        return ResidueElement(self.d, self.n, (self.s + other.s) % self.n, (self.t + other.t) % self.n)
-
-    def __sub__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        return ResidueElement(self.d, self.n, (self.s - other.s) % self.n, (self.t - other.t) % self.n)
-
-    def __neg__(self) -> "ResidueElement":
-        return ResidueElement(self.d, self.n, -self.s % self.n, -self.t % self.n)
-
-    def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        cross = self.s * other.t + self.t * other.s
-        tt = self.t * other.t
-        if _half_discriminant_case(self.d):
-            s = self.s * other.s - tt * ((1 + self.d) // 4)
-            t = cross + tt
-        else:
-            s = self.s * other.s - self.d * tt
-            t = cross
-        return ResidueElement(self.d, self.n, s % self.n, t % self.n)
-
-    def is_zero(self) -> bool:
-        return self.s == 0 and self.t == 0
-
-    def is_one(self) -> bool:
-        return self == ResidueElement.one(self.d, self.n)
 
 
 def content(*values: int) -> int:

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
+from bianchicert import circles
 from bianchicert.circles import (CocompactCertificate, circle_action,
                                  circle_at_origin, cocompact_certificate,
                                  discriminant, hermitian_action,
                                  is_quadratic_nonresidue, primitive_triple,
                                  smallest_nonresidue, stab_form)
+from bianchicert.pipeline import GENERAL, construct_series, validate_general, verify_witness
 from bianchicert.psl2 import PslElement, parse_psl
 from bianchicert.quadint import QuadInt, parse_quadint
 
@@ -181,3 +184,28 @@ class TestCocompactCertificate:
         # D_1 = 3 (mod 7) by construction when x = 3
         cert = cocompact_certificate(7, 5759153956)
         assert cert.certified
+
+    def test_rejected_d_is_not_certified(self):
+        for d in (-7, 1, 2, 9, 15, 49):
+            for _ in range(2):  # a rejected d is not remembered; it must not raise either
+                cert = cocompact_certificate(d, 3)
+                assert not cert.certified and not cert.d_is_odd_prime
+
+
+class TestOddPrimeDecidedOnce:
+    def test_is_prime_runs_once_per_d(self, monkeypatch):
+        calls = Counter()
+        original = circles.is_prime
+
+        def counting(n):
+            calls[n] += 1
+            return original(n)
+
+        monkeypatch.setattr(circles, "is_prime", counting)
+        circles.check_odd_prime.cache_clear()
+        xi = parse_quadint("1+7*eta", 7)
+        for _ in range(3):
+            witnesses = construct_series(GENERAL, validate_general(7, xi), range(1, 6))
+            assert all(verify_witness(w).ok for w in witnesses)
+            assert cocompact_certificate(7, witnesses[0].D_k).certified
+        assert calls == Counter({7: 1})

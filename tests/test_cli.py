@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bianchicert import cli
@@ -60,6 +65,22 @@ class TestConstruct:
                            "--xi", "nonsense", "--k", "1")
         assert code == EXIT_BAD_INPUT
         assert err
+
+    def test_crash_is_internal(self):
+        # |xi| of 1201 digits gives D_k of more than 4300 digits, which str()
+        # refuses to render under CPython's default int conversion limit
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bianchicert.cli", "construct", "general", "--d", "7",
+             "--xi", "1" + "0" * 1200, "--k", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=120)
+        assert proc.returncode == EXIT_INTERNAL
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("internal error: ValueError: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "construct", "fig8", "--p", "20", "--q", "7",
@@ -128,6 +149,15 @@ class TestVerify:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err == f"error: cannot read witness file: repeated witness key {key!r}\n"
+
+    @pytest.mark.parametrize("key", ["xi", "d"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        path = self.witness_file(tmp_path, capsys)
+        path.write_text(edited(path.read_text().split("\n\n")[0], key, None))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == f"error: cannot read witness file: missing witness key {key!r}\n"
 
     def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
         def crash(_w):

@@ -7,8 +7,9 @@ from bianchicert.congruence import (ClosureCapExceeded,
                                     gamma8_level4_image,
                                     gamma8_prime_extra_generator,
                                     group_closure, in_gamma8, in_gamma_n,
-                                    phi_n, reduce_level, residue_identity)
-from bianchicert.psl2 import PslElement, parse_psl
+                                    phi_n, reduce_level, residue_identity,
+                                    residue_matrix)
+from bianchicert.psl2 import Mat2, PslElement, parse_psl
 from bianchicert.quadint import QuadInt
 
 from test_psl2 import random_psl
@@ -54,6 +55,30 @@ class TestPhiN:
             r, t = bezout_rt(3, 4 * params.xi.norm())
             h = build_h(4, 3, params.xi, r, t)
             assert phi_n(h, 4) == phi_n(g, 4)
+
+
+class TestResidueMatrix:
+    def test_determinant_not_one_rejected(self):
+        two, zero = QuadInt.integer(3, 2), QuadInt.integer(3, 0)
+        with pytest.raises(ValueError, match="not 1"):
+            residue_matrix(Mat2(two, zero, zero, two), 4)  # det 4 = 0 mod 4
+        with pytest.raises(ValueError, match="not 1"):
+            residue_matrix(Mat2(two, zero, zero, two), 5)  # det 4 = -1 mod 5
+
+    def test_sign_normal_form(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            m = random_psl(rng, rng.choice((1, 3, 7)))
+            n = rng.choice((2, 3, 4, 5))
+            plus, minus = phi_n(m, n), residue_matrix(-m.rep, n)
+            assert plus == minus
+            assert all(0 <= c < n for c in plus.coords())
+            negated = tuple(-c % n for c in plus.coords())
+            assert plus.coords() <= negated
+
+    def test_mixed_levels_rejected(self):
+        with pytest.raises(ValueError, match="mismatched"):
+            phi_n(MU, 4) * phi_n(MU, 2)
 
 
 class TestGammaN:

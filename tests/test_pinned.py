@@ -5,13 +5,19 @@ slopes and general inputs over primes d < 2000 in both classes mod 4.  The
 rendered witnesses and every verification result, for the honest records and
 for one tampered copy of each, hash to the values below.  A change to either
 hash changes what the library writes or decides, so it must be deliberate.
+
+The finite congruence model is pinned the same way: the size of each finite
+group and the hash of its sorted coordinate tuples.
 """
 
 import hashlib
 import random
 from dataclasses import replace
 
+import pytest
+
 from bianchicert.circles import is_prime, is_quadratic_nonresidue
+from bianchicert.congruence import enumerate_psl2, gamma8_level4_image
 from bianchicert.pipeline import (FIG8, GENERAL, InvalidParams, construct_witness,
                                   parse_witnesses, render_witnesses, validate_fig8,
                                   validate_general, verify_witness)
@@ -92,3 +98,18 @@ def test_witnesses_and_verdicts_are_pinned():
                          for r in reports)
     assert sha256(text) == WITNESS_SHA256
     assert sha256(verdicts) == VERDICT_SHA256
+
+
+@pytest.mark.parametrize("build, size, digest", [
+    (gamma8_level4_image, 160,
+     "32ac026313c70fa9e830a6134b3493a70cbf26b3e885dfb27101d51b6ca62b28"),
+    (lambda: enumerate_psl2(3, 4), 1920,
+     "3a22a2834f82c60e5109435fbcec178d181828480599983175520dc9275a1914"),
+    (lambda: enumerate_psl2(3, 2), 60,
+     "63c0e23241070b84f0c6a8ee9c9b35f1c1f9fbdb34a995de93bf52dcc151db95"),
+], ids=["gamma8-level4-image", "psl2-O3-mod-4", "psl2-O3-mod-2"])
+def test_finite_model_is_pinned(build, size, digest):
+    group = build()
+    assert len(group.elements) == size
+    assert sha256("\n".join(sorted(",".join(map(str, m.coords()))
+                                   for m in group.elements))) == digest

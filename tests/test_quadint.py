@@ -11,7 +11,7 @@ from bianchicert import quadint
 from bianchicert.circles import is_quadratic_nonresidue
 from bianchicert.pipeline import (FIG8, GENERAL, construct_series, validate_fig8,
                                   validate_general)
-from bianchicert.quadint import QuadInt, ResidueElement, parse_quadint
+from bianchicert.quadint import QuadInt, parse_quadint
 
 
 def qi(text, d):
@@ -167,8 +167,8 @@ class TestReduceMod:
             d = rng.choice((1, 2, 3, 7))
             n = rng.choice((2, 4, 5))
             a, b = random_element(rng, d, 10**4), random_element(rng, d, 10**4)
-            assert (a * b).reduce_mod(n) == a.reduce_mod(n) * b.reduce_mod(n)
-            assert (a + b).reduce_mod(n) == a.reduce_mod(n) + b.reduce_mod(n)
+            assert (a * b).reduce_mod(n) == (a.reduce_mod(n) * b.reduce_mod(n)).reduce_mod(n)
+            assert (a + b).reduce_mod(n) == (a.reduce_mod(n) + b.reduce_mod(n)).reduce_mod(n)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -336,11 +336,14 @@ class TestIntegerParser:
 
 class TestResidueRing:
     def test_ring_size(self):
-        elements = {ResidueElement(3, 4, s, t) for s in range(4) for t in range(4)}
+        # O_3/(4) has 16 classes, each with one representative in [0, 4)^2
+        elements = {QuadInt(3, s, t).reduce_mod(4) for s in range(-8, 8) for t in range(-8, 8)}
         assert len(elements) == 16
+        assert all(0 <= e.x < 4 and 0 <= e.y < 4 for e in elements)
+        assert all(e.reduce_mod(4) == e for e in elements)
 
     def test_one_zero(self):
-        one = ResidueElement.one(3, 4)
-        zero = ResidueElement.zero(3, 4)
-        assert one.is_one() and zero.is_zero()
-        assert one * one == one
+        one = QuadInt.integer(3, 5).reduce_mod(4)
+        zero = QuadInt.integer(3, -4).reduce_mod(4)
+        assert one == QuadInt.integer(3, 1) and zero.is_zero()
+        assert (one * one).reduce_mod(4) == one
