@@ -67,15 +67,15 @@ class TestConstruct:
         assert err
 
     def test_crash_is_internal(self):
-        # |xi| of 1201 digits gives D_k of more than 4300 digits, which str()
-        # refuses to render under CPython's default int conversion limit
+        # xi = 10^1200 gives D_k of more than 4300 digits, which str() refuses
+        # to render under CPython's default int conversion limit, set here
         src = str(Path(__file__).resolve().parent.parent / "src")
         pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
         proc = subprocess.run(
             [sys.executable, "-m", "bianchicert.cli", "construct", "general", "--d", "7",
              "--xi", "1" + "0" * 1200, "--k", "1"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
-            timeout=120)
+            capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
