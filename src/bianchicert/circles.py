@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 from typing import Optional
 
 from .psl2 import Mat2, PslElement
-from .quadint import QuadInt, content
+from .quadint import QuadInt
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,10 @@ def primitive_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
         raise ValueError(f"degenerate circle datum ({a},{B},{c})")
     b1, b2 = B.half_pair()
     if b1 % 2 == 0 and b2 % 2 == 0:
-        g = content(a, b1 // 2, b2 // 2, c)
+        g = gcd(a, b1 // 2, b2 // 2, c)
     else:
-        g = content(a, b1, b2, c)
-    a, c = a // g, c // g
-    b1, b2 = b1 // g, b2 // g
-    if a < 0 or (a == 0 and _first_nonzero(b1, b2, c) < 0):
-        a, b1, b2, c = -a, -b1, -b2, -c
-    return CircleTriple(a, QuadInt.from_half_pair(B.d, b1, b2), c)
+        g = gcd(a, b1, b2, c)
+    return _signed_triple(a // g, QuadInt.from_half_pair(B.d, b1 // g, b2 // g), c // g)
 
 
 def _signed_triple(a: int, B: QuadInt, c: int) -> CircleTriple:

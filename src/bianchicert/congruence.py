@@ -97,7 +97,6 @@ class FiniteSubgroup:
     """A finite set of residue matrices closed under multiplication."""
 
     elements: frozenset[ResidueMatrix]
-    generators: tuple[ResidueMatrix, ...]
 
     def __contains__(self, m: ResidueMatrix) -> bool:
         return m in self.elements
@@ -129,10 +128,10 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> FiniteSubg
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                 seen.add(nxt)
                 queue.append(nxt)
-    return FiniteSubgroup(frozenset(seen), gens)
+    return FiniteSubgroup(frozenset(seen))
 
 
-def enumerate_psl2(d: int, n: int, cap: int = 10**6) -> FiniteSubgroup:
+def enumerate_psl2(d: int, n: int) -> FiniteSubgroup:
     """All determinant-1 matrices over R_n up to sign, by exhaustive scan
     of the (n^2)^4 coordinate tuples.  Intended for small n (2 or 4)."""
     ring = [QuadInt(d, s, t) for s in range(n) for t in range(n)]
@@ -150,12 +149,9 @@ def enumerate_psl2(d: int, n: int, cap: int = 10**6) -> FiniteSubgroup:
                 row = mul[i12]
                 for i21 in range(size):
                     if row[i21] == target:
-                        m = residue_matrix(Mat2(ring[i11], ring[i12], ring[i21], ring[i22]), n)
-                        if m not in found:
-                            if len(found) >= cap:
-                                raise ClosureCapExceeded(f"enumeration exceeded cap {cap}")
-                            found.add(m)
-    return FiniteSubgroup(frozenset(found), ())
+                        m = Mat2(ring[i11], ring[i12], ring[i21], ring[i22])
+                        found.add(residue_matrix(m, n))
+    return FiniteSubgroup(frozenset(found))
 
 
 # -- figure-eight knot group -----------------------------------------------

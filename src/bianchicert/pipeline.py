@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
-from .psl2 import (IsometryClass, Mat2, PslElement, Word, canonical_sign,
-                   eval_word, parse_mat2, parse_word, render_mat2, render_word)
+from .psl2 import (Mat2, PslElement, Word, canonical_sign, eval_word, parse_mat2,
+                   parse_word, render_mat2, render_word)
 from .quadint import QuadInt, parse_quadint
 
 FIG8 = "fig8"
@@ -237,15 +237,21 @@ def _has_witness_shape(word: Word) -> bool:
             and word[1][1] == 1 and word[3][1] == -1)
 
 
-def run_checks(params: Params, honest: CompressionWitness, h: PslElement,
-               claimed: CompressionWitness, g_word: PslElement,
-               g_closed: Optional[PslElement]) -> dict[str, bool]:
-    """The named checks on claimed n_k, D_k, alpha_k, beta_k, word and g_k
-    (g_closed; None if not unimodular), with |xi|^2 and the middle exponent
-    taken from `honest`; g_word is the value of the claimed word."""
+def run_checks(params: Params, honest: CompressionWitness,
+               claimed: CompressionWitness) -> dict[str, bool]:
+    """The named checks on the claimed n_k, D_k, alpha_k, beta_k, word and
+    g_k, with h, |xi|^2 and the middle exponent taken from `honest`.  The
+    claimed word is evaluated over sigma and h, and h and the claimed g_k
+    are checked for determinant 1."""
     d, x = params.d, params.x
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
     m = honest.word[2][1]  # sigma^m, the middle term
+    h = PslElement(honest.h)
+    g_word = eval_word({"sigma": sigma_from_xi(params.xi), "h": h}, claimed.word)
+    try:
+        g_closed: Optional[PslElement] = PslElement(claimed.g_k)
+    except ValueError:
+        g_closed = None  # not even unimodular: closed_form fails
     g = g_closed or g_word
     checks: dict[str, bool] = {}
     checks["closed_form"] = g_closed is not None and g_word.psl_eq(g_closed)
@@ -254,9 +260,9 @@ def run_checks(params: Params, honest: CompressionWitness, h: PslElement,
     checks["nontrivial"] = not g.psl_eq(PslElement.identity(d))
     expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
     tr = g.trace()
-    checks["hyperbolic_trace"] = (g.classify() is IsometryClass.HYPERBOLIC
-                                  and tr.is_rational()
-                                  and abs(tr.rational_value()) == abs(expected_trace))
+    # |trace| > 2 is hyperbolic; it also excludes +-1, whose trace is +-2
+    checks["hyperbolic_trace"] = (tr.is_rational()
+                                  and abs(tr.rational_value()) == abs(expected_trace) > 2)
     # a claimed D_k < 1 names no circle; both circle checks then fail
     checks["stabilizer_membership"] = D_k >= 1 and stab_form(g, D_k) is not None
     checks["normal_closure_word"] = claimed.word == witness_word(n_k, m)
@@ -266,26 +272,13 @@ def run_checks(params: Params, honest: CompressionWitness, h: PslElement,
     return checks
 
 
-def _check_claims(params: Params, honest: CompressionWitness,
-                  claimed: CompressionWitness) -> dict[str, bool]:
-    """Evaluate the claimed word over sigma and the honest h, checking both
-    h and the claimed g_k for determinant 1, then run the named checks."""
-    h = PslElement(honest.h)
-    g_word = eval_word({"sigma": sigma_from_xi(params.xi), "h": h}, claimed.word)
-    try:
-        g_claimed: Optional[PslElement] = PslElement(claimed.g_k)
-    except ValueError:
-        g_claimed = None  # not even unimodular: closed_form fails
-    return run_checks(params, honest, h, claimed, g_word, g_claimed)
-
-
 def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
     """Build and fully check the witness for one k.  Any failed check is an
     internal consistency error."""
     if mode != params.mode:
         raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
     w = _derive(params, k)
-    checks = _check_claims(params, w, w)
+    checks = run_checks(params, w, w)
     for name, ok in checks.items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")
@@ -392,7 +385,7 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
         return VerificationReport(results)
     # the named checks run against the *stored* values, so tampering with
     # D_k or g_k is caught by the corresponding check as well
-    checks = _check_claims(params, honest, w)
+    checks = run_checks(params, honest, w)
     results["field.g_k"] = checks["closed_form"]  # the stored g_k is the word's value
     for name, ok in checks.items():
         results[f"check.{name}"] = ok

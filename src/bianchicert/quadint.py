@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 
 
 def is_squarefree(d: int) -> bool:
@@ -255,11 +254,3 @@ def parse_quadint(text: str, d: int) -> QuadInt:
     if u4 % 2 or v4 % 2:  # 2u or 2v is not an integer
         raise ValueError(f"{text!r} is not in O_{d}")
     return QuadInt.from_half_pair(d, u4 // 2, v4 // 2)
-
-
-def content(*values: int) -> int:
-    """gcd of a list of integers (0 for the empty/all-zero case)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

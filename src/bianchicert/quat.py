@@ -180,7 +180,7 @@ class QuadRat:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             x, y, den = -x, -y, -den
-        g = gcd(gcd(abs(x), abs(y)), den)
+        g = gcd(x, y, den)
         return cls(d, x // g, y // g, den // g)
 
     @classmethod

@@ -184,6 +184,7 @@ class TestCocompactCertificate:
         # D_1 = 3 (mod 7) by construction when x = 3
         cert = cocompact_certificate(7, 5759153956)
         assert cert.certified
+        assert (cert.d, cert.D) == (7, 5759153956)  # the record names what it certifies
 
     def test_rejected_d_is_not_certified(self):
         for d in (-7, 1, 2, 9, 15, 49):

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from bianchicert import cli
 from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                              main, parse_k_range)
-from bianchicert.pipeline import InvalidParams
+from bianchicert.pipeline import ConsistencyError, InvalidParams
 
 from test_pipeline import REPEATED_KEYS, edited, inserted_ahead
 
@@ -81,6 +83,20 @@ class TestConstruct:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("internal error: ValueError: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..2"),
+        ("appendix",),
+    ], ids=["construct", "appendix"])
+    def test_consistency_error_is_internal(self, capsys, monkeypatch, argv):
+        def inconsistent(*_args):
+            raise ConsistencyError("witness check failed: closed_form")
+
+        monkeypatch.setattr(cli, "construct_series", inconsistent)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "internal error: ConsistencyError: witness check failed: closed_form\n"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "construct", "fig8", "--p", "20", "--q", "7",
@@ -182,6 +198,31 @@ class TestResidues:
         code, _, err = run(capsys, "residues", "--d", "9")
         assert code == EXIT_BAD_INPUT
         assert "not a prime" in err
+
+    @staticmethod
+    def tables(out):
+        """The two printed lists of `residues`, by label."""
+        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        return (ast.literal_eval(lines["quadratic residues"]),
+                ast.literal_eval(lines["non-residues"]))
+
+    def test_tables_match_squares(self, capsys):
+        for d in (n for n in range(3, 200) if all(n % f for f in range(2, n))):
+            squares = {x * x % d for x in range(1, d)}
+            code, out, _ = run(capsys, "residues", "--d", str(d))
+            assert code == EXIT_OK
+            assert self.tables(out) == (sorted(squares),
+                                        sorted(set(range(1, d)) - squares)), d
+
+    def test_large_prime_is_fast(self, capsys):
+        # a scan of the residue list for each x took about 9 s at this d
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "residues", "--d", "40009")
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_OK
+        residues, nonresidues = self.tables(out)
+        assert len(residues) == len(nonresidues) == 20004
+        assert sorted(residues + nonresidues) == list(range(1, 40009))
 
 
 class TestAppendix:

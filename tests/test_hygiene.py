@@ -5,7 +5,9 @@ Every name a module in `src/bianchicert/` imports is used in that module
 quaternion algebras have rational coefficients, imports `fractions`: the ring
 O_d and everything built on it is exact integer arithmetic.  Every function,
 class and method the library defines is named somewhere in `src/`, `tests/`,
-`demos/` or `benchmarks/` outside its own definition, so nothing is dead.
+`demos/` or `benchmarks/` outside its own definition, so nothing is dead,
+and every dataclass field is read there, so no record carries a value that
+nothing looks at.
 """
 
 import ast
@@ -123,3 +125,63 @@ def test_checker_sees_an_unreferenced_definition():
            "def dead(n):\n    return dead(n - 1)\n")
     user = "from lib import Used  # mentions method\n"
     assert unreferenced({"lib.py": lib, "user.py": user}, ["lib.py"]) == ["lib.py:6 dead"]
+
+
+def is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(tree):
+    """(class, field, line) of each annotated field of a `@dataclass` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def field_reads(tree):
+    """Names read as an attribute (`w.name`), passed as a keyword
+    (`f(name=...)`) or spelled as a string key (`getattr(w, "name")`, the
+    `FIELDS` table)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unread_fields(sources, defining):
+    """`<file>:<line> <Class>.<field>` for each dataclass field in the
+    `defining` files that no text in `sources` (file -> text) reads."""
+    reads = {name for text in sources.values() for name in field_reads(ast.parse(text))}
+    return [f"{f}:{line} {cls}.{name}"
+            for f in defining
+            for cls, name, line in dataclass_fields(ast.parse(sources[f]))
+            if name not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SCANNED}
+    defining = [str(p.relative_to(ROOT)) for p in MODULES]
+    assert unread_fields(sources, defining) == []
+
+
+def test_checker_sees_an_unread_field():
+    lib = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass Record:\n"
+           "    dead: int\n    loaded: int\n    named: int\n    keyed: int\n"
+           "    def total(self):\n        return self.loaded\n"
+           "@dataclass\nclass Other:\n    spare: int\n"
+           "class Plain:\n    hint: int\n")
+    user = ("from lib import Record\n"
+            "r = Record(0, 1, 2, keyed=3)\n"
+            "print(getattr(r, 'named'))\nr.dead = 4  # a store is not a read\n")
+    assert unread_fields({"lib.py": lib, "user.py": user}, ["lib.py"]) == [
+        "lib.py:4 Record.dead", "lib.py:12 Other.spare"]

@@ -15,7 +15,8 @@ from bianchicert.pipeline import (CHECKS, FIG8, GENERAL, InvalidParams,
                                   render_witnesses, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import Mat2, PslElement, eval_word, parse_psl, render_word
+from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, eval_word, parse_psl,
+                              render_word)
 from bianchicert.quadint import QuadInt, parse_quadint
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
@@ -382,6 +383,33 @@ class TestVerify:
         bad = replace(w, p=12)
         report = verify_witness(bad)
         assert report.results == {"params": False}
+
+
+def hyperbolic_trace_oracle(record):
+    """check.hyperbolic_trace as first stated: the claimed g_k is hyperbolic
+    by PslElement.classify(), with rational trace of the expected size."""
+    g = PslElement(record.g_k)
+    m = record.word[2][1]
+    expected = 2 - 2 * m * record.n_k * record.norm_xi ** 2
+    tr = g.trace()
+    return (g.classify() is IsometryClass.HYPERBOLIC and tr.is_rational()
+            and abs(tr.rational_value()) == abs(expected))
+
+
+class TestHyperbolicTrace:
+    """Claimed n_k = 0 gives |expected trace| = 2, the trace of +-1 and of a
+    parabolic; no pinned record reaches it."""
+
+    @pytest.mark.parametrize("n_k", [None, 0, 1, -1], ids=["honest", "0", "1", "-1"])
+    @pytest.mark.parametrize("g_k", [None, "[[1,0],[0,1]]", "[[-1,0],[0,-1]]", "[[1,1],[0,1]]"],
+                             ids=["honest", "identity", "minus-identity", "parabolic"])
+    def test_matches_classify(self, n_k, g_k):
+        w = fig8_witness(k=1)
+        claimed = replace(w, n_k=w.n_k if n_k is None else n_k,
+                          g_k=w.g_k if g_k is None else parse_psl(g_k, 3).rep)
+        got = verify_witness(claimed).results["check.hyperbolic_trace"]
+        assert got == hyperbolic_trace_oracle(claimed)
+        assert got == (n_k is None and g_k is None)
 
 
 def edited(text, key, value):
