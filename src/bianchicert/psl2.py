@@ -1,9 +1,12 @@
 """Exact 2x2 matrix algebra over O_d and projective (PSL) elements.
 
 Mat2 is duck-typed over its entries: anything with ring operators works
-(QuadInt, QuadRat).  The finite quotients PSL2(O_d/(n)) use Mat2s of
-QuadInts with coordinates reduced mod n.  PslElement enforces determinant 1
-over O_d and compares projectively (M ~ -M).
+(QuadInt, QuadRat, int).  A product or determinant whose entries are all
+QuadInts of one ring goes through the coordinate kernel `quadint.mul_add`,
+one object per result entry; other entry types take the ring operators.
+The finite quotients PSL2(O_d/(n)) use Mat2s of QuadInts with coordinates
+reduced mod n.  PslElement enforces determinant 1 over O_d and compares
+projectively (M ~ -M).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
-from .quadint import QuadInt, parse_quadint
+from .quadint import QuadInt, mul_add, parse_quadint
 
 Word = tuple[tuple[str, int], ...]
 
@@ -28,19 +31,26 @@ class Mat2:
     def entries(self) -> tuple[Any, Any, Any, Any]:
         return (self.a11, self.a12, self.a21, self.a22)
 
+    def _over_quadints(self) -> bool:
+        """Whether every entry is a QuadInt, so the coordinate kernel applies."""
+        return type(self.a11) is type(self.a12) is type(self.a21) is type(self.a22) is QuadInt
+
     def det(self) -> Any:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        a, b, c, e = self.entries()
+        if self._over_quadints():
+            return mul_add(a, e, b, c, -1)
+        return a * e - b * c
 
     def trace(self) -> Any:
         return self.a11 + self.a22
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        a, b, c, e = self.entries()
+        f, g, h, k = other.entries()
+        if self._over_quadints() and other._over_quadints():
+            return Mat2(mul_add(a, f, b, h), mul_add(a, g, b, k),
+                        mul_add(c, f, e, h), mul_add(c, g, e, k))
+        return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
@@ -93,7 +103,8 @@ class PslElement:
         for e in self.rep.entries():
             if not isinstance(e, QuadInt) or e.d != d:
                 raise ValueError("PslElement entries must be QuadInt over one ring")
-        if self.rep.det() != QuadInt.integer(d, 1):
+        det = self.rep.det()
+        if det.x != 1 or det.y != 0:
             raise ValueError("PslElement requires determinant 1")
 
     @property
@@ -121,11 +132,10 @@ class PslElement:
         return PslElement(self.rep.adjugate())
 
     def __pow__(self, n: int) -> "PslElement":
-        one = QuadInt.integer(self.d, 1)
-        m = self.rep
-        if m.a11 == one and m.a22 == one and m.a21.is_zero():
+        a, b, c, e = self.rep.entries()
+        if (a.x, a.y, c.x, c.y, e.x, e.y) == (1, 0, 0, 0, 1, 0):
             # unipotent: (1, b; 0, 1)^n = (1, n*b; 0, 1) for every integer n
-            return PslElement(Mat2(one, m.a12 * n, m.a21, one))
+            return PslElement(Mat2(a, b * n, c, e))
         if n == 0:
             return PslElement.identity(self.d)
         base = self if n > 0 else self.inv()

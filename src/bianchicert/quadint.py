@@ -7,6 +7,12 @@ Elements are stored on the integral basis {1, tau_d} where
 
 so the parity condition on half-integer coordinates is unrepresentable by
 construction.  All coordinates are Python ints (arbitrary precision).
+
+The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
+Arithmetic results inherit d from an operand that was already validated, so
+`+`, `-`, `*`, `conj`, `reduce_mod` and `mul_add` build them with
+`_unchecked`, which only this module may call.  The rule tau^2 = s*tau - n
+is stated once, in `_tau_square`, for products, norms, traces and conjugates.
 """
 
 from __future__ import annotations
@@ -38,7 +44,13 @@ def _half_discriminant_case(d: int) -> bool:
     return d % 4 == 3
 
 
-@dataclass(frozen=True)
+@cache
+def _tau_square(d: int) -> tuple[int, int]:
+    """(s, n) with tau_d^2 = s*tau_d - n."""
+    return (1, (1 + d) // 4) if _half_discriminant_case(d) else (0, d)
+
+
+@dataclass(frozen=True, slots=True)
 class QuadInt:
     """x + y*tau_d in O_d."""
 
@@ -96,75 +108,65 @@ class QuadInt:
 
     # -- ring structure -----------------------------------------------------
 
-    def _coerce(self, other: "QuadInt | int") -> "QuadInt":
-        if isinstance(other, int):
-            return QuadInt.integer(self.d, other)
-        if isinstance(other, QuadInt):
+    def _coords(self, other: "QuadInt | int") -> "tuple[int, int] | None":
+        """other's coordinates in self's ring; None for a foreign type."""
+        if type(other) is QuadInt:
             if other.d != self.d:
                 raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
-            return other
-        return NotImplemented  # type: ignore[return-value]
+            return other.x, other.y
+        if isinstance(other, int):
+            return other, 0
+        return None
 
     def __add__(self, other: "QuadInt | int") -> "QuadInt":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._coords(other)
+        if o is None:
             return NotImplemented
-        return QuadInt(self.d, self.x + o.x, self.y + o.y)
+        return _unchecked(self.d, self.x + o[0], self.y + o[1])
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadInt | int") -> "QuadInt":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._coords(other)
+        if o is None:
             return NotImplemented
-        return QuadInt(self.d, self.x - o.x, self.y - o.y)
+        return _unchecked(self.d, self.x - o[0], self.y - o[1])
 
     def __rsub__(self, other: "QuadInt | int") -> "QuadInt":
         return (-self) + other
 
     def __neg__(self) -> "QuadInt":
-        return QuadInt(self.d, -self.x, -self.y)
+        return _unchecked(self.d, -self.x, -self.y)
 
     def __mul__(self, other: "QuadInt | int") -> "QuadInt":
-        if isinstance(other, int):
-            return QuadInt(self.d, self.x * other, self.y * other)
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._coords(other)
+        if o is None:
             return NotImplemented
-        cross = self.x * o.y + self.y * o.x
-        yy = self.y * o.y
-        if _half_discriminant_case(self.d):
-            # tau^2 = tau - (1+d)/4
-            return QuadInt(self.d, self.x * o.x - yy * ((1 + self.d) // 4), cross + yy)
-        # tau^2 = -d
-        return QuadInt(self.d, self.x * o.x - self.d * yy, cross)
+        ox, oy = o
+        return _expand(self.d, self.x * ox, self.x * oy + self.y * ox, self.y * oy)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadInt":
-        """Image under sqrt(-d) -> -sqrt(-d)."""
-        if _half_discriminant_case(self.d):
-            # conj(tau) = 1 - tau
-            return QuadInt(self.d, self.x + self.y, -self.y)
-        return QuadInt(self.d, self.x, -self.y)
+        """Image under sqrt(-d) -> -sqrt(-d): conj(tau) = s - tau."""
+        s, _ = _tau_square(self.d)
+        return _unchecked(self.d, self.x + s * self.y, -self.y)
 
     def norm(self) -> int:
         """self * conj(self), a non-negative rational integer."""
-        if _half_discriminant_case(self.d):
-            return self.x * self.x + self.x * self.y + self.y * self.y * ((1 + self.d) // 4)
-        return self.x * self.x + self.d * self.y * self.y
+        s, n = _tau_square(self.d)
+        return self.x * self.x + s * self.x * self.y + n * self.y * self.y
 
     def trace(self) -> int:
         """Field trace self + conj(self)."""
-        if _half_discriminant_case(self.d):
-            return 2 * self.x + self.y
-        return 2 * self.x
+        s, _ = _tau_square(self.d)
+        return 2 * self.x + s * self.y
 
     def reduce_mod(self, n: int) -> "QuadInt":
         """The representative of self mod (n) with both coordinates in [0, n)."""
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
-        return QuadInt(self.d, self.x % n, self.y % n)
+        return _unchecked(self.d, self.x % n, self.y % n)
 
     # -- text form ----------------------------------------------------------
 
@@ -182,6 +184,38 @@ class QuadInt:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_new = object.__new__
+_set_d, _set_x, _set_y = QuadInt.d.__set__, QuadInt.x.__set__, QuadInt.y.__set__
+
+
+def _unchecked(d: int, x: int, y: int) -> QuadInt:
+    """QuadInt(d, x, y) without validating d, for results whose d an operand
+    already carries.  Callers outside this module would bypass validation."""
+    q = _new(QuadInt)
+    _set_d(q, d)
+    _set_x(q, x)
+    _set_y(q, y)
+    return q
+
+
+def _expand(d: int, xx: int, xy: int, yy: int) -> QuadInt:
+    """xx + xy*tau + yy*tau^2 in O_d."""
+    s, n = _tau_square(d)
+    return _unchecked(d, xx - n * yy, xy + s * yy)
+
+
+def mul_add(p: QuadInt, q: QuadInt, r: QuadInt, t: QuadInt, sign: int = 1) -> QuadInt:
+    """p*q + r*t (sign=1) or p*q - r*t (sign=-1) over one ring, fused on the
+    coordinates: one result object and no intermediates."""
+    d = p.d
+    if not d == q.d == r.d == t.d:
+        other = next(e.d for e in (q, r, t) if e.d != d)
+        raise ValueError(f"mixed rings: d={d} vs d={other}")
+    rx, ry = (r.x, r.y) if sign == 1 else (-r.x, -r.y)
+    return _expand(d, p.x * q.x + rx * t.x, p.x * q.y + p.y * q.x + rx * t.y + ry * t.x,
+                   p.y * q.y + ry * t.y)
 
 
 _TERM_RE = re.compile(

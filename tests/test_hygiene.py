@@ -7,7 +7,8 @@ O_d and everything built on it is exact integer arithmetic.  Every function,
 class and method the library defines is named somewhere in `src/`, `tests/`,
 `demos/` or `benchmarks/` outside its own definition, so nothing is dead,
 and every dataclass field is read there, so no record carries a value that
-nothing looks at.
+nothing looks at.  `quadint._unchecked`, which builds a QuadInt without
+validating d, is named nowhere outside `quadint.py`.
 """
 
 import ast
@@ -185,3 +186,39 @@ def test_checker_sees_an_unread_field():
             "print(getattr(r, 'named'))\nr.dead = 4  # a store is not a read\n")
     assert unread_fields({"lib.py": lib, "user.py": user}, ["lib.py"]) == [
         "lib.py:4 Record.dead", "lib.py:12 Other.spare"]
+
+
+UNCHECKED = "_unchecked"
+UNCHECKED_HOME = "src/bianchicert/quadint.py"
+
+
+def unchecked_uses(sources):
+    """`<file>:<line>` for each call, attribute read or import of the
+    validation-skipping constructor outside its home module."""
+    found = []
+    for f, text in sources.items():
+        if f == UNCHECKED_HOME:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Name) and node.id == UNCHECKED
+                    or isinstance(node, ast.Attribute) and node.attr == UNCHECKED
+                    or isinstance(node, ast.alias) and node.name == UNCHECKED):
+                found.append(f"{f}:{node.lineno}")
+    return sorted(found)
+
+
+def test_unchecked_constructor_stays_in_quadint():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SCANNED}
+    assert UNCHECKED_HOME in sources
+    assert f"def {UNCHECKED}(" in sources[UNCHECKED_HOME]
+    assert unchecked_uses(sources) == []
+
+
+def test_checker_sees_an_unchecked_call():
+    home = f"def {UNCHECKED}(d, x, y):\n    return None\nz = {UNCHECKED}(3, 1, 0)\n"
+    elsewhere = ("from bianchicert import quadint\n"
+                 "from bianchicert.quadint import _unchecked as make\n"
+                 "a = quadint._unchecked(4, 1, 0)\n"
+                 "def f():\n    return _unchecked(0, 1, 0)\n")
+    assert unchecked_uses({UNCHECKED_HOME: home, "src/bianchicert/psl2.py": elsewhere}) == [
+        "src/bianchicert/psl2.py:2", "src/bianchicert/psl2.py:3", "src/bianchicert/psl2.py:5"]

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchicert import psl2
 from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign,
                               eval_word, parse_mat2, parse_psl, parse_word,
                               render_word)
 from bianchicert.quadint import QuadInt, parse_quadint
+from bianchicert.quat import QuatAlgebra, Quaternion, rho
 
 
 def psl(text, d=3):
@@ -163,6 +166,90 @@ class TestUnipotentFastPath:
         h = psl("[[2,1],[1,1]]")
         assert power_and_products(h, 1) == (h, 0)
         assert power_and_products(h, -1)[1] == 0
+
+
+KERNEL_DS = (1, 2, 3, 5, 7, 11, 43, 1000003)  # d = 1, 2 and 3 (mod 4)
+KERNEL_COORD = st.integers(-WIDE, WIDE)
+
+
+def half(e):
+    """Oracle view of e: (b1, b2) with e = (b1 + b2*sqrt(-d))/2."""
+    return (2 * e.x + e.y, e.y) if e.d % 4 == 3 else (2 * e.x, 2 * e.y)
+
+
+def half_mul(d, p, q):
+    """(p1 + p2*r)(q1 + q2*r)/4 with r^2 = -d, as a half pair."""
+    (p1, p2), (q1, q2) = p, q
+    b1, b2 = p1 * q1 - d * p2 * q2, p1 * q2 + p2 * q1
+    assert b1 % 2 == 0 and b2 % 2 == 0
+    return (b1 // 2, b2 // 2)
+
+
+def half_mul_add(d, p, q, r, t, sign=1):
+    (a1, a2), (b1, b2) = half_mul(d, p, q), half_mul(d, r, t)
+    return (a1 + sign * b1, a2 + sign * b2)
+
+
+def oracle_product(d, m, n):
+    """Row-by-column product of two matrices of half pairs (4-tuples)."""
+    a, b, c, e = m
+    f, g, h, k = n
+    return [half_mul_add(d, a, f, b, h), half_mul_add(d, a, g, b, k),
+            half_mul_add(d, c, f, e, h), half_mul_add(d, c, g, e, k)]
+
+
+def oracle_det(d, m):
+    a, b, c, e = m
+    return half_mul_add(d, a, e, b, c, -1)
+
+
+class TestCoordinateKernel:
+    """Products, determinants and PslElement acceptance over QuadInt entries
+    against plain-int arithmetic on half pairs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KERNEL_DS), st.lists(KERNEL_COORD, min_size=16, max_size=16))
+    def test_product_and_det(self, d, cs):
+        entries = [QuadInt(d, x, y) for x, y in zip(cs[::2], cs[1::2])]
+        m, n = Mat2(*entries[:4]), Mat2(*entries[4:])
+        hm, hn = [half(e) for e in m.entries()], [half(e) for e in n.entries()]
+        assert [half(e) for e in (m * n).entries()] == oracle_product(d, hm, hn)
+        assert half(m.det()) == oracle_det(d, hm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KERNEL_DS), st.lists(KERNEL_COORD, min_size=4, max_size=4),
+           st.integers(0, 3), st.sampled_from(((0, 0), (1, 0), (-1, 0), (0, 1))))
+    def test_psl_acceptance(self, d, cs, i, shift):
+        b, c, one = QuadInt(d, cs[0], cs[1]), QuadInt(d, cs[2], cs[3]), QuadInt.integer(d, 1)
+        entries = [one + b * c, b, c, one]  # determinant 1, until the shift
+        entries[i] = entries[i] + QuadInt(d, *shift)
+        if oracle_det(d, [half(e) for e in entries]) == (2, 0):
+            assert PslElement(Mat2(*entries)).rep.entries() == tuple(entries)
+        else:
+            with pytest.raises(ValueError):
+                PslElement(Mat2(*entries))
+
+    def test_two_rings_raise(self):
+        with pytest.raises(ValueError, match="mixed rings"):
+            Mat2.identity(3) * Mat2.identity(7)
+        one3, zero7 = QuadInt.integer(3, 1), QuadInt.integer(7, 0)
+        with pytest.raises(ValueError, match="mixed rings"):
+            Mat2(one3, zero7, zero7, one3).det()
+
+    def test_other_entry_types_take_ring_operators(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("coordinate kernel called")
+
+        monkeypatch.setattr(psl2, "mul_add", no_kernel)
+        ints = Mat2(1, 2, 3, 4)
+        assert ints * Mat2(5, 6, 7, 8) == Mat2(19, 22, 43, 50)
+        assert ints.det() == -2
+        algebra = QuatAlgebra(Fraction(-7), Fraction(3))
+        x = Quaternion(algebra, 1, Fraction(1, 2), 2, Fraction(-3, 2))
+        y = Quaternion(algebra, Fraction(2, 3), -1, 0, 5)
+        assert rho(x) * rho(y) == rho(x * y)
+        det = rho(x).det()
+        assert det.y == 0 and Fraction(det.x, det.den) == x.reduced_norm()
 
 
 class TestProjectiveEquality:

@@ -11,6 +11,7 @@ from bianchicert import quadint
 from bianchicert.circles import is_quadratic_nonresidue
 from bianchicert.pipeline import (FIG8, GENERAL, construct_series, validate_fig8,
                                   validate_general)
+from bianchicert.psl2 import Mat2
 from bianchicert.quadint import QuadInt, parse_quadint
 
 
@@ -72,6 +73,49 @@ class TestValidateOnce:
         xi = parse_quadint("1+7*eta", 7)
         construct_series(GENERAL, validate_general(7, xi), range(1, 11))
         assert calls == Counter({3: 1, 7: 1})
+
+
+class TestKernel:
+    """Arithmetic results are plain slotted QuadInts built without revalidating
+    d, and QuadInt matrix products never go through the ring operators."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 1000003])
+    def test_results_equal_public_construction(self, d):
+        a, b = QuadInt(d, 5, -3), QuadInt(d, -2**70, 11)
+        results = [a + b, a - b, -a, a * b, a * 7, 7 * a, a + 2, 2 - a, a.conj(),
+                   a.reduce_mod(4)]
+        for r in results:
+            assert type(r) is QuadInt
+            public = QuadInt(r.d, r.x, r.y)
+            assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
+            assert not hasattr(r, "__dict__")
+
+    def test_matrix_product_skips_ring_operators_and_validation(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(QuadInt, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        m = Mat2(QuadInt(7, 1, 2), QuadInt(7, 3, -1), QuadInt(7, 0, 5), QuadInt(7, -4, 1))
+        a, b = m.a11, m.a12
+        for name in ("__mul__", "__rmul__", "__post_init__"):
+            monkeypatch.setattr(QuadInt, name, counting(name))
+        m * m
+        m.det()
+        assert calls == Counter()
+        a + b, a - b, -a, a * 3, a.conj(), a.reduce_mod(5)  # results inherit d
+        QuadInt(7, 0, 0)  # a public construction validates
+        assert calls == Counter({"__mul__": 1, "__post_init__": 1})
+
+    @pytest.mark.parametrize("d", [4, 0])
+    def test_public_construction_still_validates(self, d):
+        with pytest.raises(ValueError):
+            QuadInt(d, 1, 0)
 
 
 class TestConj:
