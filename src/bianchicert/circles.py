@@ -109,17 +109,16 @@ def circle_action(T: PslElement, C: CircleTriple) -> CircleTriple:
 def stab_form(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
     """Recognize the shape (alpha, D beta; conj(beta), conj(alpha)).
 
-    Returns (alpha, beta) with |alpha|^2 - D|beta|^2 = 1 iff some sign of the
-    representative has the shape; this is membership in Stab_{PSL2(O_d)}(C_D).
+    Returns (alpha, beta) with |alpha|^2 - D|beta|^2 = 1 iff the representative
+    has the shape; this is membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm
+    equation are invariant under M -> -M, so -M need not be tried.
     """
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
-    for m in (M.rep, -M.rep):
-        alpha = m.a11
-        beta = m.a21.conj()
-        if m.a22 == alpha.conj() and m.a12 == beta * D:
-            if alpha.norm() - D * beta.norm() == 1:
-                return (alpha, beta)
+    m = M.rep
+    alpha, beta = m.a11, m.a21.conj()
+    if m.a22 == alpha.conj() and m.a12 == beta * D and alpha.norm() - D * beta.norm() == 1:
+        return (alpha, beta)
     return None
 
 

@@ -257,7 +257,7 @@ def run_checks(params: Params, honest: CompressionWitness,
     checks["closed_form"] = g_closed is not None and g_word.psl_eq(g_closed)
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
     checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
-    checks["nontrivial"] = not g.psl_eq(PslElement.identity(d))
+    checks["nontrivial"] = not g.is_identity()
     expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
     tr = g.trace()
     # |trace| > 2 is hyperbolic; it also excludes +-1, whose trace is +-2

@@ -4,9 +4,17 @@ Mat2 is duck-typed over its entries: anything with ring operators works
 (QuadInt, QuadRat, int).  A product or determinant whose entries are all
 QuadInts of one ring goes through the coordinate kernel `quadint.mul_add`,
 one object per result entry; other entry types take the ring operators.
-The finite quotients PSL2(O_d/(n)) use Mat2s of QuadInts with coordinates
-reduced mod n.  PslElement enforces determinant 1 over O_d and compares
-projectively (M ~ -M).
+A product with a translation (1, t; 0, 1) is an elementary operation: on
+the right it adds t*col1 to col2, on the left t*row2 to row1, and the two
+untouched entries are reused.  The finite quotients PSL2(O_d/(n)) use Mat2s
+of QuadInts with coordinates reduced mod n.  PslElement enforces
+determinant 1 over O_d and compares projectively (M ~ -M) on coordinates.
+
+`eval_word` evaluates a word in a running Mat2 and det-checks only its
+value: u^e for a translation u = (1, t; 0, 1) is (1, e*t; 0, 1); a run
+x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p), with (p; q) the
+first column of X = x^k, equal to X u^e X^-1 because det X = 1, which every
+PslElement guarantees; any other term is the rep of its power.
 """
 
 from __future__ import annotations
@@ -44,10 +52,19 @@ class Mat2:
     def trace(self) -> Any:
         return self.a11 + self.a22
 
+    def is_translation(self) -> bool:
+        """Whether this matrix of QuadInts is (1, t; 0, 1), read off the coordinates."""
+        a, c, e = self.a11, self.a21, self.a22
+        return not (c.x or c.y or a.y or e.y) and a.x == 1 == e.x
+
     def __mul__(self, other: "Mat2") -> "Mat2":
         a, b, c, e = self.entries()
         f, g, h, k = other.entries()
         if self._over_quadints() and other._over_quadints():
+            if other.is_translation():  # col2 += g * col1
+                return Mat2(a, mul_add(a, g, b, k), c, mul_add(c, g, e, k))
+            if self.is_translation():  # row1 += b * row2
+                return Mat2(mul_add(a, f, b, h), mul_add(a, g, b, k), h, k)
             return Mat2(mul_add(a, f, b, h), mul_add(a, g, b, k),
                         mul_add(c, f, e, h), mul_add(c, g, e, k))
         return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
@@ -132,9 +149,9 @@ class PslElement:
         return PslElement(self.rep.adjugate())
 
     def __pow__(self, n: int) -> "PslElement":
-        a, b, c, e = self.rep.entries()
-        if (a.x, a.y, c.x, c.y, e.x, e.y) == (1, 0, 0, 0, 1, 0):
+        if self.rep.is_translation():
             # unipotent: (1, b; 0, 1)^n = (1, n*b; 0, 1) for every integer n
+            a, b, c, e = self.rep.entries()
             return PslElement(Mat2(a, b * n, c, e))
         if n == 0:
             return PslElement.identity(self.d)
@@ -151,13 +168,19 @@ class PslElement:
 
     def psl_eq(self, other: "PslElement") -> bool:
         self._check(other)
-        return self.rep == other.rep or self.rep == -other.rep
+        return self.rep == other.rep or all(
+            m.x == -n.x and m.y == -n.y for m, n in zip(self.rep.entries(), other.rep.entries()))
+
+    def is_identity(self) -> bool:
+        """Whether rep is +1 or -1."""
+        a, b, c, e = self.rep.entries()
+        return a.x == e.x in (1, -1) and not (a.y or e.y or b.x or b.y or c.x or c.y)
 
     def trace(self) -> QuadInt:
         return self.rep.trace()
 
     def classify(self) -> IsometryClass:
-        if self.psl_eq(PslElement.identity(self.d)):
+        if self.is_identity():
             return IsometryClass.IDENTITY
         t = self.trace()
         if not t.is_rational():
@@ -199,18 +222,40 @@ def parse_psl(text: str, d: int) -> PslElement:
 
 
 def eval_word(gens: Mapping[str, PslElement], word: Iterable[tuple[str, int]]) -> PslElement:
-    """Left-to-right product of gens[id]**exponent."""
+    """Left-to-right product of gens[id]**exponent, det-checked once.
+
+    A running Mat2 takes each term: u^e for a translation u = (1, t; 0, 1) as
+    (1, e*t; 0, 1); a run x^k u^e x^-k as the transvection 1 + e*t*(p; q)(-q, p),
+    (p; q) the first column of X = x^k, which is X u^e adj(X) = X u^e X^-1 as
+    det X = 1 (true of every PslElement); any other term as (gens[id]**e).rep.
+    The value is the matrix that the product of PslElements gives."""
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    result: Optional[PslElement] = None
-    for gen_id, exponent in word:
+    result: Optional[Mat2] = None
+    i = 0
+    while i < len(word):
+        gen_id, exponent = word[i]
         if gen_id not in gens:
             raise KeyError(f"unbound generator id {gen_id!r}")
-        factor = gens[gen_id] ** exponent
+        x = gens[gen_id]
+        u_id, e = word[i + 1] if i + 2 < len(word) else (None, 0)
+        if (u_id in gens and tuple(word[i + 2]) == (gen_id, -exponent)
+                and gens[u_id].rep.is_translation()):
+            X = (x ** exponent).rep
+            et = gens[u_id].rep.a12 * e
+            etp, etq = X.a11 * et, X.a21 * et
+            etpq = etp * X.a21
+            factor = Mat2(1 - etpq, etp * X.a11, -(etq * X.a21), 1 + etpq)
+            i += 3
+        else:
+            rep = x.rep
+            factor = (Mat2(rep.a11, rep.a12 * exponent, rep.a21, rep.a22)
+                      if rep.is_translation() else (x ** exponent).rep)
+            i += 1
         result = factor if result is None else result * factor
     assert result is not None
-    return result
+    return PslElement(result)
 
 
 def render_word(word: Word) -> str:

@@ -172,15 +172,16 @@ class QuadInt:
 
     def render(self) -> str:
         """Canonical u + v*sqrt(-d) text form, halves rendered as odd/2."""
-        b1, b2 = self.half_pair()
-
-        def coeff(b: int) -> str:
-            return str(b // 2) if b % 2 == 0 else f"{b}/2"
-
-        if b2 == 0:
-            return coeff(b1)
-        sign = "+" if b2 > 0 else "-"
-        return f"{coeff(b1)}{sign}{coeff(abs(b2))}*sqrt(-{self.d})"
+        x, y = self.x, self.y
+        if y == 0:
+            return str(x)
+        if not _half_discriminant_case(self.d):  # x + y*sqrt(-d)
+            u, v = str(x), str(abs(y))
+        elif y % 2 == 0:  # x + y*tau = (x + y/2) + (y/2)*sqrt(-d)
+            u, v = str(x + y // 2), str(abs(y) // 2)
+        else:
+            u, v = f"{2 * x + y}/2", f"{abs(y)}/2"
+        return f"{u}{'+' if y > 0 else '-'}{v}*sqrt(-{self.d})"
 
     def __str__(self) -> str:
         return self.render()
@@ -218,12 +219,12 @@ def mul_add(p: QuadInt, q: QuadInt, r: QuadInt, t: QuadInt, sign: int = 1) -> Qu
                    p.y * q.y + ry * t.y)
 
 
+# a number with an optional *symbol, or a bare symbol: a plain integer needs no backtracking
 _TERM_RE = re.compile(
     r"([+-]?)"
     r"(?:"
-    r"(\d+(?:/2)?)\*(sqrt\(-(\d+)\)|tau|eta|omega)"
+    r"(\d+(?:/2)?)(?:\*(sqrt\(-(\d+)\)|tau|eta|omega))?"
     r"|(sqrt\(-(\d+)\)|tau|eta|omega)"
-    r"|(\d+(?:/2)?)"
     r")"
 )
 
@@ -254,35 +255,34 @@ def parse_quadint(text: str, d: int) -> QuadInt:
         m = _TERM_RE.match(s, pos)
         if m is None or (not first and m.group(1) == ""):
             raise ValueError(f"cannot parse {text!r} at position {pos}")
-        sign, coeff, sym, dd, bare_sym, bare_dd, number = m.groups()
-        c4 = _parse_coeff4(number or coeff or "1")
+        sign, coeff, sym, dd, bare_sym, bare_dd = m.groups()
+        c4 = _parse_coeff4(coeff or "1")
         if sign == "-":
             c4 = -c4
-        if number is not None:
+        sym = sym or bare_sym
+        if sym is None:
             u4 += c4
-        else:
-            sym = sym or bare_sym
-            if sym.startswith("sqrt"):
-                dd = int(dd or bare_dd)
-                if dd != d:
-                    raise ValueError(f"sqrt(-{dd}) does not live in O_{d}")
+        elif sym.startswith("sqrt"):
+            dd = int(dd or bare_dd)
+            if dd != d:
+                raise ValueError(f"sqrt(-{dd}) does not live in O_{d}")
+            v4 += c4
+        elif sym == "tau":
+            if _half_discriminant_case(d):
+                u4 += c4 // 2  # c4 is even, so the halves are exact
+                v4 += c4 // 2
+            else:
                 v4 += c4
-            elif sym == "tau":
-                if _half_discriminant_case(d):
-                    u4 += c4 // 2  # c4 is even, so the halves are exact
-                    v4 += c4 // 2
-                else:
-                    v4 += c4
-            elif sym == "eta":
-                if not _half_discriminant_case(d):
-                    raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
-                u4 += c4 // 2
-                v4 += c4 // 2
-            else:  # omega
-                if d != 3:
-                    raise ValueError("omega is only defined for d=3")
-                u4 -= c4 // 2
-                v4 += c4 // 2
+        elif sym == "eta":
+            if not _half_discriminant_case(d):
+                raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
+            u4 += c4 // 2
+            v4 += c4 // 2
+        else:  # omega
+            if d != 3:
+                raise ValueError("omega is only defined for d=3")
+            u4 -= c4 // 2
+            v4 += c4 // 2
         pos = m.end()
         first = False
     if u4 % 2 or v4 % 2:  # 2u or 2v is not an integer

@@ -44,6 +44,8 @@ def test_traced_construct_and_verify_count_calls():
         tracer.uninstall()
     for name in ("pipeline.construct_witness", "pipeline.run_checks", "psl2.PslElement.pow"):
         assert calls[name] >= 1, name
+    # the word is evaluated once by construct and once by verify, through eval_word
+    assert calls["psl2.eval_word"] == 2
     # the parsers are looked up by name on every call, so the tracer sees each
     # one: h and g_k are two matrices of four ring elements, plus xi, alpha_k
     # and beta_k

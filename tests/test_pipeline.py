@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bianchicert import pipeline
 from bianchicert.circles import circle_action, circle_at_origin, is_prime
 from bianchicert.pipeline import (CHECKS, FIG8, GENERAL, InvalidParams,
                                   bezout_rt, build_h, construct_series,
                                   construct_witness, parse_witnesses,
-                                  render_witnesses, sigma_from_xi, validate_fig8,
+                                  render_witnesses, run_checks, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
 from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, eval_word, parse_psl,
@@ -383,6 +385,39 @@ class TestVerify:
         bad = replace(w, p=12)
         report = verify_witness(bad)
         assert report.results == {"params": False}
+
+
+# the general-wide-operands benchmark anchor: d = 7, xi = 999983 + 999979 tau
+WIDE_PARAMS = validate_general(7, QuadInt(7, 999983, 999979))
+
+
+class TestWordCost:
+    """The honest witness word costs at most two Mat2 products and one
+    PslElement, and no check negates a matrix to compare up to sign."""
+
+    @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
+                             ids=["fig8-20-7-k1", "wide-anchor"])
+    def test_counts(self, params, k, monkeypatch):
+        w = construct_witness(params.mode, params, k)
+        counts, in_word = Counter(), Counter()
+        for cls, name in ((Mat2, "__mul__"), (Mat2, "__neg__"), (PslElement, "__post_init__")):
+            def counting(*args, _original=getattr(cls, name), _name=name):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cls, name, counting)
+
+        def counted_eval_word(*args):
+            before = Counter(counts)
+            try:
+                return eval_word(*args)
+            finally:
+                in_word.update(counts - before)
+
+        monkeypatch.setattr(pipeline, "eval_word", counted_eval_word)
+        checks = run_checks(params, w, w)
+        assert all(checks.values())
+        assert in_word["__mul__"] <= 2 and in_word["__post_init__"] == 1
+        assert counts["__neg__"] == 0
 
 
 def hyperbolic_trace_oracle(record):

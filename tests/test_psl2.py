@@ -229,6 +229,29 @@ class TestCoordinateKernel:
             with pytest.raises(ValueError):
                 PslElement(Mat2(*entries))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KERNEL_DS), st.lists(KERNEL_COORD, min_size=10, max_size=10))
+    def test_product_with_translation(self, d, cs):
+        entries = [QuadInt(d, x, y) for x, y in zip(cs[::2], cs[1::2])]
+        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+        m, u = Mat2(*entries[:4]), Mat2(one, entries[4], zero, one)
+        hm, hu = [half(e) for e in m.entries()], [half(e) for e in u.entries()]
+        right, left = m * u, u * m
+        assert [half(e) for e in right.entries()] == oracle_product(d, hm, hu)
+        assert [half(e) for e in left.entries()] == oracle_product(d, hu, hm)
+        # a column operation keeps column 1, a row operation keeps row 2
+        assert right.a11 is m.a11 and right.a21 is m.a21
+        assert left.a21 is m.a21 and left.a22 is m.a22
+
+    def test_translation_is_read_off_the_coordinates(self):
+        one, zero, t = QuadInt.integer(7, 1), QuadInt.integer(7, 0), QuadInt(7, 3, -2)
+        assert Mat2(one, t, zero, one).is_translation()
+        assert Mat2(one, zero, zero, one).is_translation()
+        for m in (Mat2(-one, t, zero, -one), Mat2(one, t, one, one),
+                  Mat2(QuadInt(7, 1, 1), t, zero, one), Mat2(one, t, QuadInt(7, 0, 1), one),
+                  Mat2(one, t, zero, QuadInt(7, 1, -1))):
+            assert not m.is_translation()
+
     def test_two_rings_raise(self):
         with pytest.raises(ValueError, match="mixed rings"):
             Mat2.identity(3) * Mat2.identity(7)
@@ -268,6 +291,19 @@ class TestProjectiveEquality:
             n = random_psl(rng, 7)
             assert m.psl_eq(m)
             assert m.psl_eq(n) == n.psl_eq(m)
+
+
+class TestIsIdentity:
+    def test_both_signs(self):
+        assert PslElement.identity(7).is_identity()
+        assert PslElement.identity(7).negate().is_identity()
+
+    def test_others(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            m = random_psl(rng, rng.choice((1, 2, 3, 7)))
+            assert m.is_identity() == m.psl_eq(PslElement.identity(m.d))
+        assert not MU.is_identity() and not ROTATION.is_identity()
 
 
 class TestClassify:
@@ -339,6 +375,80 @@ class TestEvalWord:
     def test_unbound_generator(self):
         with pytest.raises(KeyError):
             eval_word({}, [("mu", 1)])
+
+
+def oracle_word(gens, word):
+    """Left-to-right product of oracle_pow factors on raw Mat2s."""
+    result = None
+    for gen_id, e in word:
+        factor = oracle_pow(gens[gen_id].rep, e)
+        result = factor if result is None else result * factor
+    return result
+
+
+RUN_K = st.sampled_from((1, -1, 2, -2))
+
+
+@st.composite
+def word_case(draw):
+    """(generators, word): a translation u, the non-translation v = -u',
+    general h and g, and up to 6 terms, runs x^k u^e x^-k among them."""
+    d = draw(st.sampled_from(FAST_PATH_DS))
+    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+    t, b, c = (QuadInt(d, draw(COORD), draw(COORD)) for _ in range(3))
+    gens = {
+        "u": PslElement.from_entries(one, t, zero, one),
+        "v": PslElement.from_entries(-one, b, zero, -one),
+        "h": PslElement.from_entries(one, b, c, one + b * c),
+        "g": PslElement.from_entries(one + c, c, one, one),
+    }
+    word = []
+    while True:
+        kind = draw(st.sampled_from(("run", "u", "v", "general")))
+        if kind == "run":
+            x, k = draw(st.sampled_from(("h", "g", "v", "u"))), draw(RUN_K)
+            chunk = [(x, k), ("u", draw(EXPONENT)), (x, -k)]
+        elif kind in ("u", "v"):
+            chunk = [(kind, draw(EXPONENT))]
+        else:
+            chunk = [(draw(st.sampled_from(("h", "g"))), draw(st.integers(-2, 2)))]
+        if len(word) + len(chunk) > 6:
+            break
+        word += chunk
+        if draw(st.integers(0, 3)) == 0:
+            break
+    return gens, word or [("u", draw(EXPONENT))]
+
+
+class TestEvalWordDifferential:
+    """eval_word's running product, transvections included, is the very
+    matrix that the left-to-right product of the factors gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_case())
+    def test_same_matrix(self, case):
+        gens, word = case
+        assert eval_word(gens, word).rep == oracle_word(gens, word)
+
+    def test_witness_shape(self):
+        xi = q("20+14*sqrt(-3)")
+        sigma = PslElement.from_entries(QuadInt.integer(3, 1), xi,
+                                        QuadInt.integer(3, 0), QuadInt.integer(3, 1))
+        h = psl("[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]")
+        gens = {"sigma": sigma, "h": h}
+        word = [("sigma", -14811), ("h", 1), ("sigma", 6), ("h", -1), ("sigma", -14811)]
+        assert eval_word(gens, word).rep == oracle_word(gens, word)
+
+    def test_errors(self):
+        u = MU
+        with pytest.raises(ValueError, match="^empty word$"):
+            eval_word({"u": u}, [])
+        with pytest.raises(KeyError, match="unbound generator id 'mu'"):
+            eval_word({}, [("mu", 1)])
+        with pytest.raises(KeyError, match="unbound generator id 'w'"):
+            eval_word({"h": ROTATION}, [("h", 1), ("w", 3), ("h", -1)])
+        with pytest.raises(KeyError, match="unbound generator id 'w'"):
+            eval_word({"u": u}, [("u", 1), ("u", 2), ("w", -1)])
 
 
 class TestSerialization:

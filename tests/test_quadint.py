@@ -378,6 +378,101 @@ class TestIntegerParser:
         assert parse_quadint(a.render(), d) == a == oracle_parse_quadint(a.render(), d)
 
 
+
+# -- the term grammar before its two number alternatives were merged --------
+
+
+class OldPatternMatch:
+    """A match of ORACLE_TERM_RE with its groups in the merged pattern's
+    layout: a bare number is a coefficient without a symbol."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def group(self, i):
+        return self.m.group(i)
+
+    def end(self):
+        return self.m.end()
+
+    def groups(self):
+        sign, coeff, sym, dd, bare_sym, bare_dd, number = self.m.groups()
+        return sign, coeff or number, sym, dd, bare_sym, bare_dd
+
+
+class OldTermPattern:
+    def match(self, s, pos):
+        m = ORACLE_TERM_RE.match(s, pos)
+        return None if m is None else OldPatternMatch(m)
+
+
+def parse_with_old_pattern(text, d):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadint, "_TERM_RE", OldTermPattern())
+        return parse_quadint(text, d)
+
+
+MERGE_DS = (1, 2, 3, 7, 89)
+WIDE_COORD = st.one_of(st.integers(-20, 20), st.integers(-2**110, 2**110))
+
+
+@st.composite
+def term_text(draw):
+    """(text, d): a canonical rendering, a sum of tau/eta/omega sugar terms,
+    or either one with up to three characters inserted, deleted or replaced."""
+    d = draw(st.sampled_from(MERGE_DS))
+    if draw(st.booleans()):
+        text = QuadInt(d, draw(WIDE_COORD), draw(WIDE_COORD)).render()
+    else:
+        terms = [draw(st.sampled_from(("", "-"))) + draw(COEFF)]
+        for _ in range(draw(st.integers(1, 3))):
+            sym = draw(st.sampled_from(("tau", "eta", "omega")))
+            body = sym if draw(st.booleans()) else f"{draw(COEFF)}*{sym}"
+            terms.append(draw(st.sampled_from(("+", "-"))) + body)
+        text = "".join(terms)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(list("0123456789*/+-()x") + ["", "/2", "tau", "sqrt(-"]))
+        text = text[:at] + new + text[at + draw(st.integers(0, 1)):]
+    return text, d
+
+
+def oracle_render(a):
+    """The rendering through half_pair that QuadInt.render replaced."""
+    b1, b2 = a.half_pair()
+
+    def coeff(b):
+        return str(b // 2) if b % 2 == 0 else f"{b}/2"
+
+    if b2 == 0:
+        return coeff(b1)
+    return f"{coeff(b1)}{'+' if b2 > 0 else '-'}{coeff(abs(b2))}*sqrt(-{a.d})"
+
+
+class TestMergedTermPattern:
+    """The term grammar reads a number with an optional *symbol in one
+    alternative; it accepts the same language as the three-alternative
+    pattern, with the same values and errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(term_text())
+    def test_same_result_or_same_error(self, case):
+        text, d = case
+        assert outcome(parse_quadint, text, d) == outcome(parse_with_old_pattern, text, d)
+
+    @pytest.mark.parametrize("d", MERGE_DS)
+    def test_edge_cases(self, d):
+        for text in ("12", "12*", "12*tau", "3/2", "3/2*", "3/2*eta", "3/*tau", "1/2/2",
+                     "7*omega", "omega", "-tau", "2*sqrt(-89)", "2sqrt(-89)", "1+*tau"):
+            assert outcome(parse_quadint, text, d) == outcome(parse_with_old_pattern, text, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MERGE_DS + (11, 1000003)), WIDE_COORD, WIDE_COORD)
+    def test_render_is_the_half_pair_form(self, d, x, y):
+        a = QuadInt(d, x, y)
+        assert a.render() == oracle_render(a)
+
+
 class TestResidueRing:
     def test_ring_size(self):
         # O_3/(4) has 16 classes, each with one representative in [0, 4)^2
