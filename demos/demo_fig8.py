@@ -36,7 +36,7 @@ def main() -> None:
         print(f"  word  = {render_word(w.word)}")
         print(f"  alpha = {w.alpha_k}")
         print(f"  beta  = {w.beta_k}")
-        print(f"  checks all pass: {w.all_checks_pass()}")
+        print(f"  checks passed: {', '.join(w.checks)}")
 
 
 if __name__ == "__main__":

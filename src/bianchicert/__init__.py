@@ -3,10 +3,10 @@ computation, circle discriminants, congruence subgroups, and certified
 construction of normal-closure elements in co-compact circle stabilizers.
 """
 
-from .circles import (CircleTriple, CocompactCertificate, circle_action,
-                      circle_at_origin, cocompact_certificate, discriminant,
-                      hermitian_action, is_quadratic_nonresidue,
-                      primitive_triple, smallest_nonresidue, stab_form)
+from .circles import (CircleTriple, circle_action, circle_at_origin,
+                      cocompact_certificate, discriminant, hermitian_action,
+                      is_quadratic_nonresidue, primitive_triple,
+                      smallest_nonresidue, stab_form)
 from .congruence import (FiniteSubgroup, ResidueMatrix, enumerate_psl2,
                          gamma8_generators, group_closure, in_gamma8,
                          in_gamma_n, phi_n)

@@ -160,28 +160,14 @@ def smallest_nonresidue(d: int) -> int:
     raise AssertionError(f"no non-residue mod {d}")  # impossible for prime d >= 3
 
 
-@dataclass(frozen=True)
-class CocompactCertificate:
-    """Record of the residue criterion for Stab(C_D) to be co-compact."""
-
-    d: int
-    D: int
-    d_is_odd_prime: bool
-    D_is_nonresidue: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.d_is_odd_prime and self.D_is_nonresidue
-
-
-def cocompact_certificate(d: int, D: int) -> CocompactCertificate:
-    """Certify co-compactness of Stab_{PSL2(O_d)}(C_D) when the hypotheses
-    (d an odd prime, D a non-residue mod d) hold; otherwise mark
-    not-applicable without raising."""
+def cocompact_certificate(d: int, D: int) -> bool:
+    """Whether the residue criterion certifies Stab_{PSL2(O_d)}(C_D)
+    co-compact: d an odd prime and D a non-residue mod d.  A d outside the
+    hypotheses is not certified; it does not raise."""
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
     try:
         check_odd_prime(d)
     except ValueError:
-        return CocompactCertificate(d, D, False, False)
-    return CocompactCertificate(d, D, True, is_quadratic_nonresidue(D, d))
+        return False
+    return is_quadratic_nonresidue(D, d)

@@ -70,10 +70,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     witnesses = construct_series(args.submode, params, ks)
-    if args.format == "machine":
-        _emit(render_witnesses(witnesses), args.out)
-    else:
-        _emit("".join(_witness_summary(w) + "\n" for w in witnesses), args.out)
+    try:
+        text = (render_witnesses(witnesses) if args.format == "machine"
+                else "".join(_witness_summary(w) + "\n" for w in witnesses))
+    except ValueError:  # rendering only formats ints, so only str(int) raises
+        print(f"error: a witness integer exceeds the interpreter's int-to-str digit limit "
+              f"({sys.get_int_max_str_digits()}; see PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ a battery of named exactness checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -26,7 +26,7 @@ from .quadint import QuadInt, parse_quadint
 FIG8 = "fig8"
 GENERAL = "general"
 
-# render order; gamma8_membership applies at level 4 only
+# render order; only the fig8 layout runs gamma8_membership
 CHECKS = (
     "closed_form", "unit_determinant", "residue_class", "nontrivial",
     "hyperbolic_trace", "stabilizer_membership", "normal_closure_word",
@@ -138,32 +138,39 @@ def build_h(level: int, d: int, xi: QuadInt, r: int, t: int) -> PslElement:
 
 # -- witnesses --------------------------------------------------------------
 
-# The record's keys in render order: (key, parser (text, d) -> value, renderer,
-# whether verify_witness compares the claimed value with the honest one as
-# field.<key>).  The parsers look parse_* up when called, so a tracer that
-# rebinds those module names sees every call.
-FIELDS: tuple[tuple[str, Callable[[str, int], Any], Callable[[Any], str], bool], ...] = (
-    ("mode", lambda text, d: text, str, False),
-    ("d", lambda text, d: int(text), str, False),
-    ("p", lambda text, d: int(text), str, False),
-    ("q", lambda text, d: int(text), str, False),
-    ("x", lambda text, d: int(text), str, False),
-    ("xi", lambda text, d: parse_quadint(text, d), str, True),
-    ("norm_xi", lambda text, d: int(text), str, True),
-    ("r", lambda text, d: int(text), str, True),
-    ("t", lambda text, d: int(text), str, True),
-    ("h", lambda text, d: parse_mat2(text, d), render_mat2, True),  # compared up to sign
-    ("k", lambda text, d: int(text), str, False),
-    ("n_k", lambda text, d: int(text), str, True),
-    ("D_k", lambda text, d: int(text), str, True),
-    ("alpha_k", lambda text, d: parse_quadint(text, d), str, True),
-    ("beta_k", lambda text, d: parse_quadint(text, d), str, True),
-    ("g_k", lambda text, d: parse_mat2(text, d), render_mat2, False),
-    ("word", lambda text, d: parse_word(text), render_word, False),
-)
-# the preset keys each mode's record carries; a record without them is None there
-_PRESET_KEYS = {FIG8: ("p", "q"), GENERAL: ("x",)}
-_OPTIONAL_KEYS = frozenset(key for keys in _PRESET_KEYS.values() for key in keys)
+# Every key a record may carry, in render order: key -> (parser (text, d) ->
+# value, renderer, whether verify_witness compares the claimed value with the
+# honest one as field.<key>).  The parsers look parse_* up when called, so a
+# tracer that rebinds those module names sees every call.
+FIELDS: dict[str, tuple[Callable[[str, int], Any], Callable[[Any], str], bool]] = {
+    "mode": (lambda text, d: text, str, False),
+    "d": (lambda text, d: int(text), str, False),
+    "p": (lambda text, d: int(text), str, False),
+    "q": (lambda text, d: int(text), str, False),
+    "x": (lambda text, d: int(text), str, False),
+    "xi": (lambda text, d: parse_quadint(text, d), str, True),
+    "norm_xi": (lambda text, d: int(text), str, True),
+    "r": (lambda text, d: int(text), str, True),
+    "t": (lambda text, d: int(text), str, True),
+    "h": (lambda text, d: parse_mat2(text, d), render_mat2, True),  # compared up to sign
+    "k": (lambda text, d: int(text), str, False),
+    "n_k": (lambda text, d: int(text), str, True),
+    "D_k": (lambda text, d: int(text), str, True),
+    "alpha_k": (lambda text, d: parse_quadint(text, d), str, True),
+    "beta_k": (lambda text, d: parse_quadint(text, d), str, True),
+    "g_k": (lambda text, d: parse_mat2(text, d), render_mat2, False),
+    "word": (lambda text, d: parse_word(text), render_word, False),
+}
+# Each mode's record: its keys in render order -> None, then its trailer,
+# each check the mode runs -> "pass" and the fig8 finite-model note.  A record
+# exists only when all its checks pass, so its mode fixes its trailer; render
+# writes this, _parse_block reads nothing else and run_checks runs its checks.
+LAYOUTS: dict[str, dict[str, Optional[str]]] = {
+    mode: {**dict.fromkeys(key for key in FIELDS if key not in absent),
+           **{f"check.{name}": "pass" for name in CHECKS if name not in absent}, **notes}
+    for mode, absent, notes in (
+        (FIG8, ("x",), {"assumption": congruence.SURJECTIVITY_NOTE}),
+        (GENERAL, ("p", "q", "gamma8_membership"), {}))}
 
 
 @dataclass(frozen=True)
@@ -185,20 +192,20 @@ class CompressionWitness:
     alpha_k: QuadInt
     beta_k: QuadInt
     word: Word
-    checks: dict[str, bool] = field(default_factory=dict)
-    assumptions: tuple[str, ...] = ()
 
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
+    @property
+    def checks(self) -> dict[str, bool]:
+        """The layout's checks, all passed: construction raises on a failed one."""
+        return {key.removeprefix("check."): True for key in LAYOUTS[self.mode]
+                if key.startswith("check.")}
+
+    @property
+    def assumptions(self) -> tuple[str, ...]:
+        return tuple(value for key, value in LAYOUTS[self.mode].items() if key == "assumption")
 
     def render(self) -> str:
-        shown = _PRESET_KEYS.get(self.mode, ())
-        lines = [f"{key}: {show(getattr(self, key))}" for key, _, show, _ in FIELDS
-                 if key not in _OPTIONAL_KEYS or key in shown]
-        lines += [f"check.{name}: {'pass' if self.checks[name] else 'fail'}"
-                  for name in CHECKS if name in self.checks]
-        lines += [f"assumption: {note}" for note in self.assumptions]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}: {FIELDS[key][1](getattr(self, key)) if value is None else value}\n"
+                       for key, value in LAYOUTS[self.mode].items())
 
 
 def _derive(params: Params, k: int) -> CompressionWitness:
@@ -216,13 +223,11 @@ def _derive(params: Params, k: int) -> CompressionWitness:
     beta = -m * n_xi * xi
     return CompressionWitness(
         mode=params.mode, d=d, p=params.p, q=params.q,
-        x=x if "x" in _PRESET_KEYS[params.mode] else None,  # the fig8 record carries p/q
+        x=x if "x" in LAYOUTS[params.mode] else None,
         xi=xi, norm_xi=n_xi, r=r, t=t,
         h=canonical_sign(_h_matrix(params.level, d, xi, r, t)), k=k, n_k=n_k, D_k=D_k,
         g_k=canonical_sign(Mat2(alpha, beta * D_k, beta.conj(), alpha.conj())),
-        alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m),
-        assumptions=((congruence.SURJECTIVITY_NOTE,) if params.level == GAMMA8_LEVEL
-                     else ()))
+        alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
 
 
 def witness_word(n_k: int, m: int) -> Word:
@@ -266,9 +271,9 @@ def run_checks(params: Params, honest: CompressionWitness,
     # a claimed D_k < 1 names no circle; both circle checks then fail
     checks["stabilizer_membership"] = D_k >= 1 and stab_form(g, D_k) is not None
     checks["normal_closure_word"] = claimed.word == witness_word(n_k, m)
-    if params.level == GAMMA8_LEVEL:
+    if "check.gamma8_membership" in LAYOUTS[params.mode]:
         checks["gamma8_membership"] = congruence.in_gamma8(g) and congruence.in_gamma8(h)
-    checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k).certified
+    checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k)
     return checks
 
 
@@ -278,11 +283,9 @@ def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
     if mode != params.mode:
         raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
     w = _derive(params, k)
-    checks = run_checks(params, w, w)
-    for name, ok in checks.items():
+    for name, ok in run_checks(params, w, w).items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")
-    w.checks.update(checks)  # w is not shared yet, so it needs no copy
     return w
 
 
@@ -308,28 +311,31 @@ def render_witnesses(witnesses: Sequence[CompressionWitness]) -> str:
 
 
 def _parse_block(lines: list[str]) -> CompressionWitness:
+    """The record of a block with exactly its mode's keys, each once, and the
+    trailer render writes; a line the verifier does not read could show what
+    it never checked, so any other block raises ValueError naming the fault."""
     fields: dict[str, str] = {}
-    assumptions: list[str] = []
     for line in lines:
         key, sep, value = line.partition(":")
         if not sep:
             raise ValueError(f"malformed witness line {line!r}")
-        key, value = key.strip(), value.strip()
-        if key == "assumption":
-            assumptions.append(value)
-        elif key in fields:  # a second value could show what the verifier never reads
+        key = key.strip()
+        if key in fields:
             raise ValueError(f"repeated witness key {key!r}")
-        else:
-            fields[key] = value
-    for key, _, _, _ in FIELDS:
-        if key not in fields and key not in _OPTIONAL_KEYS:
-            raise ValueError(f"missing witness key {key!r}")
+        fields[key] = value.strip()
+    layout = LAYOUTS.get(fields.get("mode", ""))
+    if layout is None:
+        raise ValueError(f"unknown witness mode {fields['mode']!r}" if "mode" in fields
+                         else "missing witness key 'mode'")
+    for key, value in fields.items():
+        if key not in layout or layout[key] not in (None, value):
+            raise ValueError(f"unexpected witness line {f'{key}: {value}'!r}")
+    if len(fields) < len(layout):
+        missing = next(key for key in layout if key not in fields)
+        raise ValueError(f"missing witness key {missing!r}")
     d = int(fields["d"])
-    values = {key: parse(fields[key], d) if key in fields else None
-              for key, parse, _, _ in FIELDS}
-    checks = {key[len("check."):]: value == "pass"
-              for key, value in fields.items() if key.startswith("check.")}
-    return CompressionWitness(**values, checks=checks, assumptions=tuple(assumptions))
+    return CompressionWitness(**{key: parse(fields[key], d) if key in fields else None
+                                 for key, (parse, _, _) in FIELDS.items()})
 
 
 def parse_witnesses(text: str) -> list[CompressionWitness]:
@@ -361,12 +367,10 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
     record with it field by field, then run the named checks on the claimed
     values.  Every record, however malformed, gets a report; a failed entry
     names what is at fault."""
-    needed = _PRESET_KEYS.get(w.mode)
-    if needed is None:
-        return VerificationReport({"params": False})  # unknown mode
-    for key in needed:
-        if getattr(w, key) is None:
-            return VerificationReport({f"parse.{key}": False})
+    layout = LAYOUTS.get(w.mode)
+    # parse_witnesses returns no such record, but one built in code may be
+    if layout is None or any(getattr(w, key) is None for key in FIELDS if key in layout):
+        return VerificationReport({"params": False})
     try:
         if w.mode == FIG8:
             params = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
@@ -379,7 +383,7 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
         return VerificationReport({"field.d": False})
     results = {f"field.{key}": getattr(honest, key) == (canonical_sign(w.h) if key == "h"
                                                           else getattr(w, key))
-               for key, _, _, compared in FIELDS if compared}
+               for key, (_, _, compared) in FIELDS.items() if compared}
     if not _has_witness_shape(w.word):  # h^N has entries of ~N bits: evaluate no other word
         results["field.word"] = False
         return VerificationReport(results)

@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 
 from bianchicert import circles
-from bianchicert.circles import (CocompactCertificate, circle_action,
-                                 circle_at_origin, cocompact_certificate,
-                                 discriminant, hermitian_action,
+from bianchicert.circles import (circle_action, circle_at_origin,
+                                 cocompact_certificate, discriminant, hermitian_action,
                                  is_quadratic_nonresidue, primitive_triple,
                                  smallest_nonresidue, stab_form)
 from bianchicert.pipeline import GENERAL, construct_series, validate_general, verify_witness
@@ -169,28 +168,22 @@ class TestResidues:
 
 class TestCocompactCertificate:
     def test_certified(self):
-        cert = cocompact_certificate(3, 2)
-        assert cert.certified
+        assert cocompact_certificate(3, 2) is True
 
     def test_square_not_applicable(self):
-        cert = cocompact_certificate(3, 4)
-        assert not cert.certified and cert.d_is_odd_prime
+        assert cocompact_certificate(3, 4) is False
 
     def test_composite_d_not_applicable(self):
-        cert = cocompact_certificate(4, 3)
-        assert not cert.certified and not cert.d_is_odd_prime
+        assert cocompact_certificate(4, 3) is False
 
     def test_d7_construction_value(self):
         # D_1 = 3 (mod 7) by construction when x = 3
-        cert = cocompact_certificate(7, 5759153956)
-        assert cert.certified
-        assert (cert.d, cert.D) == (7, 5759153956)  # the record names what it certifies
+        assert cocompact_certificate(7, 5759153956) is True
 
     def test_rejected_d_is_not_certified(self):
         for d in (-7, 1, 2, 9, 15, 49):
             for _ in range(2):  # a rejected d is not remembered; it must not raise either
-                cert = cocompact_certificate(d, 3)
-                assert not cert.certified and not cert.d_is_odd_prime
+                assert cocompact_certificate(d, 3) is False
 
 
 class TestOddPrimeDecidedOnce:
@@ -208,5 +201,5 @@ class TestOddPrimeDecidedOnce:
         for _ in range(3):
             witnesses = construct_series(GENERAL, validate_general(7, xi), range(1, 6))
             assert all(verify_witness(w).ok for w in witnesses)
-            assert cocompact_certificate(7, witnesses[0].D_k).certified
+            assert cocompact_certificate(7, witnesses[0].D_k)
         assert calls == Counter({7: 1})

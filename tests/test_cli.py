@@ -12,13 +12,23 @@ from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_
                              main, parse_k_range)
 from bianchicert.pipeline import ConsistencyError, InvalidParams
 
-from test_pipeline import REPEATED_KEYS, edited, inserted_ahead
+from test_pipeline import FUZZ_RECORDS, LAYOUT_PROBES, REPEATED_KEYS, edited, inserted_ahead
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*args):
+    """`python *args` against src/, with the int-to-str digit limit pinned at
+    CPython's default."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestKRange:
@@ -69,20 +79,27 @@ class TestConstruct:
         assert err
 
     def test_crash_is_internal(self):
-        # xi = 10^1200 gives D_k of more than 4300 digits, which str() refuses
-        # to render under CPython's default int conversion limit, set here
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "bianchicert.cli", "construct", "general", "--d", "7",
-             "--xi", "1" + "0" * 1200, "--k", "1"],
-            capture_output=True, text=True, env=env, timeout=120)
+        # a ValueError escaping construction, in a whole interpreter process
+        crash = ("import sys\nfrom bianchicert import cli\n"
+                 "def crash(*_args):\n    raise ValueError('boom')\n"
+                 "cli.construct_series = crash\nsys.exit(cli.main(sys.argv[1:]))\n")
+        proc = run_process("-c", crash, "construct", "fig8", "--p", "20", "--q", "7")
         assert proc.returncode == EXIT_INTERNAL
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("internal error: ValueError: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    def test_digit_limit_is_bad_input(self, fmt):
+        # xi = 10^1200 gives D_k of more than 4300 digits, which str() refuses
+        # to render under CPython's default int conversion limit
+        proc = run_process("-m", "bianchicert.cli", "construct", "general", "--d", "7",
+                           "--xi", "1" + "0" * 1200, "--k", "1", "--format", fmt)
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: a witness integer exceeds the interpreter's int-to-str "
+                               "digit limit (4300; see PYTHONINTMAXSTRDIGITS)\n")
 
     @pytest.mark.parametrize("argv", [
         ("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..2"),
@@ -142,12 +159,11 @@ class TestVerify:
         assert code == EXIT_BAD_INPUT
 
     @pytest.mark.parametrize("key, value, failed", [
-        ("p", None, "parse.p"),
         ("word", "tau^1 h^1 sigma^6 h^-1 tau^1", "field.word"),
         ("word", "", "field.word"),
         ("D_k", "-5", "field.D_k"),
         ("D_k", "0", "field.D_k"),
-    ], ids=["no-p", "unbound-word", "empty-word", "negative-D_k", "zero-D_k"])
+    ], ids=["unbound-word", "empty-word", "negative-D_k", "zero-D_k"])
     def test_malformed_record_is_a_mismatch(self, tmp_path, capsys, key, value, failed):
         path = self.witness_file(tmp_path, capsys)
         path.write_text(edited(path.read_text().split("\n\n")[0], key, value))
@@ -166,7 +182,7 @@ class TestVerify:
         assert out == ""
         assert err == f"error: cannot read witness file: repeated witness key {key!r}\n"
 
-    @pytest.mark.parametrize("key", ["xi", "d"])
+    @pytest.mark.parametrize("key", ["xi", "d", "p"])
     def test_missing_key_is_named(self, tmp_path, capsys, key):
         path = self.witness_file(tmp_path, capsys)
         path.write_text(edited(path.read_text().split("\n\n")[0], key, None))
@@ -174,6 +190,17 @@ class TestVerify:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err == f"error: cannot read witness file: missing witness key {key!r}\n"
+
+    @pytest.mark.parametrize("name, edit, message", LAYOUT_PROBES.values(),
+                             ids=LAYOUT_PROBES.keys())
+    def test_block_off_layout_is_bad_input(self, tmp_path, capsys, name, edit, message):
+        path = tmp_path / "w.txt"
+        path.write_text(edit(FUZZ_RECORDS[name].render()))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot read witness file: {message}")
+        assert err.count("\n") == 1
 
     def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
         def crash(_w):

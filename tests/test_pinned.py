@@ -100,6 +100,13 @@ def test_witnesses_and_verdicts_are_pinned():
     assert sha256(verdicts) == VERDICT_SHA256
 
 
+def test_pinned_text_round_trips():
+    # parse reads exactly the lines render writes, so it gives them back byte for byte
+    text = render_witnesses([construct_witness(*inp) for inp in pinned_inputs()])
+    assert sha256(text) == WITNESS_SHA256
+    assert render_witnesses(parse_witnesses(text)) == text
+
+
 @pytest.mark.parametrize("build, size, digest", [
     (gamma8_level4_image, 160,
      "32ac026313c70fa9e830a6134b3493a70cbf26b3e885dfb27101d51b6ca62b28"),
