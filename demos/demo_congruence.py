@@ -19,7 +19,7 @@ def main() -> None:
     level2 = enumerate_psl2(3, 2)
     print(f"|PSL_2(O_3/(2))| = {len(level2)}")
 
-    kernel = [m for m in full.elements if reduce_level(m, 2).is_identity()]
+    kernel = [m for m in full if reduce_level(m, 2).is_identity()]
     squares_trivial = all((m * m).is_identity() for m in kernel)
     abelian = all(a * b == b * a for a in kernel for b in kernel)
     print(f"kernel of level-4 -> level-2 reduction: {len(kernel)} elements, "

@@ -38,12 +38,6 @@ class CircleTriple:
         d = self.d
         return Mat2(QuadInt.integer(d, self.a), self.B, self.B.conj(), QuadInt.integer(d, self.c))
 
-    def render(self) -> str:
-        return f"({self.a},{self.B},{self.c})"
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 def primitive_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
     """Divide out the content and apply the canonical sign.  Idempotent."""

@@ -66,7 +66,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         else:
             xi = parse_quadint(args.xi, args.d)
             params = validate_general(args.d, xi, args.x)
-    except (InvalidParams, ValueError) as exc:
+    except ValueError as exc:  # InvalidParams is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     witnesses = construct_series(args.submode, params, ks)
@@ -77,7 +77,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"error: a witness integer exceeds the interpreter's int-to-str digit limit "
               f"({sys.get_int_max_str_digits()}; see PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return EXIT_OK
 
 

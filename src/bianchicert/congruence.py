@@ -92,20 +92,7 @@ def reduce_level(m: ResidueMatrix, n2: int) -> ResidueMatrix:
     return residue_matrix(m.rep, n2)
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
-    """A finite set of residue matrices closed under multiplication."""
-
-    elements: frozenset[ResidueMatrix]
-
-    def __contains__(self, m: ResidueMatrix) -> bool:
-        return m in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> FiniteSubgroup:
+def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[ResidueMatrix]:
     """Breadth-first closure of the generators under multiplication.
 
     In a finite group, closure under the generators alone yields the
@@ -128,10 +115,10 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> FiniteSubg
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                 seen.add(nxt)
                 queue.append(nxt)
-    return FiniteSubgroup(frozenset(seen))
+    return frozenset(seen)
 
 
-def enumerate_psl2(d: int, n: int) -> FiniteSubgroup:
+def enumerate_psl2(d: int, n: int) -> frozenset[ResidueMatrix]:
     """All determinant-1 matrices over R_n up to sign, by exhaustive scan
     of the (n^2)^4 coordinate tuples.  Intended for small n (2 or 4)."""
     ring = [QuadInt(d, s, t) for s in range(n) for t in range(n)]
@@ -151,7 +138,7 @@ def enumerate_psl2(d: int, n: int) -> FiniteSubgroup:
                     if row[i21] == target:
                         m = Mat2(ring[i11], ring[i12], ring[i21], ring[i22])
                         found.add(residue_matrix(m, n))
-    return FiniteSubgroup(frozenset(found))
+    return frozenset(found)
 
 
 # -- figure-eight knot group -----------------------------------------------
@@ -178,7 +165,7 @@ def gamma8_prime_extra_generator() -> PslElement:
 
 
 @lru_cache(maxsize=1)
-def gamma8_level4_image() -> FiniteSubgroup:
+def gamma8_level4_image() -> frozenset[ResidueMatrix]:
     """Closure of the level-4 images of the two generators."""
     g1, g2 = gamma8_generators()
     return group_closure((phi_n(g1, 4), phi_n(g2, 4)))

@@ -83,7 +83,7 @@ def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> Params:
     if xi.is_zero():
         raise InvalidParams("xi must be nonzero")
     if xi.norm() % d == 0:
-        raise InvalidParams(f"d={d} divides |xi|^2 = {xi.norm()}")
+        raise InvalidParams(f"d={d} divides |xi|^2")  # |xi|^2 may exceed str()'s digit limit
     if x is None:
         x = circles.smallest_nonresidue(d)
     if not (1 < x < d):

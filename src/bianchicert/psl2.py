@@ -192,14 +192,8 @@ class PslElement:
             return IsometryClass.PARABOLIC
         return IsometryClass.HYPERBOLIC
 
-    def canonical_rep(self) -> Mat2:
-        return canonical_sign(self.rep)
-
     def render(self) -> str:
-        return render_mat2(self.canonical_rep())
-
-    def __str__(self) -> str:
-        return self.render()
+        return render_mat2(canonical_sign(self.rep))
 
 
 _MATRIX_RE = re.compile(r"^\[\[([^\[\]]*),([^\[\]]*)\],\[([^\[\]]*),([^\[\]]*)\]\]$")

@@ -66,11 +66,6 @@ class Quaternion:
         return Quaternion(self.algebra, self.x0 + other.x0, self.x1 + other.x1,
                           self.x2 + other.x2, self.x3 + other.x3)
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        return Quaternion(self.algebra, self.x0 - other.x0, self.x1 - other.x1,
-                          self.x2 - other.x2, self.x3 - other.x3)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(self.algebra, -self.x0, -self.x1, -self.x2, -self.x3)
 
@@ -199,43 +194,25 @@ class QuadRat:
         den = lcm(xq.denominator, yq.denominator)
         return cls.make(d, int(xq * den), int(yq * den), den)
 
-    def _coerce(self, other: "QuadRat | QuadInt | int") -> "QuadRat":
-        if isinstance(other, int):
-            return QuadRat.make(self.d, other, 0)
-        if isinstance(other, QuadInt):
-            other = QuadRat.from_quadint(other)
-        if isinstance(other, QuadRat):
-            if other.d != self.d:
-                raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
-            return other
-        return NotImplemented  # type: ignore[return-value]
+    def _check(self, other: "QuadRat") -> None:
+        if other.d != self.d:
+            raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
 
-    def __add__(self, other: "QuadRat | QuadInt | int") -> "QuadRat":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def __add__(self, o: "QuadRat") -> "QuadRat":
+        self._check(o)
         return QuadRat.make(self.d, self.x * o.den + o.x * self.den,
                             self.y * o.den + o.y * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadRat | QuadInt | int") -> "QuadRat":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: "QuadRat | QuadInt | int") -> "QuadRat":
-        return (-self) + other
+    def __sub__(self, other: "QuadRat") -> "QuadRat":
+        return self + (-other)
 
     def __neg__(self) -> "QuadRat":
         return QuadRat(self.d, -self.x, -self.y, self.den)
 
-    def __mul__(self, other: "QuadRat | QuadInt | int") -> "QuadRat":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def __mul__(self, o: "QuadRat") -> "QuadRat":
+        self._check(o)
         a = QuadInt(self.d, self.x, self.y) * QuadInt(self.d, o.x, o.y)
         return QuadRat.make(self.d, a.x, a.y, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def conj(self) -> "QuadRat":
         a = QuadInt(self.d, self.x, self.y).conj()

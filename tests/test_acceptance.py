@@ -115,7 +115,7 @@ def test_criterion_5_congruence_claim():
 
 def test_criterion_6_finite_model_suite():
     full = enumerate_psl2(3, 4)
-    kernel = [m for m in full.elements if reduce_level(m, 2).is_identity()]
+    kernel = [m for m in full if reduce_level(m, 2).is_identity()]
     ok = len(kernel) == 32
     ok = ok and all((m * m).is_identity() for m in kernel)
     ok = ok and all(x * y == y * x for x in kernel for y in kernel)

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bianchicert import cli
+from bianchicert import cli, golden
 from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                              main, parse_k_range)
 from bianchicert.pipeline import ConsistencyError, InvalidParams
@@ -29,6 +30,25 @@ def run_process(*args):
     env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_commands_import_no_rational_arithmetic(tmp_path):
+    # a fresh interpreter runs every command; none of them needs quat's
+    # quaternion algebras, nor the fractions and decimal modules behind them
+    script = ("import contextlib, io, sys\nfrom bianchicert.cli import main\n"
+              "path = sys.argv[1]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(['construct', 'fig8', '--p', '20', '--q', '7', '--out', path]),\n"
+              "             main(['verify', path]),\n"
+              "             main(['construct', 'general', '--d', '7', '--xi', '1+7*eta',\n"
+              "                   '--k', '1..2', '--out', path]),\n"
+              "             main(['verify', path]),\n"
+              "             main(['residues', '--d', '7']),\n"
+              "             main(['appendix'])]\n"
+              "print(codes, sorted({'bianchicert.quat', 'fractions', 'decimal'} & set(sys.modules)))\n")
+    proc = run_process("-c", script, str(tmp_path / "w.txt"))
+    assert proc.stderr == ""
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
 
 class TestKRange:
@@ -114,6 +134,16 @@ class TestConstruct:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err == "internal error: ConsistencyError: witness check failed: closed_form\n"
+
+    def test_unwritable_out_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "w.txt"
+        code, out, err = run(capsys, "construct", "fig8", "--p", "20", "--q", "7",
+                             "--out", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1
+        assert not path.exists()
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "construct", "fig8", "--p", "20", "--q", "7",
@@ -202,6 +232,16 @@ class TestVerify:
         assert err.startswith(f"error: cannot read witness file: {message}")
         assert err.count("\n") == 1
 
+    def test_huge_xi_gets_a_verdict(self, tmp_path, capsys):
+        # 7 divides |xi|^2 = 49 * 10^4400, a number past the 4300-digit str() limit
+        _, record, _ = run(capsys, "construct", "general", "--d", "7", "--xi", "1+7*eta")
+        path = tmp_path / "w.txt"
+        path.write_text(edited(record, "xi", "7" + "0" * 2200))
+        proc = run_process("-m", "bianchicert.cli", "verify", str(path))
+        assert proc.returncode == EXIT_MISMATCH
+        assert proc.stdout == "witness k=1 mode=general: FAIL\n  params: fail\n"
+        assert proc.stderr == ""
+
     def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
         def crash(_w):
             raise RuntimeError("boom")
@@ -257,3 +297,19 @@ class TestAppendix:
         code, out, _ = run(capsys, "appendix")
         assert code == EXIT_OK
         assert "all 10 rows and h match bit-exactly" in out
+
+    @pytest.mark.parametrize("target, tamper, message", [
+        ("golden_h", lambda h: -h, "MISMATCH in h: got [[0+1*sqrt(-3),"),
+        ("golden_rows", lambda rows: rows[:3] + [replace(rows[3], D_k=rows[3].D_k + 1)],
+         "MISMATCH in D_4: got "),
+        ("golden_rows", lambda rows: rows[:6] + [replace(rows[6], g_k=-rows[6].g_k)],
+         "MISMATCH in g_7\n"),
+    ], ids=["h", "D_k", "g_k"])
+    def test_mismatch_is_named(self, capsys, monkeypatch, target, tamper, message):
+        reference = getattr(golden, target)
+        monkeypatch.setattr(golden, target, lambda: tamper(reference()))
+        code, out, err = run(capsys, "appendix")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1

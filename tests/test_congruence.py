@@ -100,8 +100,8 @@ class TestClosure:
 
     def test_idempotent(self):
         h8 = gamma8_level4_image()
-        again = group_closure(tuple(sorted(h8.elements, key=lambda m: m.coords())))
-        assert again.elements == h8.elements
+        again = group_closure(tuple(sorted(h8, key=lambda m: m.coords())))
+        assert again == h8
 
     def test_cap(self):
         g1, g2 = gamma8_generators()
@@ -111,6 +111,16 @@ class TestClosure:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             group_closure([])
+
+    @pytest.mark.parametrize("other", [residue_identity(3, 2), residue_identity(7, 4)],
+                             ids=["other-n", "other-d"])
+    def test_mixed_rings_rejected(self, other):
+        with pytest.raises(ValueError, match="share"):
+            group_closure([residue_identity(3, 4), other])
+
+    def test_reduce_level_to_non_divisor(self):
+        with pytest.raises(ValueError, match="3 does not divide level 4"):
+            reduce_level(residue_identity(3, 4), 3)
 
 
 class TestEnumerate:
@@ -126,21 +136,21 @@ class TestEnumerate:
 
     def test_closed_under_inverse(self):
         group = enumerate_psl2(3, 2)
-        for m in group.elements:
+        for m in group:
             assert m.inv() in group
 
 
 class TestFiniteModel:
     def test_squares_of_level2_kernel(self):
         full = enumerate_psl2(3, 4)
-        kernel = [m for m in full.elements if reduce_level(m, 2).is_identity()]
+        kernel = [m for m in full if reduce_level(m, 2).is_identity()]
         assert len(kernel) == 32
         for m in kernel:
             assert (m * m).is_identity()
 
     def test_kernel_elementary_abelian(self):
         full = enumerate_psl2(3, 4)
-        kernel = [m for m in full.elements if reduce_level(m, 2).is_identity()]
+        kernel = [m for m in full if reduce_level(m, 2).is_identity()]
         for a in kernel:
             for b in kernel:
                 assert a * b == b * a
@@ -156,7 +166,7 @@ class TestFiniteModel:
         h8 = gamma8_level4_image()
         h8p = group_closure((phi_n(g1, 4), phi_n(g2, 4), phi_n(g3, 4)))
         assert len(h8p) == 2 * len(h8)
-        assert h8.elements < h8p.elements
+        assert h8 < h8p
 
 
 class TestGamma8Membership:

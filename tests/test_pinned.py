@@ -117,6 +117,6 @@ def test_pinned_text_round_trips():
 ], ids=["gamma8-level4-image", "psl2-O3-mod-4", "psl2-O3-mod-2"])
 def test_finite_model_is_pinned(build, size, digest):
     group = build()
-    assert len(group.elements) == size
+    assert len(group) == size
     assert sha256("\n".join(sorted(",".join(map(str, m.coords()))
-                                   for m in group.elements))) == digest
+                                   for m in group))) == digest

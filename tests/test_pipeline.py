@@ -18,8 +18,8 @@ from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, Invali
                                   render_witnesses, run_checks, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, eval_word, parse_psl,
-                              render_word)
+from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign, eval_word,
+                              parse_psl, render_word)
 from bianchicert.quadint import QuadInt, parse_quadint
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
@@ -148,6 +148,21 @@ class TestValidation:
         eta = QuadInt.tau(7)
         assert validate_general(7, 1 + 7 * eta).x == 3
 
+    @pytest.mark.parametrize("xi, x, message", [
+        (QuadInt.tau(3), None, r"xi lives over d=3, not d=7"),
+        (QuadInt(7, 0, 0), None, r"xi must be nonzero"),
+        (1 + 7 * QuadInt.tau(7), 1, r"x=1 is not in \(1, 7\)"),
+        (1 + 7 * QuadInt.tau(7), 7, r"x=7 is not in \(1, 7\)"),
+    ], ids=["xi-over-another-d", "xi-zero", "x-below-range", "x-at-d"])
+    def test_general_rejection_names_the_condition(self, xi, x, message):
+        with pytest.raises(InvalidParams, match=message):
+            validate_general(7, xi, x)
+
+    def test_divisible_norm_is_named_without_its_value(self):
+        # |xi|^2 = 49 * 10^4400 has more digits than str() converts by default
+        with pytest.raises(InvalidParams, match=r"^d=7 divides \|xi\|\^2$"):
+            validate_general(7, QuadInt(7, 7 * 10 ** 2200, 0))
+
 
 class TestXiAndBezout:
     def test_xi_4_1(self):
@@ -210,7 +225,7 @@ class TestMiddleFactor:
         params = validate_fig8(20, 7)
         xi = params.xi
         f = fig8_middle_factor(params)
-        rep = f.canonical_rep()
+        rep = canonical_sign(f.rep)
         assert rep.a12 == -18 * xi
         assert rep.a21 == -6 * xi.norm() * xi.conj()
         assert f.trace() == QuadInt.integer(3, 2)

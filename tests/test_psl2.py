@@ -465,3 +465,8 @@ class TestSerialization:
     def test_word_round_trip(self):
         word = (("sigma", -14811), ("h", 1), ("sigma", 6), ("h", -1), ("sigma", -14811))
         assert parse_word(render_word(word)) == word
+
+    @pytest.mark.parametrize("text", ["sigma", "sigma^", "^3", "sigma^1 h"])
+    def test_malformed_word_term(self, text):
+        with pytest.raises(ValueError, match="cannot parse word term"):
+            parse_word(text)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -204,3 +205,11 @@ class TestQuadRat:
             assert (ra + rb).to_quadint() == a + b
             assert ra.conj().to_quadint() == a.conj()
             assert ra.norm() == a.norm()
+
+    def test_operands_share_one_ring(self):
+        a, b = QuadRat.make(7, 3, 1, 2), QuadRat.make(7, 1, -4, 3)
+        assert a - b == QuadRat.make(7, 7, 11, 6)
+        other = QuadRat.make(3, 3, 1, 2)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="mixed rings"):
+                op(a, other)
