@@ -14,6 +14,7 @@ Exit codes: 0 pass, 1 verification mismatch, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -97,10 +98,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for w in witnesses:
         report = verify_witness(w)
-        status = "PASS" if report.ok else "FAIL"
-        print(f"witness k={w.k} mode={w.mode}: {status}")
-        for name, ok in report.results.items():
-            print(f"  {name}: {'pass' if ok else 'fail'}")
+        lines = [f"witness k={w.k} mode={w.mode}: {'PASS' if report.ok else 'FAIL'}"]
+        lines += [f"  {name}: {'pass' if ok else 'fail'}" for name, ok in report.results.items()]
+        try:  # flush now: a reader that stopped early (`| head -1`) raises here, not at exit
+            print("\n".join(lines), flush=True)
+        except BrokenPipeError:  # not a crash: the rest goes to os.devnull, the verdict stands
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
         all_ok = all_ok and report.ok
     return EXIT_OK if all_ok else EXIT_MISMATCH
 

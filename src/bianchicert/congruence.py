@@ -2,19 +2,20 @@
 congruence subgroups, finite-group closure from generators, and the
 figure-eight group membership test through its level-4 image.
 
-A residue matrix is a Mat2 of QuadInts whose coordinates lie in [0, n), so
-the finite quotients reuse the ring and matrix arithmetic of O_d: a product
-or an inverse is computed over O_d and then reduced.
+A residue matrix is its eight coordinates on {1, tau_d}, reduced into
+[0, n) and in sign normal form, so reduction, equality and hashing read
+only ints.  A product or an inverse is computed over O_d on a Mat2 of
+reduced QuadInts, built once per residue matrix, and then reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .psl2 import Mat2, PslElement
-from .quadint import QuadInt
+from .quadint import QuadInt, _tau_square
 
 SURJECTIVITY_NOTE = (
     "finite-model indices are exact statements about subgroups of the "
@@ -30,21 +31,22 @@ class ClosureCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class ResidueMatrix:
     """Determinant-1 matrix over R_n = O_d/(n) in projective normal form:
-    rep has coordinates in [0, n), and of M and -M it is the one with the
-    lexicographically smaller coordinate tuple.  Built by residue_matrix."""
+    xy holds the coordinates (a11.x, a11.y, ..., a22.y) in [0, n), and of M
+    and -M the lexicographically smaller tuple.  Built by residue_matrix."""
 
+    d: int
     n: int
-    rep: Mat2
-
-    @property
-    def d(self) -> int:
-        return self.rep.a11.d
+    xy: tuple[int, ...]
 
     def coords(self) -> tuple[int, ...]:
-        return tuple(c for e in self.rep.entries() for c in (e.x, e.y))
+        return self.xy
 
     def is_identity(self) -> bool:
-        return self.coords() == (1, 0, 0, 0, 0, 0, 1, 0)  # normal form of +-1, as n >= 2
+        return self.xy == (1, 0, 0, 0, 0, 0, 1, 0)  # normal form of +-1, as n >= 2
+
+    @cached_property
+    def rep(self) -> Mat2:  # built on first use, by a product or an inverse
+        return Mat2(*(QuadInt(self.d, *self.xy[i:i + 2]) for i in range(0, 8, 2)))
 
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         if other.n != self.n:
@@ -58,17 +60,17 @@ class ResidueMatrix:
 
 def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
     """The class of m in PSL2(O_d/(n)); raises ValueError unless det = 1 mod n."""
-    rep = Mat2(*(e.reduce_mod(n) for e in m.entries()))
-    det = rep.det()
-    if (det.x % n, det.y % n) != (1, 0):
-        raise ValueError(f"determinant {det.reduce_mod(n)} is not 1 in R_{n}")
-    plus = ResidueMatrix(n, rep)
-    coords = plus.coords()
-    negated = tuple(-c % n for c in coords)  # the coordinates of -rep, reduced
-    if coords <= negated:
-        return plus
-    d = rep.a11.d
-    return ResidueMatrix(n, Mat2(*(QuadInt(d, x, y) for x, y in zip(negated[::2], negated[1::2]))))
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    a, b, c, e = m.entries()
+    xy = (a.x % n, a.y % n, b.x % n, b.y % n, c.x % n, c.y % n, e.x % n, e.y % n)
+    ax, ay, bx, by, cx, cy, ex, ey = xy
+    s, t2 = _tau_square(a.d)  # a*e - b*c = xx + (...)*tau + tt*tau^2, tau^2 = s*tau - t2
+    xx, tt = ax * ex - bx * cx, ay * ey - by * cy
+    det_x, det_y = (xx - t2 * tt) % n, (ax * ey + ay * ex - bx * cy - by * cx + s * tt) % n
+    if (det_x, det_y) != (1, 0):
+        raise ValueError(f"determinant {QuadInt(a.d, det_x, det_y)} is not 1 in R_{n}")
+    return ResidueMatrix(a.d, n, min(xy, tuple(-v % n for v in xy)))
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:

@@ -94,9 +94,9 @@ def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> Params:
 
 
 def xi_fig8(p: int, q: int) -> QuadInt:
-    """xi = p + q(4 omega + 2); |xi|^2 = p^2 + 12 q^2."""
-    omega = QuadInt.tau(3) - 1
-    xi = p + q * (4 * omega + 2)
+    """xi = p + q(4 omega + 2) = (p - 2q) + 4q tau, as 4 omega + 2 = 4 tau - 2;
+    |xi|^2 = p^2 + 12 q^2."""
+    xi = QuadInt(3, p - 2 * q, 4 * q)
     assert xi.norm() == p ** 2 + 12 * q ** 2
     return xi
 

@@ -1,4 +1,5 @@
 import ast
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from bianchicert import cli, golden
 from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                              main, parse_k_range)
-from bianchicert.pipeline import ConsistencyError, InvalidParams
+from bianchicert.pipeline import ConsistencyError, InvalidParams, verify_witness
 
 from test_pipeline import FUZZ_RECORDS, LAYOUT_PROBES, REPEATED_KEYS, edited, inserted_ahead
 
@@ -241,6 +242,27 @@ class TestVerify:
         assert proc.returncode == EXIT_MISMATCH
         assert proc.stdout == "witness k=1 mode=general: FAIL\n  params: fail\n"
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("tampered, verdict", [(False, EXIT_OK), (True, EXIT_MISMATCH)],
+                             ids=["pass", "fail"])
+    def test_closed_stdout_is_not_a_crash(self, tmp_path, capsys, monkeypatch, tampered,
+                                          verdict):
+        class ClosedPipe(io.StringIO):  # a reader that stopped early, as `| head -1` does
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = self.witness_file(tmp_path, capsys)
+        if tampered:
+            path.write_text(path.read_text().replace("86746012705", "86746012706", 1))
+        verified = []
+        monkeypatch.setattr(cli, "verify_witness",
+                            lambda w: verified.append(w.k) or verify_witness(w))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["verify", str(path)])
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert (code, verified) == (verdict, [1, 2])
+        assert capsys.readouterr().err == ""
 
     def test_escaped_exception_is_internal(self, tmp_path, capsys, monkeypatch):
         def crash(_w):

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchicert.congruence import (ClosureCapExceeded,
                                     enumerate_psl2, gamma8_generators,
@@ -70,11 +73,33 @@ class TestResidueMatrix:
         for _ in range(100):
             m = random_psl(rng, rng.choice((1, 3, 7)))
             n = rng.choice((2, 3, 4, 5))
-            plus, minus = phi_n(m, n), residue_matrix(-m.rep, n)
-            assert plus == minus
+            plus, minus = phi_n(m, n), phi_n(m.negate(), n)
+            assert plus == minus and hash(plus) == hash(minus)
             assert all(0 <= c < n for c in plus.coords())
             negated = tuple(-c % n for c in plus.coords())
             assert plus.coords() <= negated
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 7, 11)), st.integers(2, 9),
+           st.lists(st.integers(-60, 60), min_size=8, max_size=8))
+    def test_reduction_matches_ring_arithmetic(self, d, n, xy):
+        # oracle: the entries reduced as QuadInts and the determinant of Mat2
+        m = Mat2(*(QuadInt(d, xy[i], xy[i + 1]) for i in range(0, 8, 2)))
+        det = m.det().reduce_mod(n)
+        if det != QuadInt.integer(d, 1):
+            with pytest.raises(ValueError, match=re.escape(f"determinant {det} is not 1 in R_{n}")):
+                residue_matrix(m, n)
+            return
+        plus, minus = residue_matrix(m, n), residue_matrix(-m, n)
+        reduced = [tuple(c for e in sign.entries() for c in (e.reduce_mod(n).x, e.reduce_mod(n).y))
+                   for sign in (m, -m)]
+        assert plus.coords() == min(reduced)
+        assert plus == minus and hash(plus) == hash(minus)
+        assert plus.rep == Mat2(*(QuadInt(d, *plus.coords()[i:i + 2]) for i in range(0, 8, 2)))
+
+    def test_modulus_below_two_rejected(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+            residue_matrix(Mat2.identity(3), 1)
 
     def test_mixed_levels_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
@@ -169,7 +194,42 @@ class TestFiniteModel:
         assert h8 < h8p
 
 
+def gamma8_oracle(m: PslElement) -> bool:
+    """Whether +-M, its entries reduced mod 4 as QuadInts, equals some element
+    of the level-4 image coordinate by coordinate, by a scan of the image."""
+    signs = [[e.reduce_mod(4) for e in sign.entries()] for sign in (m.rep, -m.rep)]
+    return any(all((e.x, e.y) == r.coords()[2 * i:2 * i + 2] for i, e in enumerate(entries))
+               for r in gamma8_level4_image() for entries in signs)
+
+
+G1, G2 = gamma8_generators()
+GAMMA8_LETTERS = (G1, G1.inv(), G2, G2.inv())
+S = parse_psl("[[0,-1],[1,0]]", 3)  # not in the figure-eight group
+PSL_LETTERS = (MU, MU.inv(), parse_psl("[[1,tau],[0,1]]", 3),
+               parse_psl("[[1,-tau],[0,1]]", 3), S)
+
+
+def word_value(letters, indices) -> PslElement:
+    value = PslElement.identity(3)
+    for i in indices:
+        value = value * letters[i]
+    return value
+
+
 class TestGamma8Membership:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, len(GAMMA8_LETTERS) - 1), max_size=12),
+           st.lists(st.integers(0, len(PSL_LETTERS) - 1), max_size=12))
+    def test_agrees_with_oracle(self, member_word, any_word):
+        # a word in g1, g2 is a member, and times S it is not, so both
+        # outcomes occur in every example; any word over O_3 may be either
+        member = word_value(GAMMA8_LETTERS, member_word)
+        cases = ((member, True), (member * S, False),
+                 (word_value(PSL_LETTERS, any_word), None))
+        for m, expected in cases:
+            assert in_gamma8(m) == gamma8_oracle(m)
+            assert expected is None or in_gamma8(m) is expected
+
     def test_generators(self):
         for g in gamma8_generators():
             assert in_gamma8(g)

@@ -1,9 +1,9 @@
 """Hygiene of the library, read from the source with `ast` and `re`.
 
-Every name a module in `src/bianchicert/` imports is used in that module
-(`__init__.py`, the re-export surface, is exempt), and only `quat.py`, whose
-quaternion algebras have rational coefficients, imports `fractions`: the ring
-O_d and everything built on it is exact integer arithmetic.  Every function,
+Every name a module in `src/bianchicert/` imports is used in that module,
+the package root included, and only `quat.py`, whose quaternion algebras
+have rational coefficients, imports `fractions`: the ring O_d and
+everything built on it is exact integer arithmetic.  Every function,
 class and method the library defines is named somewhere in `src/`, `tests/`,
 `demos/` or `benchmarks/` outside its own definition, so nothing is dead,
 and every dataclass field is read there, so no record carries a value that
@@ -68,8 +68,7 @@ def test_package_found():
     assert len(MODULES) >= 9
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = parse(path)
     used = used_names(tree)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bianchicert import pipeline
@@ -167,6 +167,14 @@ class TestValidation:
 class TestXiAndBezout:
     def test_xi_4_1(self):
         assert xi_fig8(4, 1).norm() == 16 + 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+    def test_xi_closed_form(self, p, q):
+        # oracle: xi = p + q(4 omega + 2) in the ring arithmetic
+        assume(gcd(p, q) == 1)
+        omega = QuadInt.tau(3) - 1
+        assert xi_fig8(p, q) == p + q * (4 * omega + 2)
 
     def test_bezout_golden(self):
         # -3*1317 - 3952*(-1) = 1 with |xi|^2 = 988
