@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import golden
-from .circles import check_odd_prime, is_quadratic_nonresidue, smallest_nonresidue
+from .circles import check_odd_prime, is_quadratic_nonresidue
 from .pipeline import (FIG8, GENERAL, CompressionWitness, InvalidParams, Params,
                        construct_series, parse_witnesses, render_witnesses,
                        validate_fig8, validate_general, verify_witness)
@@ -115,12 +115,11 @@ def cmd_residues(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    residues = sorted({x * x % d for x in range(1, d)})
-    nonresidues = [x for x in range(1, d) if is_quadratic_nonresidue(x, d)]
+    nonresidue = [is_quadratic_nonresidue(x, d) for x in range(1, d)]  # entry x-1 is x's
     print(f"d = {d}")
-    print(f"quadratic residues: {residues}")
-    print(f"non-residues: {nonresidues}")
-    print(f"smallest non-residue: {smallest_nonresidue(d)}")
+    print(f"quadratic residues: {[x for x, n in enumerate(nonresidue, 1) if not n]}")
+    print(f"non-residues: {[x for x, n in enumerate(nonresidue, 1) if n]}")
+    print(f"smallest non-residue: {nonresidue.index(True) + 1}")
     return EXIT_OK
 
 

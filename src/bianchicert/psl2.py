@@ -116,11 +116,9 @@ class PslElement:
     rep: Mat2
 
     def __post_init__(self) -> None:
-        d = self.rep.a11.d
-        for e in self.rep.entries():
-            if not isinstance(e, QuadInt) or e.d != d:
-                raise ValueError("PslElement entries must be QuadInt over one ring")
-        det = self.rep.det()
+        if not self.rep._over_quadints():
+            raise ValueError("PslElement entries must be QuadInt over one ring")
+        det = self.rep.det()  # mul_add raises on entries from two rings
         if det.x != 1 or det.y != 0:
             raise ValueError("PslElement requires determinant 1")
 
@@ -142,7 +140,6 @@ class PslElement:
             raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
 
     def __mul__(self, other: "PslElement") -> "PslElement":
-        self._check(other)
         return PslElement(self.rep * other.rep)
 
     def inv(self) -> "PslElement":

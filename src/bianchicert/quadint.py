@@ -8,11 +8,17 @@ Elements are stored on the integral basis {1, tau_d} where
 so the parity condition on half-integer coordinates is unrepresentable by
 construction.  All coordinates are Python ints (arbitrary precision).
 
+`_tau_square(d)`, cached per d, is the one statement of these conventions:
+it rejects a d that is not positive and square-free, and otherwise gives
+(s, n) with tau^2 = s*tau - n, where s = 1 exactly when tau = (1 + sqrt(-d))/2.
+Validation of d, products, norms, traces, conjugates, the half-pair view
+(2x + s*y, (2 - s)*y), its inverse, `render` and the parser all read it.
+
 The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
 Arithmetic results inherit d from an operand that was already validated, so
 `+`, `-`, `*`, `conj`, `reduce_mod` and `mul_add` build them with
-`_unchecked`, which only this module may call.  The rule tau^2 = s*tau - n
-is stated once, in `_tau_square`, for products, norms, traces and conjugates.
+`_unchecked`, which only this module may call.  An operand of `+`, `-` or
+`*` must be an int or a QuadInt of the same ring.
 """
 
 from __future__ import annotations
@@ -34,20 +40,11 @@ def is_squarefree(d: int) -> bool:
 
 
 @cache  # a rejected d raises, so only accepted values are remembered
-def _check_d(d: int) -> None:
+def _tau_square(d: int) -> tuple[int, int]:
+    """(s, n) with tau_d^2 = s*tau_d - n; s = 1 exactly when d = 3 (mod 4)."""
     if not is_squarefree(d):
         raise ValueError(f"d must be a positive square-free integer, got {d}")
-
-
-def _half_discriminant_case(d: int) -> bool:
-    """True when tau_d = (1 + sqrt(-d))/2, i.e. d = 3 (mod 4)."""
-    return d % 4 == 3
-
-
-@cache
-def _tau_square(d: int) -> tuple[int, int]:
-    """(s, n) with tau_d^2 = s*tau_d - n."""
-    return (1, (1 + d) // 4) if _half_discriminant_case(d) else (0, d)
+    return (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +56,7 @@ class QuadInt:
     y: int
 
     def __post_init__(self) -> None:
-        _check_d(self.d)
+        _tau_square(self.d)
 
     @classmethod
     def integer(cls, d: int, n: int) -> "QuadInt":
@@ -71,29 +68,26 @@ class QuadInt:
 
     @classmethod
     def sqrt_minus_d(cls, d: int) -> "QuadInt":
-        if _half_discriminant_case(d):
-            # sqrt(-d) = 2*tau - 1
-            return cls(d, -1, 2)
-        return cls(d, 0, 1)
+        return cls.from_half_pair(d, 0, 2)
 
     @classmethod
     def from_half_pair(cls, d: int, b1: int, b2: int) -> "QuadInt":
-        """The element (b1 + b2*sqrt(-d))/2; requires b1 = b2 (mod 2)."""
+        """The element (b1 + b2*sqrt(-d))/2; requires b1 = b2 (mod 2).
+        The inverse of `half_pair`."""
+        s, _ = _tau_square(d)
         if (b1 - b2) % 2 != 0:
             raise ValueError("half coordinates must have equal parity")
-        if _half_discriminant_case(d):
-            return cls(d, (b1 - b2) // 2, b2)
-        if b1 % 2 != 0:
+        y, r = divmod(b2, 2 - s)
+        if r:
             raise ValueError(f"half-integer coordinates are not in O_{d}")
-        return cls(d, b1 // 2, b2 // 2)
+        return cls(d, (b1 - s * y) // 2, y)
 
     # -- coordinate views ---------------------------------------------------
 
     def half_pair(self) -> tuple[int, int]:
         """(b1, b2) with self = (b1 + b2*sqrt(-d))/2 and b1 = b2 (mod 2)."""
-        if _half_discriminant_case(self.d):
-            return (2 * self.x + self.y, self.y)
-        return (2 * self.x, 2 * self.y)
+        s, _ = _tau_square(self.d)
+        return (2 * self.x + s * self.y, (2 - s) * self.y)
 
     def is_rational(self) -> bool:
         return self.y == 0
@@ -108,29 +102,26 @@ class QuadInt:
 
     # -- ring structure -----------------------------------------------------
 
-    def _coords(self, other: "QuadInt | int") -> "tuple[int, int] | None":
-        """other's coordinates in self's ring; None for a foreign type."""
+    def _coords(self, other: "QuadInt | int") -> tuple[int, int]:
+        """other's coordinates in self's ring."""
         if type(other) is QuadInt:
             if other.d != self.d:
                 raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
             return other.x, other.y
         if isinstance(other, int):
             return other, 0
-        return None
+        raise TypeError(f"QuadInt operand must be an int or a QuadInt, "
+                        f"got {type(other).__name__}")
 
     def __add__(self, other: "QuadInt | int") -> "QuadInt":
-        o = self._coords(other)
-        if o is None:
-            return NotImplemented
-        return _unchecked(self.d, self.x + o[0], self.y + o[1])
+        ox, oy = self._coords(other)
+        return _unchecked(self.d, self.x + ox, self.y + oy)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadInt | int") -> "QuadInt":
-        o = self._coords(other)
-        if o is None:
-            return NotImplemented
-        return _unchecked(self.d, self.x - o[0], self.y - o[1])
+        ox, oy = self._coords(other)
+        return _unchecked(self.d, self.x - ox, self.y - oy)
 
     def __rsub__(self, other: "QuadInt | int") -> "QuadInt":
         return (-self) + other
@@ -139,10 +130,7 @@ class QuadInt:
         return _unchecked(self.d, -self.x, -self.y)
 
     def __mul__(self, other: "QuadInt | int") -> "QuadInt":
-        o = self._coords(other)
-        if o is None:
-            return NotImplemented
-        ox, oy = o
+        ox, oy = self._coords(other)
         return _expand(self.d, self.x * ox, self.x * oy + self.y * ox, self.y * oy)
 
     __rmul__ = __mul__
@@ -175,7 +163,8 @@ class QuadInt:
         x, y = self.x, self.y
         if y == 0:
             return str(x)
-        if not _half_discriminant_case(self.d):  # x + y*sqrt(-d)
+        s, _ = _tau_square(self.d)
+        if not s:  # x + y*sqrt(-d)
             u, v = str(x), str(abs(y))
         elif y % 2 == 0:  # x + y*tau = (x + y/2) + (y/2)*sqrt(-d)
             u, v = str(x + y // 2), str(abs(y) // 2)
@@ -240,19 +229,19 @@ def parse_quadint(text: str, d: int) -> QuadInt:
     """Parse the canonical text form (and tau/eta/omega sugar) for O_d.
 
     Accepted terms: integers, odd/2 halves, and multiples of sqrt(-d),
-    tau (the integral-basis generator), eta (alias for tau when d = 3 mod 4),
-    and omega (d = 3 only, omega^2 + omega + 1 = 0).
+    tau (the integral-basis generator, the half pair (s, 2 - s)), eta (alias
+    for tau when s = 1), and omega (d = 3 only, omega^2 + omega + 1 = 0).
     """
-    _check_d(d)
-    s = text.replace(" ", "")
-    if not s:
+    s, _ = _tau_square(d)
+    body = text.replace(" ", "")
+    if not body:
         raise ValueError("empty element text")
     # 4u and 4v in the u + v*sqrt(-d) view: every term is a multiple of 1/4
     u4 = v4 = 0
     pos = 0
     first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
+    while pos < len(body):
+        m = _TERM_RE.match(body, pos)
         if m is None or (not first and m.group(1) == ""):
             raise ValueError(f"cannot parse {text!r} at position {pos}")
         sign, coeff, sym, dd, bare_sym, bare_dd = m.groups()
@@ -267,22 +256,16 @@ def parse_quadint(text: str, d: int) -> QuadInt:
             if dd != d:
                 raise ValueError(f"sqrt(-{dd}) does not live in O_{d}")
             v4 += c4
-        elif sym == "tau":
-            if _half_discriminant_case(d):
-                u4 += c4 // 2  # c4 is even, so the halves are exact
-                v4 += c4 // 2
-            else:
-                v4 += c4
-        elif sym == "eta":
-            if not _half_discriminant_case(d):
-                raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
-            u4 += c4 // 2
-            v4 += c4 // 2
-        else:  # omega
+        elif sym == "omega":
             if d != 3:
                 raise ValueError("omega is only defined for d=3")
             u4 -= c4 // 2
             v4 += c4 // 2
+        else:  # tau = (s + (2 - s)*sqrt(-d))/2, or its alias eta when s = 1
+            if sym == "eta" and not s:
+                raise ValueError(f"eta = (1+sqrt(-d))/2 is not integral for d={d}")
+            u4 += s * c4 // 2  # c4 is even, so the halves are exact
+            v4 += (2 - s) * c4 // 2
         pos = m.end()
         first = False
     if u4 % 2 or v4 % 2:  # 2u or 2v is not an integer

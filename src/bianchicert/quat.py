@@ -125,19 +125,12 @@ def rho(x: Quaternion) -> Mat2:
 
 
 def in_order(x: Quaternion, d: int) -> bool:
-    """Membership in the standard order of (-d, D / Q): integer coordinates
-    for d = 1, 2 (mod 4); half-integers with x0 = x1, x2 = x3 (mod 2) for
-    d = 3 (mod 4)."""
+    """Membership in the standard order O_d + O_d*j of (-d, D / Q): both
+    x0 + x1*sqrt(-d) and x2 + x3*sqrt(-d) lie in O_d."""
     if _imaginary_d(x.algebra) != d:
         raise ValueError(f"quaternion lives over a={x.algebra.a}, not -{d}")
-    coords = (x.x0, x.x1, x.x2, x.x3)
-    if d % 4 == 3:
-        doubled = [2 * c for c in coords]
-        if any(c.denominator != 1 for c in doubled):
-            return False
-        u0, u1, u2, u3 = (int(c) for c in doubled)
-        return (u0 - u1) % 2 == 0 and (u2 - u3) % 2 == 0
-    return all(c.denominator == 1 for c in coords)
+    return all(QuadRat.from_sqrt_parts(d, u, v).den == 1
+               for u, v in ((x.x0, x.x1), (x.x2, x.x3)))
 
 
 def order_unit_to_stab(x: Quaternion, d: int, D: int) -> PslElement:
@@ -186,13 +179,9 @@ class QuadRat:
     def from_sqrt_parts(cls, d: int, u: Rational, v: Rational) -> "QuadRat":
         """The value u + v*sqrt(-d) with rational u, v."""
         u, v = Fraction(u), Fraction(v)
-        if d % 4 == 3:
-            # tau = (1 + sqrt(-d))/2, so u + v*sqrt(-d) = (u - v) + 2v*tau
-            xq, yq = u - v, 2 * v
-        else:
-            xq, yq = u, v
-        den = lcm(xq.denominator, yq.denominator)
-        return cls.make(d, int(xq * den), int(yq * den), den)
+        den = lcm(u.denominator, v.denominator)
+        a = QuadInt.from_half_pair(d, int(2 * den * u), int(2 * den * v))
+        return cls.make(d, a.x, a.y, den)
 
     def _check(self, other: "QuadRat") -> None:
         if other.d != self.d:

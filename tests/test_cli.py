@@ -189,6 +189,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n  # another\n"],
+                             ids=["empty", "comments-only"])
+    def test_no_records_is_bad_input(self, tmp_path, capsys, text):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: cannot read witness file: no witness records found\n"
+
     @pytest.mark.parametrize("key, value, failed", [
         ("word", "tau^1 h^1 sigma^6 h^-1 tau^1", "field.word"),
         ("word", "", "field.word"),
@@ -289,9 +299,14 @@ class TestResidues:
         assert "not a prime" in err
 
     @staticmethod
-    def tables(out):
-        """The two printed lists of `residues`, by label."""
-        lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    def lines(out):
+        """The printed lines of `residues`, by label."""
+        return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+    @classmethod
+    def tables(cls, out):
+        """The two printed lists of `residues`."""
+        lines = cls.lines(out)
         return (ast.literal_eval(lines["quadratic residues"]),
                 ast.literal_eval(lines["non-residues"]))
 
@@ -302,6 +317,8 @@ class TestResidues:
             assert code == EXIT_OK
             assert self.tables(out) == (sorted(squares),
                                         sorted(set(range(1, d)) - squares)), d
+            smallest = min(set(range(1, d)) - squares)
+            assert self.lines(out)["smallest non-residue"] == str(smallest), d
 
     def test_large_prime_is_fast(self, capsys):
         # a scan of the residue list for each x took about 9 s at this d

@@ -8,7 +8,9 @@ class and method the library defines is named somewhere in `src/`, `tests/`,
 `demos/` or `benchmarks/` outside its own definition, so nothing is dead,
 and every dataclass field is read there, so no record carries a value that
 nothing looks at.  `quadint._unchecked`, which builds a QuadInt without
-validating d, is named nowhere outside `quadint.py`.
+validating d, is named nowhere outside `quadint.py`, and neither is the
+basis case split `% 4 == 3`: the integral basis of O_d is decided there, in
+`_tau_square`, and every other module converts through it.
 """
 
 import ast
@@ -221,3 +223,19 @@ def test_checker_sees_an_unchecked_call():
                  "def f():\n    return _unchecked(0, 1, 0)\n")
     assert unchecked_uses({UNCHECKED_HOME: home, "src/bianchicert/psl2.py": elsewhere}) == [
         "src/bianchicert/psl2.py:2", "src/bianchicert/psl2.py:3", "src/bianchicert/psl2.py:5"]
+
+
+BASIS_SPLIT = re.compile(r"%\s*4\s*==\s*3")
+BASIS_HOME = "quadint.py"
+
+
+def test_basis_split_stays_in_quadint():
+    homes = {p.name: len(BASIS_SPLIT.findall(p.read_text())) for p in MODULES}
+    assert homes[BASIS_HOME] == 1
+    assert {name for name, n in homes.items() if n} == {BASIS_HOME}
+
+
+def test_checker_sees_a_basis_split():
+    assert BASIS_SPLIT.findall("if d % 4 == 3:\n    pass\nhalf = d%4==3\n") == [
+        "% 4 == 3", "%4==3"]
+    assert not BASIS_SPLIT.search("if p % 4 != 0:\n    r = d % 4 == 1\n")

@@ -275,6 +275,28 @@ class TestCoordinateKernel:
         assert det.y == 0 and Fraction(det.x, det.den) == x.reduced_norm()
 
 
+class TestOperandChecks:
+    def test_int_entries_rejected(self):
+        with pytest.raises(ValueError, match="PslElement entries must be QuadInt"):
+            PslElement(Mat2(1, 0, 0, 1))
+
+    def test_entries_from_two_rings_rejected(self):
+        one3, zero7 = QuadInt.integer(3, 1), QuadInt.integer(7, 0)
+        with pytest.raises(ValueError, match="mixed rings: d=3 vs d=7"):
+            PslElement(Mat2(one3, zero7, zero7, one3))
+
+    @pytest.mark.parametrize("text", ["[[1,1],[0,1]]", "[[0,-1],[1,0]]", "[[2,1],[1,1]]"],
+                             ids=["translation", "rotation", "hyperbolic"])
+    def test_product_over_two_rings_raises(self, text):
+        g3, g7 = psl(text, 3), psl(text, 7)
+        with pytest.raises(ValueError, match="mixed rings: d=3 vs d=7"):
+            g3 * g7
+        with pytest.raises(ValueError, match="mixed rings: d=7 vs d=3"):
+            g7 * g3
+        with pytest.raises(ValueError, match="mixed rings: d=3 vs d=7"):
+            g3.psl_eq(g7)
+
+
 class TestProjectiveEquality:
     def test_negation(self):
         rng = random.Random(15)

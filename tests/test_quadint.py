@@ -1,10 +1,11 @@
+import operator
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bianchicert import quadint
@@ -47,6 +48,91 @@ class TestRingOps:
             QuadInt.integer(-3, 1)
 
 
+class TestOperandTypes:
+    """An operand of +, - or * is an int or a QuadInt of the same ring; a
+    float or a Fraction on either side is a TypeError (no floats, no rationals)."""
+
+    @pytest.mark.parametrize("other", [1.5, Fraction(1, 2), Fraction(3)],
+                             ids=["float", "fraction", "integral-fraction"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                             ids=["add", "sub", "mul"])
+    def test_foreign_operand_raises(self, op, other):
+        a = QuadInt(7, 2, -1)
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
+
+    def test_int_operands(self):
+        a = QuadInt(7, 2, -1)
+        assert 1 - a == QuadInt(7, -1, 1)
+        assert a - 1 == QuadInt(7, 1, -1)
+        assert 3 * a == a * 3 == QuadInt(7, 6, -3)
+        assert sum([a, a]) == QuadInt(7, 4, -2)
+
+
+# -- oracle: the basis conversions as one d % 4 == 3 branch each --------------
+
+BASIS_DS = (1, 2, 3, 5, 7, 11, 43, 1000003)  # d = 1, 2 and 3 (mod 4)
+BASIS_COORD = st.integers(-2**80, 2**80)
+
+
+def oracle_half_pair(a):
+    return (2 * a.x + a.y, a.y) if a.d % 4 == 3 else (2 * a.x, 2 * a.y)
+
+
+def oracle_from_half_pair(d, b1, b2):
+    """(x, y) of (b1 + b2*sqrt(-d))/2, or the ValueError message."""
+    if (b1 - b2) % 2 != 0:
+        return "half coordinates must have equal parity"
+    if d % 4 == 3:
+        return ((b1 - b2) // 2, b2)
+    if b1 % 2 != 0:
+        return f"half-integer coordinates are not in O_{d}"
+    return (b1 // 2, b2 // 2)
+
+
+def oracle_sqrt_minus_d(d):
+    return (-1, 2) if d % 4 == 3 else (0, 1)  # sqrt(-d) = 2*tau - 1 or tau
+
+
+def from_half_pair_outcome(d, b1, b2):
+    try:
+        a = QuadInt.from_half_pair(d, b1, b2)
+    except ValueError as exc:
+        return str(exc)
+    return (a.x, a.y)
+
+
+class TestBasisConventions:
+    """`_tau_square` decides the basis; every conversion agrees with the
+    branch on d % 4 that it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BASIS_DS), BASIS_COORD, BASIS_COORD)
+    def test_half_pair_round_trip(self, d, x, y):
+        a = QuadInt(d, x, y)
+        assert a.half_pair() == oracle_half_pair(a)
+        assert QuadInt.from_half_pair(d, *a.half_pair()) == a
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BASIS_DS), BASIS_COORD, BASIS_COORD)
+    # both errors, in order: an odd/even pair fails on parity for either basis
+    @example(5, 1, 2)
+    @example(5, 1, 1)
+    @example(7, 1, 2)
+    @example(7, -3, 5)
+    @example(2, -1, 3)
+    def test_from_half_pair_matches_oracle(self, d, b1, b2):
+        assert from_half_pair_outcome(d, b1, b2) == oracle_from_half_pair(d, b1, b2)
+
+    @pytest.mark.parametrize("d", BASIS_DS)
+    def test_sqrt_minus_d(self, d):
+        r = QuadInt.sqrt_minus_d(d)
+        assert (r.x, r.y) == oracle_sqrt_minus_d(d)
+        assert r * r == QuadInt.integer(d, -d)
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("call", [
         lambda: QuadInt(4, 1, 0),
@@ -68,7 +154,7 @@ class TestValidateOnce:
             return original(d)
 
         monkeypatch.setattr(quadint, "is_squarefree", counting)
-        quadint._check_d.cache_clear()
+        quadint._tau_square.cache_clear()
         construct_series(FIG8, validate_fig8(20, 7), range(1, 11))
         xi = parse_quadint("1+7*eta", 7)
         construct_series(GENERAL, validate_general(7, xi), range(1, 11))
@@ -262,8 +348,7 @@ def _oracle_coeff(tok):
 
 
 def oracle_parse_quadint(text, d):
-    quadint._check_d(d)
-    half_case = quadint._half_discriminant_case(d)
+    half_case = quadint._tau_square(d)[0] == 1
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty element text")

@@ -2,6 +2,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -213,3 +214,43 @@ class TestQuadRat:
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError, match="mixed rings"):
                 op(a, other)
+
+
+def two_branch_from_sqrt_parts(d, u, v):
+    """u + v*sqrt(-d) as a QuadRat, with tau = (1 + sqrt(-d))/2 for d = 3 (mod 4)."""
+    u, v = Fraction(u), Fraction(v)
+    xq, yq = (u - v, 2 * v) if d % 4 == 3 else (u, v)
+    den = lcm(xq.denominator, yq.denominator)
+    return QuadRat.make(d, int(xq * den), int(yq * den), den)
+
+
+def two_branch_in_order(x, d):
+    """Integer coordinates for d = 1, 2 (mod 4); half-integers with
+    x0 = x1, x2 = x3 (mod 2) for d = 3 (mod 4)."""
+    coords = (x.x0, x.x1, x.x2, x.x3)
+    if d % 4 == 3:
+        doubled = [2 * c for c in coords]
+        if any(c.denominator != 1 for c in doubled):
+            return False
+        u0, u1, u2, u3 = (int(c) for c in doubled)
+        return (u0 - u1) % 2 == 0 and (u2 - u3) % 2 == 0
+    return all(c.denominator == 1 for c in coords)
+
+
+class TestBasisFormulas:
+    """The basis conversions read quadint's rule; they agree with the
+    formulas that spelled out both classes of d mod 4."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 11, 43])
+    def test_agree_with_two_branch_formulas(self, d):
+        rng = random.Random(d)
+        algebra = alg(-d, 5)
+        seen = set()
+        for _ in range(400):
+            x = random_quaternion(rng, algebra)  # denominators 1, 2 and 3
+            for u, v in ((x.x0, x.x1), (x.x2, x.x3)):
+                assert QuadRat.from_sqrt_parts(d, u, v) == two_branch_from_sqrt_parts(d, u, v)
+            member = in_order(x, d)
+            assert member == two_branch_in_order(x, d)
+            seen.add(member)
+        assert seen == {True, False}
