@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional
 
 from .psl2 import Mat2, PslElement
-from .quadint import QuadInt
+from .quadint import QuadInt, is_prime
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,10 @@ def stab_form(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
 # -- quadratic residues and co-compactness ----------------------------------
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 @cache  # a rejected d raises, so only accepted values are remembered
 def check_odd_prime(d: int) -> None:
-    """The one test of "d is an odd prime"; decided once per accepted d."""
+    """The one test of "d is an odd prime"; decided once per accepted d.  A d
+    past `quadint.PRIME_LIMIT` is refused, as `is_prime` proves nothing there."""
     if d < 3 or not is_prime(d):
         raise ValueError(f"d={d} is not a prime >= 3")
 

@@ -65,6 +65,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.submode == FIG8:
             params: Params = validate_fig8(args.p, args.q)
         else:
+            check_odd_prime(args.d)  # first: an O_d test of a composite d is trial division
             xi = parse_quadint(args.xi, args.d)
             params = validate_general(args.d, xi, args.x)
     except ValueError as exc:  # InvalidParams is a ValueError

@@ -334,20 +334,24 @@ def _parse_block(lines: list[str]) -> CompressionWitness:
         missing = next(key for key in layout if key not in fields)
         raise ValueError(f"missing witness key {missing!r}")
     d = int(fields["d"])
+    check_odd_prime(d)  # before any element, as an O_d test of a composite d is trial division
     return CompressionWitness(**{key: parse(fields[key], d) if key in fields else None
                                  for key, (parse, _, _) in FIELDS.items()})
 
 
 def parse_witnesses(text: str) -> list[CompressionWitness]:
-    """The records of text; blank and `#` comment lines separate them."""
-    blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
+    """The records of text, each parsed as soon as its block ends; blank and
+    `#` comment lines end a block."""
+    records: list[CompressionWitness] = []
+    block: list[str] = []
+    for raw in [*text.splitlines(), ""]:  # the blank line ends the last block
         line = raw.strip()
         if line and not line.startswith("#"):
-            blocks[-1].append(line)
-        elif blocks[-1]:
-            blocks.append([])
-    return [_parse_block(b) for b in blocks if b]
+            block.append(line)
+        elif block:
+            records.append(_parse_block(block))
+            block = []
+    return records
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ it rejects a d that is not positive and square-free, and otherwise gives
 (s, n) with tau^2 = s*tau - n, where s = 1 exactly when tau = (1 + sqrt(-d))/2.
 Validation of d, products, norms, traces, conjugates, the half-pair view
 (2x + s*y, (2 - s)*y), its inverse, `render` and the parser all read it.
+Its square-free test accepts a prime d at once through `is_prime`, which is
+also the odd-prime test of `circles.check_odd_prime`.
 
 The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
 Arithmetic results inherit d from an operand that was already validated, so
@@ -28,9 +30,43 @@ from dataclasses import dataclass
 from functools import cache
 
 
+# psi_13 of Sorenson and Webster (2015): the least strong pseudoprime to all of
+# the first 13 prime bases, so Miller-Rabin over them is proven below it
+PRIME_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 13 prime bases, proven for
+    n < PRIME_LIMIT (about 3.3e24).  A larger n raises ValueError: no answer
+    for it would be proven."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primality is proven only below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * e with e odd
+    e = (n - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, e, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_squarefree(d: int) -> bool:
     if d <= 0:
         return False
+    if d < PRIME_LIMIT and is_prime(d):  # a prime needs no O(sqrt(d)) scan
+        return True
     p = 2
     while p * p <= d:
         if d % (p * p) == 0:
@@ -80,7 +116,7 @@ class QuadInt:
         y, r = divmod(b2, 2 - s)
         if r:
             raise ValueError(f"half-integer coordinates are not in O_{d}")
-        return cls(d, (b1 - s * y) // 2, y)
+        return _unchecked(d, (b1 - s * y) // 2, y)  # _tau_square has validated d
 
     # -- coordinate views ---------------------------------------------------
 
@@ -208,6 +244,10 @@ def mul_add(p: QuadInt, q: QuadInt, r: QuadInt, t: QuadInt, sign: int = 1) -> Qu
                    p.y * q.y + ry * t.y)
 
 
+# the form `render` writes: u, or u+v*sqrt(-d) or u-v*sqrt(-d), with u and v both
+# integers or both odd/2; the groups are u, u's /2, v with its sign, v's /2 and d
+_RENDERED_RE = re.compile(r"(-?\d+)(/2)?(?:([+-]\d+)(/2)?\*sqrt\(-(\d+)\))?", re.ASCII)
+
 # a number with an optional *symbol, or a bare symbol: a plain integer needs no backtracking
 _TERM_RE = re.compile(
     r"([+-]?)"
@@ -231,8 +271,40 @@ def parse_quadint(text: str, d: int) -> QuadInt:
     Accepted terms: integers, odd/2 halves, and multiples of sqrt(-d),
     tau (the integral-basis generator, the half pair (s, 2 - s)), eta (alias
     for tau when s = 1), and omega (d = 3 only, omega^2 + omega + 1 = 0).
+    Text in the form `render` writes is read with one match; any other text
+    is read term by term, which alone names the faults of rejected text.
     """
     s, _ = _tau_square(d)
+    q = _parse_rendered(text, d, s)
+    return _parse_terms(text, d, s) if q is None else q
+
+
+def _parse_rendered(text: str, d: int, s: int) -> QuadInt | None:
+    """The element that text in `render`'s form denotes, for a valid d with
+    s = `_tau_square(d)[0]`.  None for any other text, and for rendered-looking
+    text that names another d, has an integer past int()'s digit limit or has
+    halves that render would not write; for all of these `_parse_terms` gives
+    the value or the error."""
+    m = _RENDERED_RE.fullmatch(text)
+    if m is None:
+        return None
+    u, u_half, v, v_half, dd = m.groups()
+    try:
+        if v is None:
+            return None if u_half else _unchecked(d, int(u), 0)
+        if u_half != v_half or int(dd) != d:
+            return None
+        a, b = int(u), int(v)
+    except ValueError:
+        return None
+    if not u_half:  # a + b*sqrt(-d), where sqrt(-d) is tau if s = 0 and 2*tau - 1 if s = 1
+        return _unchecked(d, a - s * b, b << s)
+    # render writes halves only when s = 1, and then (a + b*sqrt(-d))/2 = (a - b)/2 + b*tau
+    return _unchecked(d, (a - b) // 2, b) if s and (a - b) % 2 == 0 else None
+
+
+def _parse_terms(text: str, d: int, s: int) -> QuadInt:
+    """The term-by-term reader behind `parse_quadint`; s is `_tau_square(d)[0]`."""
     body = text.replace(" ", "")
     if not body:
         raise ValueError("empty element text")

@@ -12,9 +12,10 @@ import pytest
 from bianchicert import cli, golden
 from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                              main, parse_k_range)
-from bianchicert.pipeline import ConsistencyError, InvalidParams, verify_witness
+from bianchicert.pipeline import ConsistencyError, InvalidParams, parse_witnesses, verify_witness
 
-from test_pipeline import FUZZ_RECORDS, LAYOUT_PROBES, REPEATED_KEYS, edited, inserted_ahead
+from test_pipeline import (FUZZ_RECORDS, HOSTILE_D, LAYOUT_PROBES, REPEATED_KEYS, edited,
+                           inserted_ahead, sugared)
 
 
 def run(capsys, *argv):
@@ -92,6 +93,15 @@ class TestConstruct:
                            "--k", "1")
         assert code == EXIT_BAD_INPUT
         assert "3 divides p=12" in err
+
+    def test_composite_d_is_refused_before_xi(self, capsys):
+        # 10000019 * 10000079: square-free, so reading --xi over O_d first would cost
+        # a trial division to sqrt(d), seconds
+        d = "100000980001501"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "general", "--d", d, "--xi", f"1+sqrt(-{d})")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"error: d={d} is not a prime >= 3\n")
 
     def test_bad_xi_expression(self, capsys):
         code, _, err = run(capsys, "construct", "general", "--d", "7",
@@ -242,6 +252,31 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: cannot read witness file: {message}")
         assert err.count("\n") == 1
+
+    def test_sugar_record_gets_the_rendered_report(self, tmp_path, capsys):
+        rendered = self.witness_file(tmp_path, capsys)
+        _, expected, _ = run(capsys, "verify", str(rendered))
+        path = tmp_path / "sugar.txt"
+        path.write_text("\n".join(sugared(w) for w in parse_witnesses(rendered.read_text())))
+        proc = run_process("-m", "bianchicert.cli", "verify", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("d, message", HOSTILE_D.values(), ids=HOSTILE_D.keys())
+    def test_hostile_d_is_bad_input(self, tmp_path, capsys, d, message):
+        path = self.witness_file(tmp_path, capsys)
+        path.write_text(path.read_text().replace("d: 3\n", f"d: {d}\n"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"error: cannot read witness file: {message}\n"
+
+    def test_non_prime_square_free_d_is_bad_input(self, tmp_path, capsys):
+        # the record is well formed over O_15, yet no valid record has a d that is not prime
+        record = FUZZ_RECORDS["general-d7"].render().replace("d: 7\n", "d: 15\n")
+        path = tmp_path / "w.txt"
+        path.write_text(record.replace("sqrt(-7)", "sqrt(-15)"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, err) == (EXIT_BAD_INPUT, "",
+                                    "error: cannot read witness file: d=15 is not a prime >= 3\n")
 
     def test_huge_xi_gets_a_verdict(self, tmp_path, capsys):
         # 7 divides |xi|^2 = 49 * 10^4400, a number past the 4300-digit str() limit

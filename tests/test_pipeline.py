@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bianchicert import pipeline
+from bianchicert import pipeline, quadint
 from bianchicert.circles import circle_action, circle_at_origin, is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, InvalidParams,
@@ -20,7 +20,7 @@ from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, Invali
                                   witness_word, xi_fig8)
 from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign, eval_word,
                               parse_psl, render_word)
-from bianchicert.quadint import QuadInt, parse_quadint
+from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
 
@@ -373,6 +373,13 @@ class TestSerialization:
         text = "# a comment\n\n" + fig8_witness(k=1).render()
         assert len(parse_witnesses(text)) == 1
 
+    def test_comment_line_ends_a_record(self):
+        lines = fig8_witness(k=1).render().splitlines()
+        assert lines[5].startswith("norm_xi: ")
+        text = "\n".join(lines[:5] + ["# a note"] + lines[5:]) + "\n"
+        with pytest.raises(ValueError, match="missing witness key 'norm_xi'"):
+            parse_witnesses(text)
+
 
 class TestVerify:
     def test_clean_witness(self):
@@ -541,6 +548,77 @@ class TestVerifyIsTotal:
         report = self.verify_text(text)
         assert time.perf_counter() - start < 0.5
         assert report.failures() == ["field.word"]
+
+
+def tau_text(a):
+    """a as x + y * tau, spaces around the operators: sugar, never rendered."""
+    return f"{a.x} {'-' if a.y < 0 else '+'} {abs(a.y)} * tau"
+
+
+def sugared(w):
+    """The p=20, q=7 fig8 record of w with xi as 34+28*omega (which is
+    20+14*sqrt(-3)) and alpha_k, beta_k and each entry of h and g_k in tau form."""
+    text = w.render()
+    assert "xi: 20+14*sqrt(-3)\n" in text
+    text = text.replace("xi: 20+14*sqrt(-3)\n", "xi: 34+28*omega\n")
+    for key in ("alpha_k", "beta_k"):
+        text = edited(text, key, tau_text(getattr(w, key)))
+    for key in ("h", "g_k"):
+        m = getattr(w, key)
+        text = edited(text, key, f"[[{tau_text(m.a11)}, {tau_text(m.a12)}], "
+                                 f"[{tau_text(m.a21)}, {tau_text(m.a22)}]]")
+    return text
+
+
+class TestSugarRecord:
+    """A record whose ring elements are not in render's form is read term by
+    term, and gets the rendered record's value and report."""
+
+    def test_same_record_and_report(self, monkeypatch):
+        ws = construct_series(FIG8, validate_fig8(20, 7), range(1, 3))
+        taken = Counter()  # how many elements took the one-match path, and how many not
+        original = quadint._parse_rendered
+
+        def counting(text, d, s):
+            q = original(text, d, s)
+            taken[q is not None] += 1
+            return q
+
+        monkeypatch.setattr(quadint, "_parse_rendered", counting)
+        assert parse_witnesses(render_witnesses(ws)) == ws
+        assert taken == Counter({True: 22})
+        taken.clear()
+        parsed = parse_witnesses("\n".join(sugared(w) for w in ws))
+        assert taken == Counter({False: 22})
+        assert parsed == ws
+        assert [verify_witness(w).results for w in parsed] == [verify_witness(w).results
+                                                                for w in ws]
+
+
+# 1000000000100000000002379 is the product of the two primes after 10^12;
+# 10^29 + 1 has 30 digits and lies past the proven primality bound
+HOSTILE_D = {
+    "d-9": (9, "d=9 is not a prime >= 3"),
+    "square-free-d-15": (15, "d=15 is not a prime >= 3"),
+    "prime-d-10^14+31": (10**14 + 31, "sqrt(-3) does not live in O_100000000000031"),
+    "semiprime-25-digits": (1000000000100000000002379,
+                            "d=1000000000100000000002379 is not a prime >= 3"),
+    "30-digits": (10**29 + 1, f"{10**29 + 1} is too large: primality is proven only "
+                              f"below {PRIME_LIMIT}"),
+}
+
+
+class TestRecordD:
+    """A record's d is decided an odd prime before any of its elements is read,
+    as reading them over O_d of a composite d costs a trial division to sqrt(d)."""
+
+    @pytest.mark.parametrize("d, message", HOSTILE_D.values(), ids=HOSTILE_D.keys())
+    def test_hostile_d_is_refused_at_once(self, d, message):
+        text = fig8_witness(k=1).render().replace("d: 3\n", f"d: {d}\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_witnesses(text)
+        assert time.perf_counter() - start < 0.1
 
 
 FUZZ_RECORDS = {

@@ -1,10 +1,12 @@
 import operator
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from bianchicert.circles import is_quadratic_nonresidue
 from bianchicert.pipeline import (FIG8, GENERAL, construct_series, validate_fig8,
                                   validate_general)
 from bianchicert.psl2 import Mat2
-from bianchicert.quadint import QuadInt, parse_quadint
+from bianchicert.quadint import PRIME_LIMIT, QuadInt, is_prime, is_squarefree, parse_quadint
 
 
 def qi(text, d):
@@ -159,6 +161,42 @@ class TestValidateOnce:
         xi = parse_quadint("1+7*eta", 7)
         construct_series(GENERAL, validate_general(7, xi), range(1, 11))
         assert calls == Counter({3: 1, 7: 1})
+
+
+# A014233: the least strong pseudoprime to each of the first k prime bases, k <= 12;
+# Miller-Rabin over 13 bases must call each one composite
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+class TestIsPrime:
+    """Miller-Rabin over the first 13 prime bases against sympy.isprime."""
+
+    def test_small_n(self):
+        assert [n for n in range(-3, 30000) if is_prime(n)] == list(sympy.primerange(30000))
+
+    def test_near_the_proven_bound(self):
+        window = range(PRIME_LIMIT - 3000, PRIME_LIMIT)
+        assert [n for n in window if is_prime(n)] == [n for n in window if sympy.isprime(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        assert not any(is_prime(n) for n in STRONG_PSEUDOPRIMES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(2, 10**7), st.integers(2, PRIME_LIMIT - 1)))
+    def test_matches_sympy(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    @pytest.mark.parametrize("n", [PRIME_LIMIT, PRIME_LIMIT + 2, 10**30 + 57])
+    def test_past_the_bound_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"proven only below {PRIME_LIMIT}$"):
+            is_prime(n)
+
+    @pytest.mark.parametrize("d", [10**14 + 31, sympy.prevprime(PRIME_LIMIT)])
+    def test_a_large_prime_is_square_free_at_once(self, d):
+        start = time.perf_counter()
+        assert is_squarefree(d) and QuadInt.sqrt_minus_d(d).norm() == d
+        assert time.perf_counter() - start < 0.1  # trial division to sqrt(d) takes seconds
 
 
 class TestKernel:
@@ -556,6 +594,84 @@ class TestMergedTermPattern:
     def test_render_is_the_half_pair_form(self, d, x, y):
         a = QuadInt(d, x, y)
         assert a.render() == oracle_render(a)
+
+
+# -- the one-match reader of rendered text against the term-by-term reader ----
+
+
+def terms_outcome(text, d):
+    return outcome(lambda t, dd: quadint._parse_terms(t, dd, quadint._tau_square(dd)[0]), text, d)
+
+
+def one_match(text, d):
+    return quadint._parse_rendered(text, d, quadint._tau_square(d)[0])
+
+
+COORD_256 = st.one_of(st.integers(-20, 20), st.integers(-2**256, 2**256))
+
+
+@st.composite
+def near_rendered(draw):
+    """(text, d): render() of an element over one of BASIS_DS with one edit: a
+    leading +, u as 0/2 or -0, /2 added or dropped on one side, sqrt(-d') of
+    another d', or a space inside."""
+    d = draw(st.sampled_from(BASIS_DS))
+    text = QuadInt(d, draw(COORD_256), draw(COORD_256)).render()
+    edit = draw(st.sampled_from(("plus", "zero-half", "minus-zero", "one-half", "other-d",
+                                 "space")))
+    if edit == "plus":
+        return "+" + text, d
+    if edit == "zero-half":
+        return re.sub(r"^-?\d+(/2)?", "0/2", text), d
+    if edit == "minus-zero":
+        return re.sub(r"^-?\d+(/2)?", draw(st.sampled_from(("-0", "-0/2"))), text), d
+    if edit == "one-half":  # u or v, not the d inside sqrt(-d)
+        m = draw(st.sampled_from(list(re.finditer(r"\d+(/2)?(?!\d|/|\))", text))))
+        number = m.group()[:-2] if m.group(1) else m.group() + "/2"
+        return text[:m.start()] + number + text[m.end():], d
+    if edit == "other-d":
+        other = draw(st.sampled_from([str(e) for e in BASIS_DS] + [f"0{d}"]))
+        return text.replace(f"sqrt(-{d})", f"sqrt(-{other})"), d
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + " " + text[at:], d
+
+
+class TestOneMatchReader:
+    """parse_quadint reads the form render writes with one match and any other
+    text term by term; both give the same element or the same ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(BASIS_DS), COORD_256, COORD_256)
+    def test_rendered_text_takes_one_match(self, d, x, y):
+        a = QuadInt(d, x, y)
+        text = a.render()
+        assert one_match(text, d) == a
+        assert parse_quadint(text, d) == a == terms_outcome(text, d)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(near_rendered(), term_text(), element_text()))
+    def test_same_result_or_same_error(self, case):
+        text, d = case
+        assert outcome(parse_quadint, text, d) == terms_outcome(text, d)
+        assert one_match(text, d) in (None, terms_outcome(text, d))
+
+    @pytest.mark.parametrize("d", BASIS_DS)
+    def test_edge_cases(self, d):
+        other = 3 if d != 3 else 7
+        for text in ("0", "-0", "+7", "007", "3/2", "4/2", "-0/2", "3/2+1*sqrt(-3)",
+                     "3+1/2*sqrt(-3)", "1/2+1/2*sqrt(-3)", "2/2+4/2*sqrt(-1)",
+                     "1/2+1/2*sqrt(-7)", f"1+2*sqrt(-0{d})", f"1+2*sqrt(-{other})",
+                     f"1 +2*sqrt(-{d})", f"1+2*sqrt(-{d}) ", f"1+2*sqrt(-{d})\n",
+                     f"1+-2*sqrt(-{d})", f"1+2*sqrt(-{d})+1", "9" * 5000,
+                     f"1+{'9' * 5000}*sqrt(-{d})", f"1+2*sqrt(-{'9' * 5000})",
+                     f"{'9' * 5000}+2*sqrt(-{'9' * 4400})"):
+            assert outcome(parse_quadint, text, d) == terms_outcome(text, d), text
+
+    @pytest.mark.parametrize("text, d", [("1+7*eta", 7), ("34+28*omega", 3), ("3+2*tau", 3),
+                                         ("1 + 2*sqrt(-5)", 5), ("+1+2*sqrt(-5)", 5)])
+    def test_sugar_is_read_term_by_term(self, text, d):
+        assert one_match(text, d) is None
+        assert parse_quadint(text, d) == terms_outcome(text, d)
 
 
 class TestResidueRing:
