@@ -11,17 +11,15 @@ Riemann sphere.  Writing B = (b1 + b2 sqrt(-d))/2, primitivity means
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .psl2 import Mat2, PslElement
 from .quadint import QuadInt, is_prime
 
 
-@dataclass(frozen=True)
-class CircleTriple:
+class CircleTriple(NamedTuple):
     """Sign-canonical circle datum.  Build via primitive_triple to also
     divide out the rational content."""
 

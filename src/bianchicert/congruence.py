@@ -3,16 +3,15 @@ congruence subgroups, finite-group closure from generators, and the
 figure-eight group membership test through its level-4 image.
 
 A residue matrix is its eight coordinates on {1, tau_d}, reduced into
-[0, n) and in sign normal form, so reduction, equality and hashing read
-only ints.  A product or an inverse is computed over O_d on a Mat2 of
-reduced QuadInts, built once per residue matrix, and then reduced.
+[0, n) and in sign normal form, so reduction, products, inverses,
+equality and hashing read only ints.  One function, `_normal_form`, gives
+every residue matrix its form and checks its determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from .psl2 import Mat2, PslElement
 from .quadint import QuadInt, _tau_square
@@ -22,17 +21,17 @@ SURJECTIVITY_NOTE = (
     "computed group of determinant-1 residue matrices; identifying them with "
     "indices in PSL2(O_3) assumes the level-4 reduction is surjective"
 )
+_IDENTITY_XY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 class ClosureCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
+class ResidueMatrix(NamedTuple):
     """Determinant-1 matrix over R_n = O_d/(n) in projective normal form:
     xy holds the coordinates (a11.x, a11.y, ..., a22.y) in [0, n), and of M
-    and -M the lexicographically smaller tuple.  Built by residue_matrix."""
+    and -M the lexicographically smaller tuple.  Built by `_normal_form`."""
 
     d: int
     n: int
@@ -42,39 +41,57 @@ class ResidueMatrix:
         return self.xy
 
     def is_identity(self) -> bool:
-        return self.xy == (1, 0, 0, 0, 0, 0, 1, 0)  # normal form of +-1, as n >= 2
+        return self.xy == _IDENTITY_XY  # the normal form of +-1, as n >= 2
 
-    @cached_property
-    def rep(self) -> Mat2:  # built on first use, by a product or an inverse
-        return Mat2(*(QuadInt(self.d, *self.xy[i:i + 2]) for i in range(0, 8, 2)))
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if other.n != self.n:
-            raise ValueError(f"mismatched residue rings: n={self.n} vs n={other.n}")
-        return residue_matrix(self.rep * other.rep, self.n)
+    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":  # type: ignore[override]
+        d, n = self.d, self.n
+        if (other.d, other.n) != (d, n):
+            raise ValueError(f"mismatched residue rings: (d, n) = ({d}, {n}) "
+                             f"vs ({other.d}, {other.n})")
+        s, t2 = _tau_square(d)
+        ax, ay, bx, by, cx, cy, ex, ey = self.xy
+        fx, fy, gx, gy, hx, hy, kx, ky = other.xy
+        return _normal_form(d, n, (
+            *_mul_add(s, t2, ax, ay, fx, fy, bx, by, hx, hy),
+            *_mul_add(s, t2, ax, ay, gx, gy, bx, by, kx, ky),
+            *_mul_add(s, t2, cx, cy, fx, fy, ex, ey, hx, hy),
+            *_mul_add(s, t2, cx, cy, gx, gy, ex, ey, kx, ky)))
 
     def inv(self) -> "ResidueMatrix":
-        # adjugate; valid since det = 1 in R_n
-        return residue_matrix(self.rep.adjugate(), self.n)
+        # the adjugate, valid since det = 1 in R_n
+        ax, ay, bx, by, cx, cy, ex, ey = self.xy
+        return _normal_form(self.d, self.n, (ex, ey, -bx, -by, -cx, -cy, ax, ay))
+
+
+def _mul_add(s: int, t2: int, px: int, py: int, qx: int, qy: int,
+             rx: int, ry: int, tx: int, ty: int) -> tuple[int, int]:
+    """The coordinates of p*q + r*t in O_d, where tau^2 = s*tau - t2."""
+    yy = py * qy + ry * ty
+    return px * qx + rx * tx - t2 * yy, px * qy + py * qx + rx * ty + ry * tx + s * yy
+
+
+def _normal_form(d: int, n: int, xy: tuple[int, ...]) -> ResidueMatrix:
+    """The class in PSL2(O_d/(n)) of the matrix with coordinates xy, for a
+    valid d; raises ValueError unless n >= 2 and det = 1 mod n."""
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    xy = tuple([v % n for v in xy])
+    ax, ay, bx, by, cx, cy, ex, ey = xy
+    det_x, det_y = _mul_add(*_tau_square(d), ax, ay, ex, ey, -bx, -by, cx, cy)  # a*e - b*c
+    det_x, det_y = det_x % n, det_y % n
+    if (det_x, det_y) != (1, 0):
+        raise ValueError(f"determinant {QuadInt(d, det_x, det_y)} is not 1 in R_{n}")
+    return ResidueMatrix(d, n, min(xy, tuple([-v % n for v in xy])))
 
 
 def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
     """The class of m in PSL2(O_d/(n)); raises ValueError unless det = 1 mod n."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
     a, b, c, e = m.entries()
-    xy = (a.x % n, a.y % n, b.x % n, b.y % n, c.x % n, c.y % n, e.x % n, e.y % n)
-    ax, ay, bx, by, cx, cy, ex, ey = xy
-    s, t2 = _tau_square(a.d)  # a*e - b*c = xx + (...)*tau + tt*tau^2, tau^2 = s*tau - t2
-    xx, tt = ax * ex - bx * cx, ay * ey - by * cy
-    det_x, det_y = (xx - t2 * tt) % n, (ax * ey + ay * ex - bx * cy - by * cx + s * tt) % n
-    if (det_x, det_y) != (1, 0):
-        raise ValueError(f"determinant {QuadInt(a.d, det_x, det_y)} is not 1 in R_{n}")
-    return ResidueMatrix(a.d, n, min(xy, tuple(-v % n for v in xy)))
+    return _normal_form(a.d, n, (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y))
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:
-    return residue_matrix(Mat2.identity(d), n)
+    return _normal_form(d, n, _IDENTITY_XY)
 
 
 def phi_n(M: PslElement, n: int) -> ResidueMatrix:
@@ -91,7 +108,7 @@ def reduce_level(m: ResidueMatrix, n2: int) -> ResidueMatrix:
     """Push a level-n residue matrix down to level n2 (n2 must divide n)."""
     if m.n % n2 != 0:
         raise ValueError(f"{n2} does not divide level {m.n}")
-    return residue_matrix(m.rep, n2)
+    return _normal_form(m.d, n2, m.xy)
 
 
 def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[ResidueMatrix]:
@@ -107,16 +124,15 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[
         raise ValueError("generators must share (d, n)")
     identity = residue_identity(d, n)
     seen = {identity}
-    queue = [identity]
-    while queue:
-        current = queue.pop(0)
+    found = [identity]
+    for current in found:  # reaches what the loop appends, in breadth-first order
         for g in gens:
             nxt = current * g
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                 seen.add(nxt)
-                queue.append(nxt)
+                found.append(nxt)
     return frozenset(seen)
 
 

@@ -7,7 +7,7 @@ command rebuilds the series and diffs it against this table bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .psl2 import Mat2, parse_mat2
 from .quadint import parse_quadint
@@ -52,8 +52,7 @@ _ROWS = [
 ]
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     k: int
     D_k: int
     g_k: Mat2

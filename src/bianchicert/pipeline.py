@@ -13,9 +13,8 @@ a battery of named exactness checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
@@ -47,8 +46,7 @@ class ConsistencyError(RuntimeError):
 # -- parameters -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Validated input: prime d >= 3, parabolic translation xi with d not
     dividing |xi|^2, a quadratic non-residue x mod d, and the level (4 for
     the figure-eight preset, else 1).  p and q record the preset's slope."""
@@ -173,8 +171,7 @@ LAYOUTS: dict[str, dict[str, Optional[str]]] = {
         (GENERAL, ("p", "q", "gamma8_membership"), {}))}
 
 
-@dataclass(frozen=True)
-class CompressionWitness:
+class CompressionWitness(NamedTuple):
     mode: str
     d: int
     p: Optional[int]
@@ -354,8 +351,7 @@ def parse_witnesses(text: str) -> list[CompressionWitness]:
     return records
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: dict[str, bool]
 
     @property

@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
-from .quadint import QuadInt, mul_add, parse_quadint
+from .quadint import Frozen, QuadInt, mul_add, parse_quadint
 
 Word = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Mat2:
-    a11: Any
-    a12: Any
-    a21: Any
-    a22: Any
+class Mat2(Frozen):
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: Any, a12: Any, a21: Any, a22: Any) -> None:
+        _set_a11(self, a11)
+        _set_a12(self, a12)
+        _set_a21(self, a21)
+        _set_a22(self, a22)
 
     def entries(self) -> tuple[Any, Any, Any, Any]:
         return (self.a11, self.a12, self.a21, self.a22)
+
+    _values = entries
 
     def _over_quadints(self) -> bool:
         """Whether every entry is a QuadInt, so the coordinate kernel applies."""
@@ -88,6 +91,9 @@ class Mat2:
         return cls(one, zero, zero, one)
 
 
+_set_a11, _set_a12, _set_a21, _set_a22 = (getattr(Mat2, name).__set__ for name in Mat2.__slots__)
+
+
 def _entry_sign_key(e: QuadInt) -> int:
     """Sign of the rational part, tie-broken by the tau part."""
     t = e.trace()  # 2 * rational part
@@ -109,11 +115,14 @@ class IsometryClass(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class PslElement:
+class PslElement(Frozen):
     """Determinant-1 matrix over O_d up to global sign."""
 
-    rep: Mat2
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: Mat2) -> None:
+        _set_rep(self, rep)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.rep._over_quadints():
@@ -121,6 +130,9 @@ class PslElement:
         det = self.rep.det()  # mul_add raises on entries from two rings
         if det.x != 1 or det.y != 0:
             raise ValueError("PslElement requires determinant 1")
+
+    def _values(self) -> tuple[Mat2]:
+        return (self.rep,)
 
     @property
     def d(self) -> int:
@@ -191,6 +203,9 @@ class PslElement:
 
     def render(self) -> str:
         return render_mat2(canonical_sign(self.rep))
+
+
+_set_rep = PslElement.rep.__set__
 
 
 _MATRIX_RE = re.compile(r"^\[\[([^\[\]]*),([^\[\]]*)\],\[([^\[\]]*),([^\[\]]*)\]\]$")

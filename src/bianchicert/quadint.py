@@ -26,8 +26,8 @@ Arithmetic results inherit d from an operand that was already validated, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 
 # psi_13 of Sorenson and Webster (2015): the least strong pseudoprime to all of
@@ -65,14 +65,18 @@ def is_prime(n: int) -> bool:
 def is_squarefree(d: int) -> bool:
     if d <= 0:
         return False
-    if d < PRIME_LIMIT and is_prime(d):  # a prime needs no O(sqrt(d)) scan
+    if d < PRIME_LIMIT and is_prime(d):  # a prime needs no scan
         return True
     p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
+    while p * p * p <= d:  # d has no prime factor below p
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
         p += 1
-    return True
+    # d's prime factors are all >= p > cbrt(d), so d is 1, a prime, a product
+    # of two distinct primes, or the square of a prime
+    return d == 1 or isqrt(d) ** 2 != d
 
 
 @cache  # a rejected d raises, so only accepted values are remembered
@@ -83,16 +87,53 @@ def _tau_square(d: int) -> tuple[int, int]:
     return (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadInt:
+class Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    __slots__, sets them in __init__ through the slot descriptors and returns
+    them in that order from `_values`.  An instance equals only an instance of
+    its own type with equal fields, hashes as the tuple of its fields, shows
+    them by name in its repr and has no order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class QuadInt(Frozen):
     """x + y*tau_d in O_d."""
 
-    d: int
-    x: int
-    y: int
+    __slots__ = ("d", "x", "y")
+
+    def __init__(self, d: int, x: int, y: int) -> None:
+        _set_d(self, d)
+        _set_x(self, x)
+        _set_y(self, y)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _tau_square(self.d)
+
+    def _values(self) -> tuple[int, int, int]:
+        return (self.d, self.x, self.y)
 
     @classmethod
     def integer(cls, d: int, n: int) -> "QuadInt":

@@ -5,7 +5,6 @@ tests/test_acceptance.py` to see them.  All comparisons are exact.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -182,10 +181,10 @@ def test_criterion_9_verifier_integrity():
     # tamper every scalar field of a witness in turn; each must be caught
     w = witnesses[0]
     for field_name in ("norm_xi", "r", "t", "n_k", "D_k", "k"):
-        bad = replace(w, **{field_name: getattr(w, field_name) + 1})
+        bad = w._replace(**{field_name: getattr(w, field_name) + 1})
         ok = ok and not verify_witness(bad).ok
-    ok = ok and not verify_witness(replace(w, xi=w.xi + 1)).ok
-    ok = ok and not verify_witness(replace(w, alpha_k=w.alpha_k + 1)).ok
-    ok = ok and not verify_witness(replace(w, beta_k=w.beta_k + 1)).ok
-    ok = ok and not verify_witness(replace(w, word=w.word[1:])).ok
+    ok = ok and not verify_witness(w._replace(xi=w.xi + 1)).ok
+    ok = ok and not verify_witness(w._replace(alpha_k=w.alpha_k + 1)).ok
+    ok = ok and not verify_witness(w._replace(beta_k=w.beta_k + 1)).ok
+    ok = ok and not verify_witness(w._replace(word=w.word[1:])).ok
     report(9, "verifier integrity", ok)

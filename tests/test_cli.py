@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,8 +35,11 @@ def run_process(*args):
 
 def test_commands_import_no_rational_arithmetic(tmp_path):
     # a fresh interpreter runs every command; none of them needs quat's
-    # quaternion algebras, nor the fractions and decimal modules behind them
-    script = ("import contextlib, io, sys\nfrom bianchicert.cli import main\n"
+    # quaternion algebras, nor the fractions and decimal modules behind them,
+    # and none pays for dataclasses and the inspect module it imports.  Only
+    # what the commands add counts: a site hook may have loaded any of these.
+    script = ("import sys\nbare = set(sys.modules)\n"
+              "import contextlib, io\nfrom bianchicert.cli import main\n"
               "path = sys.argv[1]\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(['construct', 'fig8', '--p', '20', '--q', '7', '--out', path]),\n"
@@ -47,7 +49,9 @@ def test_commands_import_no_rational_arithmetic(tmp_path):
               "             main(['verify', path]),\n"
               "             main(['residues', '--d', '7']),\n"
               "             main(['appendix'])]\n"
-              "print(codes, sorted({'bianchicert.quat', 'fractions', 'decimal'} & set(sys.modules)))\n")
+              "added = set(sys.modules) - bare\n"
+              "print(codes, sorted({'bianchicert.quat', 'fractions', 'decimal', 'dataclasses',\n"
+              "                     'inspect'} & added))\n")
     proc = run_process("-c", script, str(tmp_path / "w.txt"))
     assert proc.stderr == ""
     assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
@@ -374,9 +378,9 @@ class TestAppendix:
 
     @pytest.mark.parametrize("target, tamper, message", [
         ("golden_h", lambda h: -h, "MISMATCH in h: got [[0+1*sqrt(-3),"),
-        ("golden_rows", lambda rows: rows[:3] + [replace(rows[3], D_k=rows[3].D_k + 1)],
+        ("golden_rows", lambda rows: rows[:3] + [rows[3]._replace(D_k=rows[3].D_k + 1)],
          "MISMATCH in D_4: got "),
-        ("golden_rows", lambda rows: rows[:6] + [replace(rows[6], g_k=-rows[6].g_k)],
+        ("golden_rows", lambda rows: rows[:6] + [rows[6]._replace(g_k=-rows[6].g_k)],
          "MISMATCH in g_7\n"),
     ], ids=["h", "D_k", "g_k"])
     def test_mismatch_is_named(self, capsys, monkeypatch, target, tamper, message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bianchicert.congruence import (ClosureCapExceeded,
+from bianchicert.congruence import (ClosureCapExceeded, ResidueMatrix,
                                     enumerate_psl2, gamma8_generators,
                                     gamma8_level4_image,
                                     gamma8_prime_extra_generator,
@@ -60,6 +60,33 @@ class TestPhiN:
             assert phi_n(h, 4) == phi_n(g, 4)
 
 
+def unimodular(d):
+    """A product of up to six elementary matrices (1, t; 0, 1) and (1, 0; t, 1)."""
+    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+    step = st.tuples(st.booleans(), st.integers(-20, 20), st.integers(-20, 20))
+
+    def product(steps):
+        m = Mat2.identity(d)
+        for upper, x, y in steps:
+            t = QuadInt(d, x, y)
+            m = m * (Mat2(one, t, zero, one) if upper else Mat2(one, zero, t, one))
+        return m
+
+    return st.lists(step, min_size=1, max_size=6).map(product)
+
+
+def lift(r: ResidueMatrix) -> Mat2:
+    return Mat2(*(QuadInt(r.d, *r.coords()[i:i + 2]) for i in range(0, 8, 2)))
+
+
+def outcome(f):
+    """f's value, or the message of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestResidueMatrix:
     def test_determinant_not_one_rejected(self):
         two, zero = QuadInt.integer(3, 2), QuadInt.integer(3, 0)
@@ -95,7 +122,27 @@ class TestResidueMatrix:
                    for sign in (m, -m)]
         assert plus.coords() == min(reduced)
         assert plus == minus and hash(plus) == hash(minus)
-        assert plus.rep == Mat2(*(QuadInt(d, *plus.coords()[i:i + 2]) for i in range(0, 8, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((1, 2, 3, 7, 11)), st.integers(2, 9),
+           st.lists(st.integers(-60, 60), min_size=8, max_size=8))
+    def test_integer_arithmetic_matches_lifts(self, data, d, n, xy):
+        # oracle: residue_matrix of products, adjugates and the matrix itself
+        # over O_d, on the Mat2s of QuadInts that lift the reduced coordinates
+        a, b = (residue_matrix(data.draw(unimodular(d)), n) for _ in range(2))
+        x = ResidueMatrix(d, n, tuple(v % n for v in xy))  # det 1 or not
+        n2 = data.draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
+        assert a * b == residue_matrix(lift(a) * lift(b), n)
+        assert a.inv() == residue_matrix(lift(a).adjugate(), n)
+        assert reduce_level(a, n2) == residue_matrix(lift(a), n2)
+        for got, oracle in ((lambda: a * x, lambda: lift(a) * lift(x)),
+                            (lambda: x * a, lambda: lift(x) * lift(a)),
+                            (x.inv, lambda: lift(x).adjugate())):
+            assert outcome(got) == outcome(lambda: residue_matrix(oracle(), n))
+        assert outcome(lambda: reduce_level(x, n2)) == outcome(lambda: residue_matrix(lift(x), n2))
+        det = lift(x).det().reduce_mod(n)
+        if det != QuadInt.integer(d, 1):
+            assert outcome(x.inv) == f"determinant {det} is not 1 in R_{n}"
 
     def test_modulus_below_two_rejected(self):
         with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):

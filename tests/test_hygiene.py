@@ -6,8 +6,8 @@ have rational coefficients, imports `fractions`: the ring O_d and
 everything built on it is exact integer arithmetic.  Every function,
 class and method the library defines is named somewhere in `src/`, `tests/`,
 `demos/` or `benchmarks/` outside its own definition, so nothing is dead,
-and every dataclass field is read there, so no record carries a value that
-nothing looks at.  `quadint._unchecked`, which builds a QuadInt without
+and every field of a record, a `@dataclass` or a `typing.NamedTuple`, is read
+there, so no record carries a value that nothing looks at.  `quadint._unchecked`, which builds a QuadInt without
 validating d, is named nowhere outside `quadint.py`, and neither is the
 basis case split `% 4 == 3`: the integral basis of O_d is decided there, in
 `_tau_square`, and every other module converts through it.
@@ -129,18 +129,21 @@ def test_checker_sees_an_unreferenced_definition():
     assert unreferenced({"lib.py": lib, "user.py": user}, ["lib.py"]) == ["lib.py:6 dead"]
 
 
-def is_dataclass(node):
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+def named(node):
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
-def dataclass_fields(tree):
-    """(class, field, line) of each annotated field of a `@dataclass` class."""
+def is_record(node):
+    """Whether a class is decorated `@dataclass` or derives from `NamedTuple`."""
+    return (any(named(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+                for dec in node.decorator_list)
+            or any(named(base) == "NamedTuple" for base in node.bases))
+
+
+def record_fields(tree):
+    """(class, field, line) of each annotated field of a record class."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+        if isinstance(node, ast.ClassDef) and is_record(node):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     yield node.name, stmt.target.id, stmt.lineno
@@ -160,12 +163,12 @@ def field_reads(tree):
 
 
 def unread_fields(sources, defining):
-    """`<file>:<line> <Class>.<field>` for each dataclass field in the
+    """`<file>:<line> <Class>.<field>` for each record field in the
     `defining` files that no text in `sources` (file -> text) reads."""
     reads = {name for text in sources.values() for name in field_reads(ast.parse(text))}
     return [f"{f}:{line} {cls}.{name}"
             for f in defining
-            for cls, name, line in dataclass_fields(ast.parse(sources[f]))
+            for cls, name, line in record_fields(ast.parse(sources[f]))
             if name not in reads]
 
 
@@ -181,12 +184,13 @@ def test_checker_sees_an_unread_field():
            "    dead: int\n    loaded: int\n    named: int\n    keyed: int\n"
            "    def total(self):\n        return self.loaded\n"
            "@dataclass\nclass Other:\n    spare: int\n"
-           "class Plain:\n    hint: int\n")
-    user = ("from lib import Record\n"
+           "class Plain:\n    hint: int\n"
+           "class Row(typing.NamedTuple):\n    unread: int\n    used: int\n")
+    user = ("from lib import Record, Row\n"
             "r = Record(0, 1, 2, keyed=3)\n"
-            "print(getattr(r, 'named'))\nr.dead = 4  # a store is not a read\n")
+            "print(getattr(r, 'named'), Row(0, 1).used)\nr.dead = 4  # a store is not a read\n")
     assert unread_fields({"lib.py": lib, "user.py": user}, ["lib.py"]) == [
-        "lib.py:4 Record.dead", "lib.py:12 Other.spare"]
+        "lib.py:4 Record.dead", "lib.py:12 Other.spare", "lib.py:16 Row.unread"]
 
 
 UNCHECKED = "_unchecked"

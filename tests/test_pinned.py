@@ -12,7 +12,6 @@ group and the hash of its sorted coordinate tuples.
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -75,7 +74,7 @@ def tamper(w, field_name, delta):
         value = value[:2] + ((gen, exponent + delta),) + value[3:]
     else:
         value = value + delta
-    return replace(w, **{field_name: value})
+    return w._replace(**{field_name: value})
 
 
 def sha256(text):

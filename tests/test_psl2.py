@@ -315,6 +315,12 @@ class TestProjectiveEquality:
             assert m.psl_eq(n) == n.psl_eq(m)
 
 
+def test_matrices_have_no_dict():
+    # slotted, like QuadInt: a matrix is its four entries and nothing else
+    m = PslElement.identity(3)
+    assert not hasattr(m, "__dict__") and not hasattr(m.rep, "__dict__")
+
+
 class TestIsIdentity:
     def test_both_signs(self):
         assert PslElement.identity(7).is_identity()

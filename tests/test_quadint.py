@@ -199,6 +199,22 @@ class TestIsPrime:
         assert time.perf_counter() - start < 0.1  # trial division to sqrt(d) takes seconds
 
 
+class TestIsSquarefree:
+    """Trial division to the cube root of d against sympy.factorint."""
+
+    def test_small_d(self):
+        assert [d for d in range(-3, 20000) if is_squarefree(d)] == [
+            d for d in range(1, 20000) if all(e == 1 for e in sympy.factorint(d).values())]
+
+    @pytest.mark.parametrize("d, squarefree", [
+        (10000019 * 10000079, True), (10000019 ** 2, False), (7 * 10000019 ** 2, False),
+        (2 * 10000019 * 10000079, True), (4 * 10000019 * 10000079, False)])
+    def test_composite_of_two_large_primes_at_once(self, d, squarefree):
+        start = time.perf_counter()
+        assert is_squarefree(d) == squarefree
+        assert time.perf_counter() - start < 0.5  # trial division to sqrt(d) takes seconds
+
+
 class TestKernel:
     """Arithmetic results are plain slotted QuadInts built without revalidating
     d, and QuadInt matrix products never go through the ring operators."""
