@@ -6,9 +6,9 @@ first three certified witnesses, printing every intermediate exactly.
 Run:  python3 demos/demo_fig8.py
 """
 
-from bianchicert.pipeline import (FIG8, bezout_rt, build_h, construct_series,
+from bianchicert.pipeline import (FIG8, bezout_rt, construct_series, h_matrix,
                                   sigma_from_xi, validate_fig8)
-from bianchicert.psl2 import eval_word, render_word
+from bianchicert.psl2 import PslElement, eval_word, render_word
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     print(f"Bezout: -3*{r} - {4 * n}*({t}) = {-3 * r - 4 * n * t}")
 
     sigma = sigma_from_xi(xi)
-    h = build_h(params.level, 3, xi, r, t)
+    h = PslElement(h_matrix(params.level, 3, xi, r, t))
     print(f"h = {h.render()}")
 
     f = eval_word({"h": h, "sigma": sigma}, (("h", 1), ("sigma", 6), ("h", -1)))

@@ -15,7 +15,7 @@ from functools import cache
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .psl2 import Mat2, PslElement
+from .psl2 import Mat2, PslElement, _first_nonzero
 from .quadint import QuadInt, is_prime
 
 
@@ -54,16 +54,9 @@ def _signed_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
     must not rescale: T A T* preserves the determinant exactly, while the
     rational content of a triple can change even when the content ideal of
     the Hermitian matrix does not."""
-    if a < 0 or (a == 0 and _first_nonzero(*B.half_pair(), c) < 0):
+    if _first_nonzero((a, *B.half_pair(), c)) < 0:
         return CircleTriple(-a, -B, -c)
     return CircleTriple(a, B, c)
-
-
-def _first_nonzero(*values: int) -> int:
-    for v in values:
-        if v != 0:
-            return v
-    return 0
 
 
 def circle_at_origin(d: int, D: int) -> CircleTriple:

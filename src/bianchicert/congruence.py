@@ -4,17 +4,17 @@ figure-eight group membership test through its level-4 image.
 
 A residue matrix is its eight coordinates on {1, tau_d}, reduced into
 [0, n) and in sign normal form, so reduction, products, inverses,
-equality and hashing read only ints.  One function, `_normal_form`, gives
-every residue matrix its form and checks its determinant.
+equality and hashing read only ints.  Its constructor gives every residue
+matrix its form and checks its determinant.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .psl2 import Mat2, PslElement
-from .quadint import QuadInt, _tau_square
+from .quadint import Frozen, QuadInt, _tau_square
 
 SURJECTIVITY_NOTE = (
     "finite-model indices are exact statements about subgroups of the "
@@ -28,22 +28,36 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
-class ResidueMatrix(NamedTuple):
-    """Determinant-1 matrix over R_n = O_d/(n) in projective normal form:
-    xy holds the coordinates (a11.x, a11.y, ..., a22.y) in [0, n), and of M
-    and -M the lexicographically smaller tuple.  Built by `_normal_form`."""
+class ResidueMatrix(Frozen):
+    """Determinant-1 matrix over R_n = O_d/(n) in projective normal form: xy
+    holds the coordinates (a11.x, a11.y, ..., a22.y) reduced into [0, n), of
+    M and -M the lexicographically smaller tuple.  Built from any integer
+    coordinates over a valid d; raises ValueError unless n >= 2, det = 1 mod n."""
 
-    d: int
-    n: int
-    xy: tuple[int, ...]
+    __slots__ = ("d", "n", "xy")
 
-    def coords(self) -> tuple[int, ...]:
-        return self.xy
+    def __init__(self, d: int, n: int, xy: Iterable[int]) -> None:
+        if n < 2:
+            raise ValueError(f"modulus must be >= 2, got {n}")
+        xy = tuple([v % n for v in xy])
+        ax, ay, bx, by, cx, cy, ex, ey = xy
+        det_x, det_y = _mul_add(*_tau_square(d), ax, ay, ex, ey, -bx, -by, cx, cy)  # a*e - b*c
+        det_x, det_y = det_x % n, det_y % n
+        if (det_x, det_y) != (1, 0):
+            raise ValueError(f"determinant {QuadInt(d, det_x, det_y)} is not 1 in R_{n}")
+        _set_d(self, d)
+        _set_n(self, n)
+        _set_xy(self, min(xy, tuple([-v % n for v in xy])))
+
+    def _values(self) -> tuple[int, int, tuple[int, ...]]:
+        return (self.d, self.n, self.xy)
 
     def is_identity(self) -> bool:
         return self.xy == _IDENTITY_XY  # the normal form of +-1, as n >= 2
 
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":  # type: ignore[override]
+    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
+        if type(other) is not ResidueMatrix:
+            return NotImplemented
         d, n = self.d, self.n
         if (other.d, other.n) != (d, n):
             raise ValueError(f"mismatched residue rings: (d, n) = ({d}, {n}) "
@@ -51,7 +65,7 @@ class ResidueMatrix(NamedTuple):
         s, t2 = _tau_square(d)
         ax, ay, bx, by, cx, cy, ex, ey = self.xy
         fx, fy, gx, gy, hx, hy, kx, ky = other.xy
-        return _normal_form(d, n, (
+        return ResidueMatrix(d, n, (
             *_mul_add(s, t2, ax, ay, fx, fy, bx, by, hx, hy),
             *_mul_add(s, t2, ax, ay, gx, gy, bx, by, kx, ky),
             *_mul_add(s, t2, cx, cy, fx, fy, ex, ey, hx, hy),
@@ -60,7 +74,10 @@ class ResidueMatrix(NamedTuple):
     def inv(self) -> "ResidueMatrix":
         # the adjugate, valid since det = 1 in R_n
         ax, ay, bx, by, cx, cy, ex, ey = self.xy
-        return _normal_form(self.d, self.n, (ex, ey, -bx, -by, -cx, -cy, ax, ay))
+        return ResidueMatrix(self.d, self.n, (ex, ey, -bx, -by, -cx, -cy, ax, ay))
+
+
+_set_d, _set_n, _set_xy = (getattr(ResidueMatrix, name).__set__ for name in ResidueMatrix.__slots__)
 
 
 def _mul_add(s: int, t2: int, px: int, py: int, qx: int, qy: int,
@@ -70,28 +87,14 @@ def _mul_add(s: int, t2: int, px: int, py: int, qx: int, qy: int,
     return px * qx + rx * tx - t2 * yy, px * qy + py * qx + rx * ty + ry * tx + s * yy
 
 
-def _normal_form(d: int, n: int, xy: tuple[int, ...]) -> ResidueMatrix:
-    """The class in PSL2(O_d/(n)) of the matrix with coordinates xy, for a
-    valid d; raises ValueError unless n >= 2 and det = 1 mod n."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    xy = tuple([v % n for v in xy])
-    ax, ay, bx, by, cx, cy, ex, ey = xy
-    det_x, det_y = _mul_add(*_tau_square(d), ax, ay, ex, ey, -bx, -by, cx, cy)  # a*e - b*c
-    det_x, det_y = det_x % n, det_y % n
-    if (det_x, det_y) != (1, 0):
-        raise ValueError(f"determinant {QuadInt(d, det_x, det_y)} is not 1 in R_{n}")
-    return ResidueMatrix(d, n, min(xy, tuple([-v % n for v in xy])))
-
-
 def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
     """The class of m in PSL2(O_d/(n)); raises ValueError unless det = 1 mod n."""
     a, b, c, e = m.entries()
-    return _normal_form(a.d, n, (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y))
+    return ResidueMatrix(a.d, n, (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y))
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:
-    return _normal_form(d, n, _IDENTITY_XY)
+    return ResidueMatrix(d, n, _IDENTITY_XY)
 
 
 def phi_n(M: PslElement, n: int) -> ResidueMatrix:
@@ -99,16 +102,11 @@ def phi_n(M: PslElement, n: int) -> ResidueMatrix:
     return residue_matrix(M.rep, n)
 
 
-def in_gamma_n(M: PslElement, n: int) -> bool:
-    """Membership in the principal congruence subgroup of level n."""
-    return phi_n(M, n).is_identity()
-
-
 def reduce_level(m: ResidueMatrix, n2: int) -> ResidueMatrix:
     """Push a level-n residue matrix down to level n2 (n2 must divide n)."""
     if m.n % n2 != 0:
         raise ValueError(f"{n2} does not divide level {m.n}")
-    return _normal_form(m.d, n2, m.xy)
+    return ResidueMatrix(m.d, n2, m.xy)
 
 
 def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[ResidueMatrix]:

@@ -123,15 +123,11 @@ def bezout_rt(d: int, c: int) -> tuple[int, int]:
     return r, t
 
 
-def _h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
-    root = QuadInt.sqrt_minus_d(d)
-    return Mat2(root, xi * (level * t), xi.conj(), root * r)
-
-
-def build_h(level: int, d: int, xi: QuadInt, r: int, t: int) -> PslElement:
+def h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
     """The conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r), of
     determinant 1 when -d r - level |xi|^2 t = 1."""
-    return PslElement(_h_matrix(level, d, xi, r, t))
+    root = QuadInt.sqrt_minus_d(d)
+    return Mat2(root, xi * (level * t), xi.conj(), root * r)
 
 
 # -- witnesses --------------------------------------------------------------
@@ -222,7 +218,7 @@ def _derive(params: Params, k: int) -> CompressionWitness:
         mode=params.mode, d=d, p=params.p, q=params.q,
         x=x if "x" in LAYOUTS[params.mode] else None,
         xi=xi, norm_xi=n_xi, r=r, t=t,
-        h=canonical_sign(_h_matrix(params.level, d, xi, r, t)), k=k, n_k=n_k, D_k=D_k,
+        h=canonical_sign(h_matrix(params.level, d, xi, r, t)), k=k, n_k=n_k, D_k=D_k,
         g_k=canonical_sign(Mat2(alpha, beta * D_k, beta.conj(), alpha.conj())),
         alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
 

@@ -61,6 +61,8 @@ class Mat2(Frozen):
         return not (c.x or c.y or a.y or e.y) and a.x == 1 == e.x
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        if type(other) is not Mat2:
+            return NotImplemented
         a, b, c, e = self.entries()
         f, g, h, k = other.entries()
         if self._over_quadints() and other._over_quadints():
@@ -94,18 +96,19 @@ class Mat2(Frozen):
 _set_a11, _set_a12, _set_a21, _set_a22 = (getattr(Mat2, name).__set__ for name in Mat2.__slots__)
 
 
-def _entry_sign_key(e: QuadInt) -> int:
-    """Sign of the rational part, tie-broken by the tau part."""
-    t = e.trace()  # 2 * rational part
-    return t if t != 0 else e.y
+def _first_nonzero(values: Iterable[int]) -> int:
+    """The first nonzero value, or 0: the one sign rule, of `canonical_sign`
+    and of the circle triples in `circles`."""
+    for v in values:
+        if v:
+            return v
+    return 0
 
 
 def canonical_sign(m: Mat2) -> Mat2:
-    """Of m and -m, the one whose first nonzero entry has positive key."""
-    for e in m.entries():
-        if not e.is_zero():
-            return m if _entry_sign_key(e) > 0 else -m
-    return m
+    """Of m and -m, the one whose first nonzero entry has a positive trace
+    (twice its rational part), or a zero trace and a positive tau part."""
+    return -m if _first_nonzero(v for e in m.entries() for v in (e.trace(), e.y)) < 0 else m
 
 
 class IsometryClass(enum.Enum):
@@ -147,11 +150,9 @@ class PslElement(Frozen):
     def identity(cls, d: int) -> "PslElement":
         return cls(Mat2.identity(d))
 
-    def _check(self, other: "PslElement") -> None:
-        if self.d != other.d:
-            raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
-
     def __mul__(self, other: "PslElement") -> "PslElement":
+        if type(other) is not PslElement:
+            return NotImplemented
         return PslElement(self.rep * other.rep)
 
     def inv(self) -> "PslElement":
@@ -172,11 +173,9 @@ class PslElement(Frozen):
                 result = PslElement(result.rep * base.rep)
         return result
 
-    def negate(self) -> "PslElement":
-        return PslElement(-self.rep)
-
     def psl_eq(self, other: "PslElement") -> bool:
-        self._check(other)
+        if self.d != other.d:
+            raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
         return self.rep == other.rep or all(
             m.x == -n.x and m.y == -n.y for m, n in zip(self.rep.entries(), other.rep.entries()))
 

@@ -2,14 +2,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bianchicert import circles
-from bianchicert.circles import (circle_action, circle_at_origin,
+from bianchicert.circles import (CircleTriple, circle_action, circle_at_origin,
                                  cocompact_certificate, discriminant, hermitian_action,
                                  is_quadratic_nonresidue, primitive_triple,
                                  smallest_nonresidue, stab_form)
 from bianchicert.pipeline import GENERAL, construct_series, validate_general, verify_witness
-from bianchicert.psl2 import PslElement, parse_psl
+from bianchicert.psl2 import Mat2, PslElement, parse_psl
 from bianchicert.quadint import QuadInt, parse_quadint
 
 from test_psl2 import random_psl
@@ -105,6 +107,70 @@ class TestActions:
             assert circle_action(t * u, c) == circle_action(t, circle_action(u, c))
 
 
+def loop_signed_triple(a, B, c):
+    """The triple sign rule as written before it read psl2's: a > 0, or a = 0
+    and the first nonzero of (b1, b2, c) positive."""
+    def first_nonzero(*values):
+        for v in values:
+            if v != 0:
+                return v
+        return 0
+    if a < 0 or (a == 0 and first_nonzero(*B.half_pair(), c) < 0):
+        return CircleTriple(-a, -B, -c)
+    return CircleTriple(a, B, c)
+
+
+SIGN_DS = (1, 2, 3, 5, 7)
+
+
+@st.composite
+def raw_triple(draw, d):
+    """(a, B, c) with a = 0, B = 0, b1 = 0 or b2 = 0 frequent."""
+    a, c = (draw(st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9)) for _ in range(2))
+    kind = draw(st.sampled_from(("zero", "root", "integer", "any")))
+    x, y = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    B = {"zero": QuadInt.integer(d, 0), "root": QuadInt.sqrt_minus_d(d) * x,
+         "integer": QuadInt.integer(d, x), "any": QuadInt(d, x, y)}[kind]
+    return a, B, c
+
+
+@st.composite
+def unimodular_psl(draw, d):
+    """A product of elementary matrices, some runs lower triangular only, so
+    the image of a line (a = 0) is often a line."""
+    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+    m = Mat2.identity(d)
+    for upper, x, y in draw(st.lists(st.tuples(st.booleans(), st.integers(-3, 3),
+                                               st.integers(-3, 3)), max_size=4)):
+        t = QuadInt(d, x, y)
+        m = m * (Mat2(one, t, zero, one) if upper else Mat2(one, zero, t, one))
+    return PslElement(m)
+
+
+class TestOneSignRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(SIGN_DS))
+    def test_primitive_triple_matches_loop(self, data, d):
+        a, B, c = data.draw(raw_triple(d))
+        assume(B.norm() - a * c > 0)
+        t = primitive_triple(a, B, c)
+        # either sign of the content-divided triple gives t under the old rule
+        assert loop_signed_triple(t.a, t.B, t.c) == t == loop_signed_triple(-t.a, -t.B, -t.c)
+        # t is +-(a, B, c) / content
+        assert t.a * B == a * t.B and t.c * B == c * t.B and t.c * a == c * t.a
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(SIGN_DS))
+    def test_actions_match_loop(self, data, d):
+        C = CircleTriple(*data.draw(raw_triple(d)))
+        T = data.draw(unimodular_psl(d))
+        V = PslElement(T.inv().rep.transpose())  # circle_action is the Hermitian action of V
+        for action, M in ((hermitian_action, T), (circle_action, V)):
+            m = M.rep * C.matrix() * M.rep.conj_transpose()
+            want = loop_signed_triple(m.a11.rational_value(), m.a12, m.a22.rational_value())
+            assert action(T, C) == want
+
+
 class TestStabForm:
     def test_identity(self):
         alpha, beta = stab_form(PslElement.identity(3), 5)
@@ -127,7 +193,7 @@ class TestStabForm:
         g1 = parse_psl(
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
-        assert stab_form(g1.negate(), 216733332353) is not None
+        assert stab_form(PslElement(-g1.rep), 216733332353) is not None
 
     def test_member_fixes_circle(self):
         g1 = parse_psl(

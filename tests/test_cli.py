@@ -1,17 +1,23 @@
 import ast
+import contextlib
 import io
 import os
+import random
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchicert import cli, golden
 from bianchicert.cli import (EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                              main, parse_k_range)
-from bianchicert.pipeline import ConsistencyError, InvalidParams, parse_witnesses, verify_witness
+from bianchicert.pipeline import (LAYOUTS, ConsistencyError, InvalidParams, parse_witnesses,
+                                  verify_witness)
 
 from test_pipeline import (FUZZ_RECORDS, HOSTILE_D, LAYOUT_PROBES, REPEATED_KEYS, edited,
                            inserted_ahead, sugared)
@@ -391,3 +397,70 @@ class TestAppendix:
         assert out == ""
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+# the fields the magnitude gate scales: the leading digits of an integer field,
+# of xi's rational part or of the first word exponent get 10^3 to 10^5 more
+MAGNIFIED = ("k", "p", "q", "n_k", "D_k", "r", "t", "norm_xi", "x", "xi", "word")
+
+
+def magnified(text, key, digits, negate=False):
+    """text with `digits` put ahead of the first digit run of its `key:` value,
+    and an integer field negated when asked; `d:` is set to `digits`."""
+    line = re.search(rf"^{key}: (.*)$", text, re.M)
+    value = digits if key == "d" else re.sub(r"\d+", lambda m: digits + m[0], line[1], count=1)
+    if negate and key not in ("d", "xi", "word"):
+        value = value[1:] if value.startswith("-") else "-" + value
+    return text[:line.start(1)] + value + text[line.end(1):]
+
+
+def verify_exit(path):
+    """verify's exit code on path and its wall time, under CPython's default
+    4300-digit limit on int() and str()."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            start = time.perf_counter()
+            code = main(["verify", str(path)])
+            return code, time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def magnitude_case(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_RECORDS)))
+    text = FUZZ_RECORDS[name].render()
+    if draw(st.integers(0, 11)) == 0:
+        return magnified(text, "d", str(draw(st.integers(1, 10**30 - 1))))
+    layout = LAYOUTS[FUZZ_RECORDS[name].mode]
+    key = draw(st.sampled_from([key for key in MAGNIFIED if key in layout]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = draw(st.integers(10**3, 4300) | st.integers(4301, 10**5))  # both sides of the limit
+    digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=size - 1))
+    return magnified(text, key, digits, draw(st.booleans()))
+
+
+class TestMagnitudeFuzz:
+    """A record with one field scaled to 10^3-10^5 digits, or a d of up to
+    30 digits, gets a verdict or is bad input, never a crash, within 1 s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnitude_case())
+    def test_scaled_field_is_never_a_crash(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("magnitude") / "w.txt"
+        path.write_text(text)
+        code, seconds = verify_exit(path)
+        assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_BAD_INPUT)
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in sorted(FUZZ_RECORDS)
+                                           for key in MAGNIFIED
+                                           if key in LAYOUTS[FUZZ_RECORDS[name].mode]])
+    def test_verdict_below_the_digit_limit_and_bad_input_past_it(self, tmp_path, name, key):
+        for size, expected in ((4000, EXIT_MISMATCH), (4400, EXIT_BAD_INPUT)):
+            path = tmp_path / f"w{size}.txt"
+            path.write_text(magnified(FUZZ_RECORDS[name].render(), key, "7" * size))
+            code, seconds = verify_exit(path)
+            assert code == expected and seconds < 1.0

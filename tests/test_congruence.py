@@ -9,7 +9,7 @@ from bianchicert.congruence import (ClosureCapExceeded, ResidueMatrix,
                                     enumerate_psl2, gamma8_generators,
                                     gamma8_level4_image,
                                     gamma8_prime_extra_generator,
-                                    group_closure, in_gamma8, in_gamma_n,
+                                    group_closure, in_gamma8,
                                     phi_n, reduce_level, residue_identity,
                                     residue_matrix)
 from bianchicert.psl2 import Mat2, PslElement, parse_psl
@@ -39,7 +39,7 @@ class TestPhiN:
     def test_conjugator_matches_displayed_element(self):
         # the conjugator for any valid slope reduces to the same level-4
         # class as ((1,2;0,1)(1,0;omega,1))^2
-        from bianchicert.pipeline import bezout_rt, build_h, validate_fig8
+        from bianchicert.pipeline import bezout_rt, h_matrix, validate_fig8
         omega = QuadInt.tau(3) - 1
         a = parse_psl("[[1,2],[0,1]]", 3)
         b = PslElement.from_entries(QuadInt.integer(3, 1), QuadInt.integer(3, 0),
@@ -56,7 +56,7 @@ class TestPhiN:
                 continue
             seen += 1
             r, t = bezout_rt(3, 4 * params.xi.norm())
-            h = build_h(4, 3, params.xi, r, t)
+            h = PslElement(h_matrix(4, 3, params.xi, r, t))
             assert phi_n(h, 4) == phi_n(g, 4)
 
 
@@ -76,7 +76,7 @@ def unimodular(d):
 
 
 def lift(r: ResidueMatrix) -> Mat2:
-    return Mat2(*(QuadInt(r.d, *r.coords()[i:i + 2]) for i in range(0, 8, 2)))
+    return Mat2(*(QuadInt(r.d, *r.xy[i:i + 2]) for i in range(0, 8, 2)))
 
 
 def outcome(f):
@@ -100,11 +100,11 @@ class TestResidueMatrix:
         for _ in range(100):
             m = random_psl(rng, rng.choice((1, 3, 7)))
             n = rng.choice((2, 3, 4, 5))
-            plus, minus = phi_n(m, n), phi_n(m.negate(), n)
+            plus, minus = phi_n(m, n), phi_n(PslElement(-m.rep), n)
             assert plus == minus and hash(plus) == hash(minus)
-            assert all(0 <= c < n for c in plus.coords())
-            negated = tuple(-c % n for c in plus.coords())
-            assert plus.coords() <= negated
+            assert all(0 <= c < n for c in plus.xy)
+            negated = tuple(-c % n for c in plus.xy)
+            assert plus.xy <= negated
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((1, 2, 3, 7, 11)), st.integers(2, 9),
@@ -120,7 +120,7 @@ class TestResidueMatrix:
         plus, minus = residue_matrix(m, n), residue_matrix(-m, n)
         reduced = [tuple(c for e in sign.entries() for c in (e.reduce_mod(n).x, e.reduce_mod(n).y))
                    for sign in (m, -m)]
-        assert plus.coords() == min(reduced)
+        assert plus.xy == min(reduced)
         assert plus == minus and hash(plus) == hash(minus)
 
     @settings(max_examples=200, deadline=None)
@@ -130,19 +130,23 @@ class TestResidueMatrix:
         # oracle: residue_matrix of products, adjugates and the matrix itself
         # over O_d, on the Mat2s of QuadInts that lift the reduced coordinates
         a, b = (residue_matrix(data.draw(unimodular(d)), n) for _ in range(2))
-        x = ResidueMatrix(d, n, tuple(v % n for v in xy))  # det 1 or not
         n2 = data.draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
         assert a * b == residue_matrix(lift(a) * lift(b), n)
         assert a.inv() == residue_matrix(lift(a).adjugate(), n)
         assert reduce_level(a, n2) == residue_matrix(lift(a), n2)
+        # an operand of det 1 or not: the constructor raises the error of its lift
+        x_lift = Mat2(*(QuadInt(d, xy[i], xy[i + 1]) for i in range(0, 8, 2)))
+        x = outcome(lambda: ResidueMatrix(d, n, xy))
+        assert x == outcome(lambda: residue_matrix(x_lift, n))
+        det = x_lift.det().reduce_mod(n)
+        if det != QuadInt.integer(d, 1):
+            assert x == f"determinant {det} is not 1 in R_{n}"
+            return
         for got, oracle in ((lambda: a * x, lambda: lift(a) * lift(x)),
                             (lambda: x * a, lambda: lift(x) * lift(a)),
                             (x.inv, lambda: lift(x).adjugate())):
-            assert outcome(got) == outcome(lambda: residue_matrix(oracle(), n))
-        assert outcome(lambda: reduce_level(x, n2)) == outcome(lambda: residue_matrix(lift(x), n2))
-        det = lift(x).det().reduce_mod(n)
-        if det != QuadInt.integer(d, 1):
-            assert outcome(x.inv) == f"determinant {det} is not 1 in R_{n}"
+            assert got() == residue_matrix(oracle(), n)
+        assert reduce_level(x, n2) == residue_matrix(lift(x), n2)
 
     def test_modulus_below_two_rejected(self):
         with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
@@ -155,14 +159,14 @@ class TestResidueMatrix:
 
 class TestGammaN:
     def test_mu_levels(self):
-        assert in_gamma_n(MU ** 4, 4)
-        assert not in_gamma_n(MU, 4)
+        assert phi_n(MU ** 4, 4).is_identity()
+        assert not phi_n(MU, 4).is_identity()
 
     def test_golden_g1_in_gamma4(self):
         g1 = parse_psl(
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
-        assert in_gamma_n(g1, 4)
+        assert phi_n(g1, 4).is_identity()
 
 
 class TestClosure:
@@ -172,7 +176,7 @@ class TestClosure:
 
     def test_idempotent(self):
         h8 = gamma8_level4_image()
-        again = group_closure(tuple(sorted(h8, key=lambda m: m.coords())))
+        again = group_closure(tuple(sorted(h8, key=lambda m: m.xy)))
         assert again == h8
 
     def test_cap(self):
@@ -245,7 +249,7 @@ def gamma8_oracle(m: PslElement) -> bool:
     """Whether +-M, its entries reduced mod 4 as QuadInts, equals some element
     of the level-4 image coordinate by coordinate, by a scan of the image."""
     signs = [[e.reduce_mod(4) for e in sign.entries()] for sign in (m.rep, -m.rep)]
-    return any(all((e.x, e.y) == r.coords()[2 * i:2 * i + 2] for i, e in enumerate(entries))
+    return any(all((e.x, e.y) == r.xy[2 * i:2 * i + 2] for i, e in enumerate(entries))
                for r in gamma8_level4_image() for entries in signs)
 
 

@@ -117,5 +117,5 @@ def test_pinned_text_round_trips():
 def test_finite_model_is_pinned(build, size, digest):
     group = build()
     assert len(group) == size
-    assert sha256("\n".join(sorted(",".join(map(str, m.coords()))
+    assert sha256("\n".join(sorted(",".join(map(str, m.xy))
                                    for m in group))) == digest

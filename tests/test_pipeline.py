@@ -13,8 +13,8 @@ from bianchicert import pipeline, quadint
 from bianchicert.circles import circle_action, circle_at_origin, is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, InvalidParams,
-                                  bezout_rt, build_h, construct_series,
-                                  construct_witness, parse_witnesses,
+                                  bezout_rt, construct_series,
+                                  construct_witness, h_matrix, parse_witnesses,
                                   render_witnesses, run_checks, sigma_from_xi, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
@@ -66,7 +66,7 @@ def fig8_middle_closed_form(xi):
 
 
 def fig8_h(params):
-    return build_h(4, 3, params.xi, *bezout_rt(3, 4 * params.xi.norm()))
+    return PslElement(h_matrix(4, 3, params.xi, *bezout_rt(3, 4 * params.xi.norm())))
 
 
 def fig8_middle_factor(params):
@@ -300,7 +300,7 @@ class TestConstructGeneral:
         w = construct_witness(GENERAL, params, 2)
         sigma = sigma_from_xi(params.xi)
         r, t = bezout_rt(7, 106)
-        h = build_h(1, 7, params.xi, r, t)
+        h = PslElement(h_matrix(1, 7, params.xi, r, t))
         g = eval_word({"sigma": sigma, "h": h}, w.word)
         assert g.psl_eq(PslElement(w.g_k))
 

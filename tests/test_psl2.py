@@ -301,7 +301,7 @@ class TestProjectiveEquality:
     def test_negation(self):
         rng = random.Random(15)
         m = random_psl(rng, 3)
-        assert m.psl_eq(m.negate())
+        assert m.psl_eq(PslElement(-m.rep))
 
     def test_distinct(self):
         assert not PslElement.identity(3).psl_eq(MU)
@@ -324,7 +324,7 @@ def test_matrices_have_no_dict():
 class TestIsIdentity:
     def test_both_signs(self):
         assert PslElement.identity(7).is_identity()
-        assert PslElement.identity(7).negate().is_identity()
+        assert PslElement(-PslElement.identity(7).rep).is_identity()
 
     def test_others(self):
         rng = random.Random(20)
@@ -349,7 +349,7 @@ class TestClassify:
 
     def test_identity(self):
         assert PslElement.identity(3).classify() is IsometryClass.IDENTITY
-        assert PslElement.identity(3).negate().classify() is IsometryClass.IDENTITY
+        assert PslElement(-PslElement.identity(3).rep).classify() is IsometryClass.IDENTITY
 
     def test_conjugation_invariant(self):
         rng = random.Random(17)
@@ -363,7 +363,7 @@ class TestClassify:
         rng = random.Random(18)
         for _ in range(60):
             m = random_psl(rng, 3)
-            assert m.negate().classify() is m.classify()
+            assert PslElement(-m.rep).classify() is m.classify()
 
     def test_nonreal_trace_hyperbolic(self):
         root = QuadInt.sqrt_minus_d(2)
@@ -479,9 +479,45 @@ class TestEvalWordDifferential:
             eval_word({"u": u}, [("u", 1), ("u", 2), ("w", -1)])
 
 
+def loop_canonical_sign(m):
+    """The sign rule as an entry loop: of m and -m, the one whose first nonzero
+    entry has a positive trace, or a zero trace and a positive tau part."""
+    for e in m.entries():
+        if not e.is_zero():
+            key = e.trace() if e.trace() != 0 else e.y
+            return m if key > 0 else -m
+    return m
+
+
+@st.composite
+def sign_entry(draw, d):
+    """Zero, a multiple of sqrt(-d) (trace 0), an integer or any element."""
+    kind = draw(st.sampled_from(("zero", "root", "integer", "any")))
+    x, y = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    if kind == "zero":
+        return QuadInt.integer(d, 0)
+    if kind == "root":
+        return QuadInt.sqrt_minus_d(d) * x
+    return QuadInt(d, x, 0 if kind == "integer" else y)
+
+
+@st.composite
+def sign_matrix(draw):
+    d = draw(st.sampled_from((1, 2, 3, 5, 7, 11)))
+    return Mat2(*(draw(sign_entry(d)) for _ in range(4)))
+
+
+class TestOneSignRule:
+    @settings(max_examples=400, deadline=None)
+    @given(sign_matrix())
+    def test_canonical_sign_matches_entry_loop(self, m):
+        assert canonical_sign(m) == loop_canonical_sign(m)
+        assert canonical_sign(-m) == canonical_sign(m) or all(e.is_zero() for e in m.entries())
+
+
 class TestSerialization:
     def test_canonical_sign(self):
-        m = MU.negate()
+        m = PslElement(-MU.rep)
         assert canonical_sign(m.rep) == MU.rep
 
     def test_round_trip(self):

@@ -1,13 +1,16 @@
-"""The value types QuadInt, Mat2 and PslElement: immutable, equal only to an
-instance of their own type, hashed and shown by their fields, copied and
-pickled by value, unordered, without the concatenation or repetition of a
-tuple; a QuadInt also has no per-instance `__dict__`."""
+"""The value types QuadInt, Mat2, PslElement and ResidueMatrix: immutable,
+equal only to an instance of their own type, hashed and shown by their
+fields, copied and pickled by value, unordered, without the concatenation or
+repetition of a tuple, and multiplied only by their own type; a QuadInt and
+a ResidueMatrix also have no per-instance `__dict__`, and a ResidueMatrix is
+not a tuple."""
 
 import copy
 import pickle
 
 import pytest
 
+from bianchicert.congruence import ResidueMatrix, residue_identity, residue_matrix
 from bianchicert.psl2 import Mat2, PslElement
 from bianchicert.quadint import QuadInt
 
@@ -30,6 +33,10 @@ def psl():
     return PslElement(mat2())
 
 
+def residue():
+    return residue_matrix(mat2(), 4)
+
+
 # (build a fresh value, its fields in order, its repr)
 VALUES = {
     "QuadInt": (quadint, ("d", "x", "y"), f"QuadInt(d=3, x={BIG}, y=-5)"),
@@ -40,6 +47,8 @@ VALUES = {
                    f"PslElement(rep=Mat2(a11=QuadInt(d=3, x=1, y=0), "
                    f"a12=QuadInt(d=3, x={BIG}, y=-5), a21=QuadInt(d=3, x=0, y=0), "
                    f"a22=QuadInt(d=3, x=1, y=0)))"),
+    "ResidueMatrix": (residue, ("d", "n", "xy"),
+                      "ResidueMatrix(d=3, n=4, xy=(1, 0, 1, 3, 0, 0, 1, 0))"),
 }
 TYPES = list(VALUES)
 
@@ -96,7 +105,7 @@ def test_unordered(name):
             compare()
 
 
-@pytest.mark.parametrize("name", ["Mat2", "PslElement"])
+@pytest.mark.parametrize("name", ["Mat2", "PslElement", "ResidueMatrix"])
 def test_no_tuple_concatenation_or_repetition(name):
     m = VALUES[name][0]()
     for op in (lambda: m + m, lambda: 3 * m, lambda: (1, 2) + m):
@@ -107,3 +116,24 @@ def test_no_tuple_concatenation_or_repetition(name):
 def test_quadint_has_no_dict():
     # Mat2 and PslElement are slotted too; tests/test_psl2.py checks them
     assert not hasattr(quadint(), "__dict__")
+
+
+def test_residue_matrix_is_a_slotted_non_tuple():
+    r = residue()
+    assert not hasattr(r, "__dict__") and not isinstance(r, tuple)
+
+
+def test_residue_matrix_constructor_normalizes():
+    minus_one = ResidueMatrix(3, 4, (-1, 0, 0, 0, 0, 0, -1, 0))
+    assert minus_one == ResidueMatrix(3, 4, (3, 0, 0, 0, 0, 0, 3, 0)) == residue_identity(3, 4)
+    assert minus_one.xy == (1, 0, 0, 0, 0, 0, 1, 0) and minus_one.is_identity()
+    with pytest.raises(ValueError, match=r"^determinant 3 is not 1 in R_4$"):
+        ResidueMatrix(3, 4, (3, 0, 0, 0, 0, 0, 1, 0))
+
+
+def test_product_with_another_type_raises_type_error():
+    m, p, r = Mat2.identity(3), psl(), residue()
+    for op in (lambda: m * 3, lambda: p * p.rep, lambda: p.rep * p, lambda: r * 2,
+               lambda: p * r, lambda: r * p, lambda: m * one()):
+        with pytest.raises(TypeError):
+            op()
