@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .psl2 import Mat2, PslElement, _first_nonzero
-from .quadint import QuadInt, is_prime
+from .quadint import QuadInt, _tau_square, is_prime
 
 
 class CircleTriple(NamedTuple):
@@ -96,14 +96,17 @@ def stab_form(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
 
     Returns (alpha, beta) with |alpha|^2 - D|beta|^2 = 1 iff the representative
     has the shape; this is membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm
-    equation are invariant under M -> -M, so -M need not be tried.
+    equation are invariant under M -> -M, so -M need not be tried.  The shape
+    is read on coordinates, as conj(x + y*tau) = (x + s*y) - y*tau.
     """
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
     m = M.rep
-    alpha, beta = m.a11, m.a21.conj()
-    if m.a22 == alpha.conj() and m.a12 == beta * D and alpha.norm() - D * beta.norm() == 1:
-        return (alpha, beta)
+    s, _ = _tau_square(M.d)
+    ax, ay, bx, by, cx, cy, ex, ey = m.xy()
+    if (ex == ax + s * ay and ey == -ay and bx == D * (cx + s * cy) and by == -D * cy
+            and m.a11.norm() - D * m.a21.norm() == 1):
+        return (m.a11, m.a21.conj())
     return None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .psl2 import Mat2, PslElement
+from .psl2 import Mat2, PslElement, det_xy, product_xy
 from .quadint import Frozen, QuadInt, _tau_square
 
 SURJECTIVITY_NOTE = (
@@ -40,8 +40,7 @@ class ResidueMatrix(Frozen):
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
         xy = tuple([v % n for v in xy])
-        ax, ay, bx, by, cx, cy, ex, ey = xy
-        det_x, det_y = _mul_add(*_tau_square(d), ax, ay, ex, ey, -bx, -by, cx, cy)  # a*e - b*c
+        det_x, det_y = det_xy(*_tau_square(d), xy)
         det_x, det_y = det_x % n, det_y % n
         if (det_x, det_y) != (1, 0):
             raise ValueError(f"determinant {QuadInt(d, det_x, det_y)} is not 1 in R_{n}")
@@ -62,14 +61,7 @@ class ResidueMatrix(Frozen):
         if (other.d, other.n) != (d, n):
             raise ValueError(f"mismatched residue rings: (d, n) = ({d}, {n}) "
                              f"vs ({other.d}, {other.n})")
-        s, t2 = _tau_square(d)
-        ax, ay, bx, by, cx, cy, ex, ey = self.xy
-        fx, fy, gx, gy, hx, hy, kx, ky = other.xy
-        return ResidueMatrix(d, n, (
-            *_mul_add(s, t2, ax, ay, fx, fy, bx, by, hx, hy),
-            *_mul_add(s, t2, ax, ay, gx, gy, bx, by, kx, ky),
-            *_mul_add(s, t2, cx, cy, fx, fy, ex, ey, hx, hy),
-            *_mul_add(s, t2, cx, cy, gx, gy, ex, ey, kx, ky)))
+        return ResidueMatrix(d, n, product_xy(*_tau_square(d), self.xy, other.xy))
 
     def inv(self) -> "ResidueMatrix":
         # the adjugate, valid since det = 1 in R_n
@@ -80,17 +72,9 @@ class ResidueMatrix(Frozen):
 _set_d, _set_n, _set_xy = (getattr(ResidueMatrix, name).__set__ for name in ResidueMatrix.__slots__)
 
 
-def _mul_add(s: int, t2: int, px: int, py: int, qx: int, qy: int,
-             rx: int, ry: int, tx: int, ty: int) -> tuple[int, int]:
-    """The coordinates of p*q + r*t in O_d, where tau^2 = s*tau - t2."""
-    yy = py * qy + ry * ty
-    return px * qx + rx * tx - t2 * yy, px * qy + py * qx + rx * ty + ry * tx + s * yy
-
-
 def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
     """The class of m in PSL2(O_d/(n)); raises ValueError unless det = 1 mod n."""
-    a, b, c, e = m.entries()
-    return ResidueMatrix(a.d, n, (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y))
+    return ResidueMatrix(m.a11.d, n, m.xy())
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:
@@ -187,10 +171,18 @@ def gamma8_level4_image() -> frozenset[ResidueMatrix]:
     return group_closure((phi_n(g1, 4), phi_n(g2, 4)))
 
 
+@lru_cache(maxsize=1)
+def _gamma8_level4_xy() -> frozenset[tuple[int, ...]]:
+    """The level-4 image as coordinates in [0, 4), both signs of each element."""
+    return frozenset(xy for m in gamma8_level4_image()
+                     for xy in (m.xy, tuple([-v % 4 for v in m.xy])))
+
+
 def in_gamma8(M: PslElement) -> bool:
     """Membership in the figure-eight group: the group contains the level-4
     principal congruence subgroup, so membership only depends on the level-4
-    image."""
+    image: as det M = 1 and the set holds both signs, M's coordinates mod 4
+    are in it exactly when `phi_n(M, 4)` is in the image."""
     if M.d != 3:
         raise ValueError(f"figure-eight membership requires d=3, got d={M.d}")
-    return phi_n(M, 4) in gamma8_level4_image()
+    return tuple([v % 4 for v in M.rep.xy()]) in _gamma8_level4_xy()

@@ -100,8 +100,7 @@ def xi_fig8(p: int, q: int) -> QuadInt:
 
 
 def sigma_from_xi(xi: QuadInt) -> PslElement:
-    one = QuadInt.integer(xi.d, 1)
-    zero = QuadInt.integer(xi.d, 0)
+    one, zero, _, _ = Mat2.identity(xi.d).entries()  # cached per d
     return PslElement.from_entries(one, xi, zero, one)
 
 
@@ -158,13 +157,16 @@ FIELDS: dict[str, tuple[Callable[[str, int], Any], Callable[[Any], str], bool]] 
 # Each mode's record: its keys in render order -> None, then its trailer,
 # each check the mode runs -> "pass" and the fig8 finite-model note.  A record
 # exists only when all its checks pass, so its mode fixes its trailer; render
-# writes this, _parse_block reads nothing else and run_checks runs its checks.
+# writes this, _parse_block reads nothing else and run_checks runs its checks;
+# TRAILERS holds each trailer alone.
 LAYOUTS: dict[str, dict[str, Optional[str]]] = {
     mode: {**dict.fromkeys(key for key in FIELDS if key not in absent),
            **{f"check.{name}": "pass" for name in CHECKS if name not in absent}, **notes}
     for mode, absent, notes in (
         (FIG8, ("x",), {"assumption": congruence.SURJECTIVITY_NOTE}),
         (GENERAL, ("p", "q", "gamma8_membership"), {}))}
+TRAILERS = {mode: {key: value for key, value in layout.items() if value is not None}
+            for mode, layout in LAYOUTS.items()}
 
 
 class CompressionWitness(NamedTuple):
@@ -320,10 +322,10 @@ def _parse_block(lines: list[str]) -> CompressionWitness:
     if layout is None:
         raise ValueError(f"unknown witness mode {fields['mode']!r}" if "mode" in fields
                          else "missing witness key 'mode'")
-    for key, value in fields.items():
-        if key not in layout or layout[key] not in (None, value):
-            raise ValueError(f"unexpected witness line {f'{key}: {value}'!r}")
-    if len(fields) < len(layout):
+    if fields.keys() != layout.keys() or not TRAILERS[fields["mode"]].items() <= fields.items():
+        for key, value in fields.items():  # name the fault
+            if key not in layout or layout[key] not in (None, value):
+                raise ValueError(f"unexpected witness line {f'{key}: {value}'!r}")
         missing = next(key for key in layout if key not in fields)
         raise ValueError(f"missing witness key {missing!r}")
     d = int(fields["d"])

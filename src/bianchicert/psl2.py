@@ -1,29 +1,30 @@
 """Exact 2x2 matrix algebra over O_d and projective (PSL) elements.
 
 Mat2 is duck-typed over its entries: anything with ring operators works
-(QuadInt, QuadRat, int).  A product or determinant whose entries are all
-QuadInts of one ring goes through the coordinate kernel `quadint.mul_add`,
-one object per result entry; other entry types take the ring operators.
-A product with a translation (1, t; 0, 1) is an elementary operation: on
-the right it adds t*col1 to col2, on the left t*row2 to row1, and the two
-untouched entries are reused.  The finite quotients PSL2(O_d/(n)) use Mat2s
-of QuadInts with coordinates reduced mod n.  PslElement enforces
-determinant 1 over O_d and compares projectively (M ~ -M) on coordinates.
+(QuadInt, QuadRat, int).  A matrix of QuadInts of one ring is also its eight
+integer coordinates `xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and
+`det_xy` compute on them through `quadint.mul_add`, after one ring check,
+and so do the residue matrices of `congruence`; other entry types take the
+ring operators.  A product with a translation (1, t; 0, 1) keeps the two
+entries it does not change.  PslElement enforces determinant 1 over O_d and
+compares projectively (M ~ -M) on coordinates.
 
-`eval_word` evaluates a word in a running Mat2 and det-checks only its
-value: u^e for a translation u = (1, t; 0, 1) is (1, e*t; 0, 1); a run
-x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p), with (p; q) the
-first column of X = x^k, equal to X u^e X^-1 because det X = 1, which every
-PslElement guarantees; any other term is the rep of its power.
+`eval_word` keeps its running product as coordinates and builds one Mat2 and
+one PslElement, for the value: u^e for a translation u = (1, t; 0, 1) is
+(1, e*t; 0, 1); a run x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p),
+with (p; q) the first column of X = x^k, equal to X u^e X^-1 because
+det X = 1, which every PslElement guarantees; any other term is the rep of
+its power.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from functools import cache
 from typing import Any, Iterable, Mapping, Optional
 
-from .quadint import Frozen, QuadInt, mul_add, parse_quadint
+from .quadint import Frozen, QuadInt, _tau_square, from_xy, mul_add, parse_quadint, tau_square_of
 
 Word = tuple[tuple[str, int], ...]
 
@@ -42,6 +43,11 @@ class Mat2(Frozen):
 
     _values = entries
 
+    def xy(self) -> tuple[int, ...]:
+        """The eight coordinates (a11.x, a11.y, ..., a22.y) of a matrix of QuadInts."""
+        a, b, c, e = self.a11, self.a12, self.a21, self.a22
+        return (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y)
+
     def _over_quadints(self) -> bool:
         """Whether every entry is a QuadInt, so the coordinate kernel applies."""
         return type(self.a11) is type(self.a12) is type(self.a21) is type(self.a22) is QuadInt
@@ -49,7 +55,7 @@ class Mat2(Frozen):
     def det(self) -> Any:
         a, b, c, e = self.entries()
         if self._over_quadints():
-            return mul_add(a, e, b, c, -1)
+            return from_xy(a, det_xy(*tau_square_of(a, b, c, e), self.xy()))[0]
         return a * e - b * c
 
     def trace(self) -> Any:
@@ -65,14 +71,12 @@ class Mat2(Frozen):
             return NotImplemented
         a, b, c, e = self.entries()
         f, g, h, k = other.entries()
-        if self._over_quadints() and other._over_quadints():
-            if other.is_translation():  # col2 += g * col1
-                return Mat2(a, mul_add(a, g, b, k), c, mul_add(c, g, e, k))
-            if self.is_translation():  # row1 += b * row2
-                return Mat2(mul_add(a, f, b, h), mul_add(a, g, b, k), h, k)
-            return Mat2(mul_add(a, f, b, h), mul_add(a, g, b, k),
-                        mul_add(c, f, e, h), mul_add(c, g, e, k))
-        return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
+        if not (self._over_quadints() and other._over_quadints()):
+            return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
+        new = from_xy(a, product_xy(*tau_square_of(a, b, c, e, f, g, h, k), self.xy(), other.xy()))
+        if other.is_translation():  # col2 += g * col1 keeps column 1
+            return Mat2(a, new[1], c, new[3])
+        return Mat2(*new[:2], h, k) if self.is_translation() else Mat2(*new)  # row 2 is kept
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
@@ -86,17 +90,32 @@ class Mat2(Frozen):
     def adjugate(self) -> "Mat2":
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
-    @classmethod
-    def identity(cls, d: int) -> "Mat2":
-        one = QuadInt.integer(d, 1)
-        zero = QuadInt.integer(d, 0)
-        return cls(one, zero, zero, one)
+    @staticmethod
+    @cache  # per accepted d; a rejected d raises
+    def identity(d: int) -> "Mat2":
+        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+        return Mat2(one, zero, zero, one)
 
 
 _set_a11, _set_a12, _set_a21, _set_a22 = (getattr(Mat2, name).__set__ for name in Mat2.__slots__)
 
 
-def _first_nonzero(values: Iterable[int]) -> int:
+def product_xy(s: int, n: int, m: tuple[int, ...], o: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates of the product of the matrices with coordinates m, o over O_d."""
+    ax, ay, bx, by, cx, cy, ex, ey = m
+    fx, fy, gx, gy, hx, hy, kx, ky = o
+    return (*mul_add(s, n, ax, ay, fx, fy, bx, by, hx, hy),
+            *mul_add(s, n, ax, ay, gx, gy, bx, by, kx, ky),
+            *mul_add(s, n, cx, cy, fx, fy, ex, ey, hx, hy),
+            *mul_add(s, n, cx, cy, gx, gy, ex, ey, kx, ky))
+
+
+def det_xy(s: int, n: int, m: tuple[int, ...]) -> tuple[int, int]:
+    """The coordinates of a11*a22 - a12*a21 for the matrix with coordinates m."""
+    return mul_add(s, n, m[0], m[1], m[6], m[7], -m[2], -m[3], m[4], m[5])
+
+
+def _first_nonzero(values: tuple[int, ...]) -> int:
     """The first nonzero value, or 0: the one sign rule, of `canonical_sign`
     and of the circle triples in `circles`."""
     for v in values:
@@ -107,8 +126,12 @@ def _first_nonzero(values: Iterable[int]) -> int:
 
 def canonical_sign(m: Mat2) -> Mat2:
     """Of m and -m, the one whose first nonzero entry has a positive trace
-    (twice its rational part), or a zero trace and a positive tau part."""
-    return -m if _first_nonzero(v for e in m.entries() for v in (e.trace(), e.y)) < 0 else m
+    2x + s*y (twice its rational part), or a zero trace and a positive y."""
+    s, _ = _tau_square(m.a11.d)
+    ax, ay, bx, by, cx, cy, ex, ey = m.xy()
+    key = _first_nonzero((2 * ax + s * ay, ay, 2 * bx + s * by, by,
+                          2 * cx + s * cy, cy, 2 * ex + s * ey, ey))
+    return -m if key < 0 else m
 
 
 class IsometryClass(enum.Enum):
@@ -130,8 +153,7 @@ class PslElement(Frozen):
     def __post_init__(self) -> None:
         if not self.rep._over_quadints():
             raise ValueError("PslElement entries must be QuadInt over one ring")
-        det = self.rep.det()  # mul_add raises on entries from two rings
-        if det.x != 1 or det.y != 0:
+        if det_xy(*tau_square_of(*self.rep.entries()), self.rep.xy()) != (1, 0):  # two rings raise
             raise ValueError("PslElement requires determinant 1")
 
     def _values(self) -> tuple[Mat2]:
@@ -176,13 +198,12 @@ class PslElement(Frozen):
     def psl_eq(self, other: "PslElement") -> bool:
         if self.d != other.d:
             raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
-        return self.rep == other.rep or all(
-            m.x == -n.x and m.y == -n.y for m, n in zip(self.rep.entries(), other.rep.entries()))
+        m, o = self.rep.xy(), other.rep.xy()
+        return m == o or m == tuple([-v for v in o])
 
     def is_identity(self) -> bool:
         """Whether rep is +1 or -1."""
-        a, b, c, e = self.rep.entries()
-        return a.x == e.x in (1, -1) and not (a.y or e.y or b.x or b.y or c.x or c.y)
+        return self.rep.xy() in _PLUS_MINUS_ONE
 
     def trace(self) -> QuadInt:
         return self.rep.trace()
@@ -205,6 +226,7 @@ class PslElement(Frozen):
 
 
 _set_rep = PslElement.rep.__set__
+_PLUS_MINUS_ONE = ((1, 0, 0, 0, 0, 0, 1, 0), (-1, 0, 0, 0, 0, 0, -1, 0))
 
 
 _MATRIX_RE = re.compile(r"^\[\[([^\[\]]*),([^\[\]]*)\],\[([^\[\]]*),([^\[\]]*)\]\]$")
@@ -229,38 +251,43 @@ def parse_psl(text: str, d: int) -> PslElement:
 def eval_word(gens: Mapping[str, PslElement], word: Iterable[tuple[str, int]]) -> PslElement:
     """Left-to-right product of gens[id]**exponent, det-checked once.
 
-    A running Mat2 takes each term: u^e for a translation u = (1, t; 0, 1) as
-    (1, e*t; 0, 1); a run x^k u^e x^-k as the transvection 1 + e*t*(p; q)(-q, p),
-    (p; q) the first column of X = x^k, which is X u^e adj(X) = X u^e X^-1 as
-    det X = 1 (true of every PslElement); any other term as (gens[id]**e).rep.
-    The value is the matrix that the product of PslElements gives."""
+    A running product of eight coordinates takes each term: u^e for a
+    translation u = (1, t; 0, 1) as (1, e*t; 0, 1); a run x^k u^e x^-k as the
+    transvection 1 + e*t*(p; q)(-q, p), (p; q) the first column of X = x^k,
+    which is X u^e adj(X) = X u^e X^-1 as det X = 1 (true of every
+    PslElement); any other term as (gens[id]**e).rep.  The value is the
+    matrix that the product of PslElements gives."""
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    result: Optional[Mat2] = None
+    for gen_id, _ in word:
+        if gen_id not in gens:
+            raise KeyError(f"unbound generator id {gen_id!r}")
+    ring = [gens[gen_id].rep.a11 for gen_id, _ in word]  # an entry of each term's ring
+    s, n = tau_square_of(*ring)  # two rings raise
+    xy: Optional[tuple[int, ...]] = None
     i = 0
     while i < len(word):
         gen_id, exponent = word[i]
-        if gen_id not in gens:
-            raise KeyError(f"unbound generator id {gen_id!r}")
-        x = gens[gen_id]
         u_id, e = word[i + 1] if i + 2 < len(word) else (None, 0)
         if (u_id in gens and tuple(word[i + 2]) == (gen_id, -exponent)
                 and gens[u_id].rep.is_translation()):
-            X = (x ** exponent).rep
-            et = gens[u_id].rep.a12 * e
-            etp, etq = X.a11 * et, X.a21 * et
-            etpq = etp * X.a21
-            factor = Mat2(1 - etpq, etp * X.a11, -(etq * X.a21), 1 + etpq)
+            t = gens[u_id].rep.a12
+            tx, ty = e * t.x, e * t.y
+            px, py, _, _, qx, qy, _, _ = (gens[gen_id] ** exponent).rep.xy()
+            ptx, pty = mul_add(s, n, px, py, tx, ty, 0, 0, 0, 0)  # e*t*p
+            qtx, qty = mul_add(s, n, qx, qy, tx, ty, 0, 0, 0, 0)  # e*t*q
+            pqx, pqy = mul_add(s, n, ptx, pty, qx, qy, 0, 0, 0, 0)  # e*t*p*q
+            factor = (1 - pqx, -pqy, *mul_add(s, n, ptx, pty, px, py, 0, 0, 0, 0),
+                      *mul_add(s, n, -qtx, -qty, qx, qy, 0, 0, 0, 0), 1 + pqx, pqy)
             i += 3
         else:
-            rep = x.rep
-            factor = (Mat2(rep.a11, rep.a12 * exponent, rep.a21, rep.a22)
-                      if rep.is_translation() else (x ** exponent).rep)
+            rep = gens[gen_id].rep
+            factor = ((1, 0, exponent * rep.a12.x, exponent * rep.a12.y, 0, 0, 1, 0)
+                      if rep.is_translation() else (gens[gen_id] ** exponent).rep.xy())
             i += 1
-        result = factor if result is None else result * factor
-    assert result is not None
-    return PslElement(result)
+        xy = factor if xy is None else product_xy(s, n, xy, factor)
+    return PslElement(Mat2(*from_xy(ring[0], xy)))
 
 
 def render_word(word: Word) -> str:

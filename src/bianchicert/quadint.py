@@ -18,7 +18,7 @@ also the odd-prime test of `circles.check_odd_prime`.
 
 The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
 Arithmetic results inherit d from an operand that was already validated, so
-`+`, `-`, `*`, `conj`, `reduce_mod` and `mul_add` build them with
+`+`, `-`, `*`, `conj`, `reduce_mod` and `from_xy` build them with
 `_unchecked`, which only this module may call.  An operand of `+`, `-` or
 `*` must be an int or a QuadInt of the same ring.
 """
@@ -143,9 +143,10 @@ class QuadInt(Frozen):
     def tau(cls, d: int) -> "QuadInt":
         return cls(d, 0, 1)
 
-    @classmethod
-    def sqrt_minus_d(cls, d: int) -> "QuadInt":
-        return cls.from_half_pair(d, 0, 2)
+    @staticmethod
+    @cache  # per accepted d; a rejected d raises
+    def sqrt_minus_d(d: int) -> "QuadInt":
+        return QuadInt.from_half_pair(d, 0, 2)
 
     @classmethod
     def from_half_pair(cls, d: int, b1: int, b2: int) -> "QuadInt":
@@ -207,8 +208,10 @@ class QuadInt(Frozen):
         return _unchecked(self.d, -self.x, -self.y)
 
     def __mul__(self, other: "QuadInt | int") -> "QuadInt":
+        if type(other) is int:  # a multiple: no product of two elements
+            return _unchecked(self.d, self.x * other, self.y * other)
         ox, oy = self._coords(other)
-        return _expand(self.d, self.x * ox, self.x * oy + self.y * ox, self.y * oy)
+        return _unchecked(self.d, *mul_add(*_tau_square(self.d), self.x, self.y, ox, oy, 0, 0, 0, 0))
 
     __rmul__ = __mul__
 
@@ -249,8 +252,7 @@ class QuadInt(Frozen):
             u, v = f"{2 * x + y}/2", f"{abs(y)}/2"
         return f"{u}{'+' if y > 0 else '-'}{v}*sqrt(-{self.d})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 _new = object.__new__
@@ -267,22 +269,26 @@ def _unchecked(d: int, x: int, y: int) -> QuadInt:
     return q
 
 
-def _expand(d: int, xx: int, xy: int, yy: int) -> QuadInt:
-    """xx + xy*tau + yy*tau^2 in O_d."""
-    s, n = _tau_square(d)
-    return _unchecked(d, xx - n * yy, xy + s * yy)
+def mul_add(s: int, n: int, px: int, py: int, qx: int, qy: int,
+            rx: int, ry: int, tx: int, ty: int) -> tuple[int, int]:
+    """The coordinates of p*q + r*t in O_d, where tau^2 = s*tau - n: the one
+    product formula, of `QuadInt *` and of every matrix product and determinant."""
+    yy = py * qy + ry * ty
+    return px * qx + rx * tx - n * yy, px * qy + py * qx + rx * ty + ry * tx + s * yy
 
 
-def mul_add(p: QuadInt, q: QuadInt, r: QuadInt, t: QuadInt, sign: int = 1) -> QuadInt:
-    """p*q + r*t (sign=1) or p*q - r*t (sign=-1) over one ring, fused on the
-    coordinates: one result object and no intermediates."""
-    d = p.d
-    if not d == q.d == r.d == t.d:
-        other = next(e.d for e in (q, r, t) if e.d != d)
-        raise ValueError(f"mixed rings: d={d} vs d={other}")
-    rx, ry = (r.x, r.y) if sign == 1 else (-r.x, -r.y)
-    return _expand(d, p.x * q.x + rx * t.x, p.x * q.y + p.y * q.x + rx * t.y + ry * t.x,
-                   p.y * q.y + ry * t.y)
+def tau_square_of(*elements: QuadInt) -> tuple[int, int]:
+    """`_tau_square(d)` for the one d of all elements; two rings raise ValueError."""
+    d = elements[0].d
+    for e in elements:
+        if e.d != d:
+            raise ValueError(f"mixed rings: d={d} vs d={e.d}")
+    return _tau_square(d)
+
+
+def from_xy(like: QuadInt, xy: tuple[int, ...]) -> tuple[QuadInt, ...]:
+    """The elements with coordinates xy = (x1, y1, ...) in the validated ring of like."""
+    return tuple([_unchecked(like.d, x, y) for x, y in zip(xy[::2], xy[1::2])])
 
 
 # the form `render` writes: u, or u+v*sqrt(-d) or u-v*sqrt(-d), with u and v both

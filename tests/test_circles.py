@@ -212,6 +212,66 @@ class TestStabForm:
         assert stab_form(g1 * g1.inv(), D) is not None
 
 
+def object_stab_form(M, D):
+    """stab_form as written on objects: conjugates, a product and QuadInt
+    equality before the norm equation."""
+    m = M.rep
+    alpha, beta = m.a11, m.a21.conj()
+    if m.a22 == alpha.conj() and m.a12 == beta * D and alpha.norm() - D * beta.norm() == 1:
+        return (alpha, beta)
+    return None
+
+
+STAB_DS = (3, 5, 7, 11, 43)
+
+
+@st.composite
+def stab_case(draw):
+    """(M, D): a witness g_k of Stab(C_{D_k}) with D = D_k, 1 or a random D;
+    or a determinant-1 matrix whose shape fails in exactly one entry:
+    (1, D conj(c); c, 1 + D|c|^2) keeps a12 = D conj(a21) but not
+    a22 = conj(a11) unless c = 0, and (a, |a|^2 - 1; 1, conj(a)) keeps
+    a22 = conj(a11) but not a12 = D conj(a21) unless |a|^2 - 1 = D."""
+    d = draw(st.sampled_from(STAB_DS))
+    kind = draw(st.sampled_from(("witness", "a12 only", "a22 only", "unimodular")))
+    D = draw(st.integers(1, 10 ** 6))
+    one = QuadInt.integer(d, 1)
+    if kind == "witness":
+        xi = QuadInt(d, draw(st.integers(-50, 50)), draw(st.integers(1, 50)))
+        assume(xi.norm() % d != 0)
+        (w,) = construct_series(GENERAL, validate_general(d, xi), [draw(st.integers(1, 30))])
+        M, D = PslElement(w.g_k), draw(st.sampled_from((w.D_k, w.D_k + 1, 1, D)))
+    elif kind == "a12 only":
+        c = QuadInt(d, draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
+        M = PslElement.from_entries(one, c.conj() * D, c, one + c.norm() * D)
+    elif kind == "a22 only":
+        a = QuadInt(d, draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
+        M = PslElement.from_entries(a, QuadInt.integer(d, a.norm() - 1), one, a.conj())
+    else:
+        M, D = draw(unimodular_psl(d)), draw(st.sampled_from((1, D)))
+    return M, D
+
+
+class TestStabFormOnCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(stab_case())
+    def test_matches_object_version(self, case):
+        M, D = case
+        for m in (M, PslElement(-M.rep)):
+            assert stab_form(m, D) == object_stab_form(m, D)
+
+    def test_one_entry_off(self):
+        one, c = QuadInt.integer(7, 1), QuadInt(7, 2, -3)
+        D = 5
+        a12_only = PslElement.from_entries(one, c.conj() * D, c, one + c.norm() * D)
+        a = QuadInt(7, 2, 1)
+        a22_only = PslElement.from_entries(a, QuadInt.integer(7, a.norm() - 1), one, a.conj())
+        for m in (a12_only, a22_only):
+            assert stab_form(m, D) is None and object_stab_form(m, D) is None
+        # with D = |a|^2 - 1 the second shape holds in full
+        assert stab_form(a22_only, a.norm() - 1) == (a, one)
+
+
 class TestResidues:
     def test_two_mod_three(self):
         assert is_quadratic_nonresidue(2, 3)

@@ -281,6 +281,16 @@ class TestGamma8Membership:
             assert in_gamma8(m) == gamma8_oracle(m)
             assert expected is None or in_gamma8(m) is expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, len(GAMMA8_LETTERS) - 1), max_size=16), unimodular(3))
+    def test_agrees_with_residue_image(self, member_word, any_matrix):
+        # in_gamma8 reads coordinates mod 4 against both signs of the image;
+        # it must agree with the normal-form class phi_n(M, 4) in the image
+        member, other = word_value(GAMMA8_LETTERS, member_word), PslElement(any_matrix)
+        for m in (member, PslElement(-member.rep), other, PslElement(-other.rep)):
+            assert in_gamma8(m) == (phi_n(m, 4) in gamma8_level4_image())
+        assert in_gamma8(member)
+
     def test_generators(self):
         for g in gamma8_generators():
             assert in_gamma8(g)

@@ -515,6 +515,169 @@ class TestOneSignRule:
         assert canonical_sign(-m) == canonical_sign(m) or all(e.is_zero() for e in m.entries())
 
 
+# The coordinate kernel against the object-level arithmetic it replaced: the
+# QuadInt ring operators entry by entry, and eval_word on a running Mat2.
+
+OBJECT_DS = (1, 2, 3, 5, 7, 11, 1009)
+HUGE_COORD = st.integers(-2 ** 300, 2 ** 300)
+HUGE_EXPONENT = st.one_of(st.sampled_from((0, 1, -1, 2, -2)), st.integers(-2 ** 300, 2 ** 300))
+MIXED_RINGS = r"^mixed rings: d=\d+ vs d=\d+$"
+
+
+def ring_product(m, o):
+    """m * o with every entry built by the QuadInt ring operators."""
+    a, b, c, e = m.entries()
+    f, g, h, k = o.entries()
+    return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
+
+
+def ring_det(m):
+    return m.a11 * m.a22 - m.a12 * m.a21
+
+
+def ring_pow(m, n):
+    """m**n for a determinant-1 m, by repeated squaring with ring_product."""
+    if n < 0:
+        m, n = m.adjugate(), -n
+    result = Mat2.identity(m.a11.d)
+    while n:
+        if n & 1:
+            result = ring_product(result, m)
+        m = ring_product(m, m)
+        n >>= 1
+    return result
+
+
+def object_eval_word(gens, word):
+    """eval_word as written on objects: a running Mat2 of QuadInts, a
+    translation power as (1, e*t; 0, 1), a run x^k u^e x^-k as the
+    transvection 1 + e*t*(p; q)(-q, p) built from QuadInt products, and
+    every product by the ring operators."""
+    word = tuple(word)
+    result = None
+    i = 0
+    while i < len(word):
+        gen_id, exponent = word[i]
+        x = gens[gen_id].rep
+        u_id, e = word[i + 1] if i + 2 < len(word) else (None, 0)
+        if (u_id in gens and tuple(word[i + 2]) == (gen_id, -exponent)
+                and gens[u_id].rep.is_translation()):
+            X = ring_pow(x, exponent)
+            et = gens[u_id].rep.a12 * e
+            etp, etq = X.a11 * et, X.a21 * et
+            etpq = etp * X.a21
+            factor = Mat2(1 - etpq, etp * X.a11, -(etq * X.a21), 1 + etpq)
+            i += 3
+        else:
+            factor = (Mat2(x.a11, x.a12 * exponent, x.a21, x.a22) if x.is_translation()
+                      else ring_pow(x, exponent))
+            i += 1
+        result = factor if result is None else ring_product(result, factor)
+    return result
+
+
+def huge_element(draw, d):
+    return QuadInt(d, draw(HUGE_COORD), draw(HUGE_COORD))
+
+
+@st.composite
+def object_word_case(draw):
+    """(generators, word) over one of OBJECT_DS, entries up to 2^300: the
+    translations u and w, the non-translations h and g and -u, and up to
+    seven terms among transvection runs x^k u^e x^-k, translation powers with
+    exponents up to 2^300, and non-translation powers with small exponents of
+    either sign."""
+    d = draw(st.sampled_from(OBJECT_DS))
+    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+    t, w, b, c = (huge_element(draw, d) for _ in range(4))
+    gens = {
+        "u": PslElement.from_entries(one, t, zero, one),
+        "w": PslElement.from_entries(one, w, zero, one),
+        "h": PslElement.from_entries(one + b * c, b, c, one),
+        "g": PslElement.from_entries(one + c, c, one, one),
+        "v": PslElement.from_entries(-one, t, zero, -one),
+    }
+    word = []
+    while len(word) < 7:
+        kind = draw(st.sampled_from(("run", "translation", "power")))
+        if kind == "run":
+            x, k = draw(st.sampled_from(("h", "g", "v", "w"))), draw(RUN_K)
+            chunk = [(x, k), ("u", draw(HUGE_EXPONENT)), (x, -k)]
+        elif kind == "translation":
+            chunk = [(draw(st.sampled_from(("u", "w"))), draw(HUGE_EXPONENT))]
+        else:
+            chunk = [(draw(st.sampled_from(("h", "g", "v"))), draw(st.integers(-3, 3)))]
+        word += chunk[:7 - len(word)]
+        if draw(st.integers(0, 3)) == 0:
+            break
+    return gens, word
+
+
+class TestObjectLevelDifferential:
+    """Products, determinants, the PslElement determinant check and
+    eval_word on coordinates equal the object-level arithmetic they replaced,
+    for entries up to 2^300."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(object_word_case())
+    def test_eval_word(self, case):
+        gens, word = case
+        value = eval_word(gens, word).rep
+        assert value == object_eval_word(gens, word)
+        assert ring_det(value) == QuadInt.integer(value.a11.d, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=16, max_size=16),
+           st.sampled_from(("general", "left", "right")))
+    def test_product_and_det(self, d, cs, translation):
+        entries = [QuadInt(d, x, y) for x, y in zip(cs[::2], cs[1::2])]
+        m, o = Mat2(*entries[:4]), Mat2(*entries[4:])
+        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+        if translation == "left":
+            m = Mat2(one, m.a12, zero, one)
+        elif translation == "right":
+            o = Mat2(one, o.a12, zero, one)
+        assert m * o == ring_product(m, o)
+        assert m.det() == ring_det(m) and o.det() == ring_det(o)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=4, max_size=4),
+           st.integers(0, 3), st.sampled_from(((0, 0), (1, 0), (-1, 0), (0, 1), (2, 0))))
+    def test_determinant_check(self, d, cs, i, shift):
+        b, c, one = QuadInt(d, cs[0], cs[1]), QuadInt(d, cs[2], cs[3]), QuadInt.integer(d, 1)
+        entries = [one + b * c, b, c, one]
+        entries[i] = entries[i] + QuadInt(d, *shift)
+        m = Mat2(*entries)
+        if ring_det(m) == one:
+            assert PslElement(m).rep == m
+        else:
+            with pytest.raises(ValueError, match="^PslElement requires determinant 1$"):
+                PslElement(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(OBJECT_DS), min_size=2, max_size=2, unique=True),
+           st.lists(HUGE_COORD, min_size=2, max_size=2), st.integers(0, 3))
+    def test_two_rings_raise(self, ds, cs, i):
+        d, other = ds
+        t = QuadInt(d, *cs)
+        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+        entries = [one, t, zero, one]
+        entries[i] = QuadInt(other, entries[i].x, entries[i].y)
+        mixed = Mat2(*entries)
+        u = Mat2(one, t, zero, one)
+        for call in (lambda: mixed * u, lambda: u * mixed, mixed.det,
+                     lambda: PslElement(mixed)):
+            with pytest.raises(ValueError, match=MIXED_RINGS):
+                call()
+        one7, zero7 = QuadInt.integer(other, 1), QuadInt.integer(other, 0)
+        gens = {"u": PslElement(u), "x": PslElement.from_entries(one7, one7, one7, one7 + one7),
+                "y": PslElement.from_entries(one7, zero7, one7, one7)}
+        for word in ([("u", 3), ("x", 1)], [("x", 1), ("u", 2), ("x", -1)],
+                     [("y", 2), ("u", -1)]):
+            with pytest.raises(ValueError, match=MIXED_RINGS):
+                eval_word(gens, word)
+
+
 class TestSerialization:
     def test_canonical_sign(self):
         m = PslElement(-MU.rep)
