@@ -11,9 +11,10 @@ matrix its form and checks its determinant.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
-from .psl2 import Mat2, PslElement, det_xy, product_xy
+from .psl2 import IDENTITY_XY, Mat2, PslElement, det_xy, product_xy
 from .quadint import Frozen, QuadInt, _tau_square
 
 SURJECTIVITY_NOTE = (
@@ -21,7 +22,6 @@ SURJECTIVITY_NOTE = (
     "computed group of determinant-1 residue matrices; identifying them with "
     "indices in PSL2(O_3) assumes the level-4 reduction is surjective"
 )
-_IDENTITY_XY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -52,7 +52,7 @@ class ResidueMatrix(Frozen):
         return (self.d, self.n, self.xy)
 
     def is_identity(self) -> bool:
-        return self.xy == _IDENTITY_XY  # the normal form of +-1, as n >= 2
+        return self.xy == IDENTITY_XY  # the normal form of +-1, as n >= 2
 
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         if type(other) is not ResidueMatrix:
@@ -78,7 +78,7 @@ def residue_matrix(m: Mat2, n: int) -> ResidueMatrix:
 
 
 def residue_identity(d: int, n: int) -> ResidueMatrix:
-    return ResidueMatrix(d, n, _IDENTITY_XY)
+    return ResidueMatrix(d, n, IDENTITY_XY)
 
 
 def phi_n(M: PslElement, n: int) -> ResidueMatrix:
@@ -119,25 +119,17 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[
 
 
 def enumerate_psl2(d: int, n: int) -> frozenset[ResidueMatrix]:
-    """All determinant-1 matrices over R_n up to sign, by exhaustive scan
-    of the (n^2)^4 coordinate tuples.  Intended for small n (2 or 4)."""
-    ring = [QuadInt(d, s, t) for s in range(n) for t in range(n)]
-    if len(ring) ** 4 > 2 * 10**7:
-        raise ClosureCapExceeded(f"scan of ({n}^2)^4 tuples is too large")
-    # index i stands for the residue with coordinates (s, t) = divmod(i, n)
-    index = lambda e: (e.x % n) * n + e.y % n
-    mul = [[index(a * b) for b in ring] for a in ring]
+    """All determinant-1 matrices over R_n up to sign, by exhaustive scan of
+    the n^8 coordinate tuples in [0, n): each whose `det_xy` is 1 (mod n) is
+    built as a ResidueMatrix.  Intended for small n (2 or 4)."""
+    s, norm = _tau_square(d)
+    if n ** 8 > 2 * 10**7:
+        raise ClosureCapExceeded(f"scan of {n}^8 coordinate tuples is too large")
     found: set[ResidueMatrix] = set()
-    size = len(ring)
-    for i11 in range(size):
-        for i22 in range(size):
-            target = index(ring[mul[i11][i22]] - 1)  # a12*a21 = a11*a22 - 1 gives det 1
-            for i12 in range(size):
-                row = mul[i12]
-                for i21 in range(size):
-                    if row[i21] == target:
-                        m = Mat2(ring[i11], ring[i12], ring[i21], ring[i22])
-                        found.add(residue_matrix(m, n))
+    for xy in product(range(n), repeat=8):
+        det_x, det_y = det_xy(s, norm, xy)
+        if (det_x - 1) % n == 0 == det_y % n:
+            found.add(ResidueMatrix(d, n, xy))
     return frozenset(found)
 
 

@@ -1,20 +1,20 @@
 """Exact 2x2 matrix algebra over O_d and projective (PSL) elements.
 
-Mat2 is duck-typed over its entries: anything with ring operators works
-(QuadInt, QuadRat, int).  A matrix of QuadInts of one ring is also its eight
-integer coordinates `xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and
-`det_xy` compute on them through `quadint.mul_add`, after one ring check,
-and so do the residue matrices of `congruence`; other entry types take the
-ring operators.  A product with a translation (1, t; 0, 1) keeps the two
-entries it does not change.  PslElement enforces determinant 1 over O_d and
-compares projectively (M ~ -M) on coordinates.
+Mat2 is duck-typed over its entries: its product and determinant take the
+entries' ring operators, so anything with them works (QuadInt, QuadRat, int).
+A matrix of QuadInts of one ring is also its eight integer coordinates
+`xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and `det_xy` compute on
+them through `quadint.mul_add`, for `eval_word`, the PslElement determinant
+check and the residue matrices of `congruence`.  PslElement enforces
+determinant 1 over O_d, compares projectively (M ~ -M) on coordinates and
+takes every power by binary powering.
 
 `eval_word` keeps its running product as coordinates and builds one Mat2 and
 one PslElement, for the value: u^e for a translation u = (1, t; 0, 1) is
-(1, e*t; 0, 1); a run x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p),
-with (p; q) the first column of X = x^k, equal to X u^e X^-1 because
-det X = 1, which every PslElement guarantees; any other term is the rep of
-its power.
+(1, e*t; 0, 1), the one closed form of a translation power; a run
+x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p), with (p; q) the
+first column of X = x^k, equal to X u^e X^-1 because det X = 1, which
+every PslElement guarantees; any other term is the rep of its power.
 """
 
 from __future__ import annotations
@@ -48,15 +48,8 @@ class Mat2(Frozen):
         a, b, c, e = self.a11, self.a12, self.a21, self.a22
         return (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y)
 
-    def _over_quadints(self) -> bool:
-        """Whether every entry is a QuadInt, so the coordinate kernel applies."""
-        return type(self.a11) is type(self.a12) is type(self.a21) is type(self.a22) is QuadInt
-
     def det(self) -> Any:
-        a, b, c, e = self.entries()
-        if self._over_quadints():
-            return from_xy(a, det_xy(*tau_square_of(a, b, c, e), self.xy()))[0]
-        return a * e - b * c
+        return self.a11 * self.a22 - self.a12 * self.a21
 
     def trace(self) -> Any:
         return self.a11 + self.a22
@@ -71,12 +64,7 @@ class Mat2(Frozen):
             return NotImplemented
         a, b, c, e = self.entries()
         f, g, h, k = other.entries()
-        if not (self._over_quadints() and other._over_quadints()):
-            return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
-        new = from_xy(a, product_xy(*tau_square_of(a, b, c, e, f, g, h, k), self.xy(), other.xy()))
-        if other.is_translation():  # col2 += g * col1 keeps column 1
-            return Mat2(a, new[1], c, new[3])
-        return Mat2(*new[:2], h, k) if self.is_translation() else Mat2(*new)  # row 2 is kept
+        return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
@@ -151,9 +139,10 @@ class PslElement(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.rep._over_quadints():
+        rep = self.rep
+        if not (type(rep.a11) is type(rep.a12) is type(rep.a21) is type(rep.a22) is QuadInt):
             raise ValueError("PslElement entries must be QuadInt over one ring")
-        if det_xy(*tau_square_of(*self.rep.entries()), self.rep.xy()) != (1, 0):  # two rings raise
+        if det_xy(*tau_square_of(*rep.entries()), rep.xy()) != (1, 0):  # two rings raise
             raise ValueError("PslElement requires determinant 1")
 
     def _values(self) -> tuple[Mat2]:
@@ -181,10 +170,6 @@ class PslElement(Frozen):
         return PslElement(self.rep.adjugate())
 
     def __pow__(self, n: int) -> "PslElement":
-        if self.rep.is_translation():
-            # unipotent: (1, b; 0, 1)^n = (1, n*b; 0, 1) for every integer n
-            a, b, c, e = self.rep.entries()
-            return PslElement(Mat2(a, b * n, c, e))
         if n == 0:
             return PslElement.identity(self.d)
         base = self if n > 0 else self.inv()
@@ -226,7 +211,8 @@ class PslElement(Frozen):
 
 
 _set_rep = PslElement.rep.__set__
-_PLUS_MINUS_ONE = ((1, 0, 0, 0, 0, 0, 1, 0), (-1, 0, 0, 0, 0, 0, -1, 0))
+IDENTITY_XY = (1, 0, 0, 0, 0, 0, 1, 0)  # the coordinates of the identity matrix
+_PLUS_MINUS_ONE = (IDENTITY_XY, tuple([-v for v in IDENTITY_XY]))
 
 
 _MATRIX_RE = re.compile(r"^\[\[([^\[\]]*),([^\[\]]*)\],\[([^\[\]]*),([^\[\]]*)\]\]$")

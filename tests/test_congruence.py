@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -214,6 +215,26 @@ class TestEnumerate:
         group = enumerate_psl2(3, 2)
         for m in group:
             assert m.inv() in group
+
+
+def table_scan(d, n):
+    """The determinant-1 classes over R_n by the scan of ring indices through
+    a multiplication table of QuadInts, each hit built as a Mat2 and reduced."""
+    ring = [QuadInt(d, s, t) for s in range(n) for t in range(n)]
+    index = lambda e: (e.x % n) * n + e.y % n  # the residue (s, t) = divmod(i, n)
+    mul = [[index(a * b) for b in ring] for a in ring]
+    found = set()
+    for i11, i12, i21, i22 in itertools.product(range(len(ring)), repeat=4):
+        if mul[i12][i21] == index(ring[mul[i11][i22]] - 1):  # a12*a21 = a11*a22 - 1
+            found.add(residue_matrix(Mat2(ring[i11], ring[i12], ring[i21], ring[i22]), n))
+    return frozenset(found)
+
+
+class TestEnumerateAgainstTableScan:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_same_classes(self, d, n):
+        assert enumerate_psl2(d, n) == table_scan(d, n)
 
 
 class TestFiniteModel:

@@ -421,32 +421,41 @@ WIDE_PARAMS = validate_general(7, QuadInt(7, 999983, 999979))
 
 
 class TestWordCost:
-    """The honest witness word costs at most two Mat2 products and one
+    """Constructing, rendering, parsing and verifying the honest witness takes
+    no Mat2 or PslElement product, no Mat2 determinant and no inverse: the
+    matrix work runs on coordinates.  Each evaluated word builds one
     PslElement, and no check negates a matrix to compare up to sign."""
 
     @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
                              ids=["fig8-20-7-k1", "wide-anchor"])
     def test_counts(self, params, k, monkeypatch):
-        w = construct_witness(params.mode, params, k)
-        counts, in_word = Counter(), Counter()
-        for cls, name in ((Mat2, "__mul__"), (Mat2, "__neg__"), (PslElement, "__post_init__")):
-            def counting(*args, _original=getattr(cls, name), _name=name):
+        counts, in_word, in_checks = Counter(), Counter(), Counter()
+        for cls, name in ((Mat2, "__mul__"), (Mat2, "det"), (Mat2, "__neg__"),
+                          (PslElement, "__mul__"), (PslElement, "inv"),
+                          (PslElement, "__post_init__")):
+            def counting(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
                 counts[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(cls, name, counting)
 
-        def counted_eval_word(*args):
-            before = Counter(counts)
-            try:
-                return eval_word(*args)
-            finally:
-                in_word.update(counts - before)
+        def counted(function, into):
+            def wrapper(*args):
+                before = Counter(counts)
+                try:
+                    return function(*args)
+                finally:
+                    into.update(counts - before)
+            return wrapper
 
-        monkeypatch.setattr(pipeline, "eval_word", counted_eval_word)
-        checks = run_checks(params, w, w)
-        assert all(checks.values())
-        assert in_word["__mul__"] <= 2 and in_word["__post_init__"] == 1
-        assert counts["__neg__"] == 0
+        monkeypatch.setattr(pipeline, "eval_word", counted(eval_word, in_word))
+        monkeypatch.setattr(pipeline, "run_checks", counted(run_checks, in_checks))
+        w = construct_witness(params.mode, params, k)
+        [parsed] = parse_witnesses(render_witnesses([w]))
+        assert parsed == w and verify_witness(parsed).ok
+        for name in ("Mat2.__mul__", "Mat2.det", "PslElement.__mul__", "PslElement.inv"):
+            assert counts[name] == 0, name
+        assert in_word["PslElement.__post_init__"] == 2  # one word in construct, one in verify
+        assert in_checks["Mat2.__neg__"] == 0
 
 
 def hyperbolic_trace_oracle(record):

@@ -217,7 +217,7 @@ class TestIsSquarefree:
 
 class TestKernel:
     """Arithmetic results are plain slotted QuadInts built without revalidating
-    d, and QuadInt matrix products never go through the ring operators."""
+    d, so QuadInt matrix products and determinants validate nothing."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 1000003])
     def test_results_equal_public_construction(self, d):
@@ -247,7 +247,8 @@ class TestKernel:
             monkeypatch.setattr(QuadInt, name, counting(name))
         m * m
         m.det()
-        assert calls == Counter()
+        assert calls["__post_init__"] == 0
+        calls.clear()
         a + b, a - b, -a, a * 3, a.conj(), a.reduce_mod(5)  # results inherit d
         QuadInt(7, 0, 0)  # a public construction validates
         assert calls == Counter({"__mul__": 1, "__post_init__": 1})
