@@ -1,13 +1,13 @@
 """Walk through the figure-eight construction for the slope 20/7.
 
-Builds the parabolic sigma = mu^20 lambda^7, the conjugator h, and the
-first three certified witnesses, printing every intermediate exactly.
+Builds the conjugator h, the middle factor h sigma^6 h^-1 for the parabolic
+sigma = mu^20 lambda^7, and the first three certified witnesses, printing
+every intermediate exactly.
 
 Run:  python3 demos/demo_fig8.py
 """
 
-from bianchicert.pipeline import (FIG8, bezout_rt, construct_series, h_matrix,
-                                  sigma_from_xi, validate_fig8)
+from bianchicert.pipeline import FIG8, bezout_rt, construct_series, h_matrix, validate_fig8
 from bianchicert.psl2 import PslElement, eval_word, render_word
 
 
@@ -21,11 +21,10 @@ def main() -> None:
     r, t = bezout_rt(3, 4 * n)
     print(f"Bezout: -3*{r} - {4 * n}*({t}) = {-3 * r - 4 * n * t}")
 
-    sigma = sigma_from_xi(xi)
     h = PslElement(h_matrix(params.level, 3, xi, r, t))
     print(f"h = {h.render()}")
 
-    f = eval_word({"h": h, "sigma": sigma}, (("h", 1), ("sigma", 6), ("h", -1)))
+    f = eval_word(xi, h, (0, 6, 0))  # sigma^0 h sigma^6 h^-1 sigma^0
     print(f"h sigma^6 h^-1 = {f.render()}   trace = {f.trace()}")
 
     print()

@@ -99,11 +99,6 @@ def xi_fig8(p: int, q: int) -> QuadInt:
     return xi
 
 
-def sigma_from_xi(xi: QuadInt) -> PslElement:
-    one, zero, _, _ = Mat2.identity(xi.d).entries()  # cached per d
-    return PslElement.from_entries(one, xi, zero, one)
-
-
 # -- the Bezout step and the conjugator h -----------------------------------
 
 
@@ -241,13 +236,14 @@ def run_checks(params: Params, honest: CompressionWitness,
                claimed: CompressionWitness) -> dict[str, bool]:
     """The named checks on the claimed n_k, D_k, alpha_k, beta_k, word and
     g_k, with h, |xi|^2 and the middle exponent taken from `honest`.  The
-    claimed word is evaluated over sigma and h, and h and the claimed g_k
-    are checked for determinant 1."""
+    claimed word, of the witness shape, is evaluated from its three sigma
+    exponents, and h and the claimed g_k are checked for determinant 1."""
     d, x = params.d, params.x
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
     m = honest.word[2][1]  # sigma^m, the middle term
     h = PslElement(honest.h)
-    g_word = eval_word({"sigma": sigma_from_xi(params.xi), "h": h}, claimed.word)
+    a, b, c = (e for _, e in claimed.word[::2])  # sigma^a h sigma^b h^-1 sigma^c
+    g_word = eval_word(params.xi, h, (a, b, c))
     try:
         g_closed: Optional[PslElement] = PslElement(claimed.g_k)
     except ValueError:

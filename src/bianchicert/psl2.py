@@ -4,17 +4,13 @@ Mat2 is duck-typed over its entries: its product and determinant take the
 entries' ring operators, so anything with them works (QuadInt, QuadRat, int).
 A matrix of QuadInts of one ring is also its eight integer coordinates
 `xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and `det_xy` compute on
-them through `quadint.mul_add`, for `eval_word`, the PslElement determinant
-check and the residue matrices of `congruence`.  PslElement enforces
-determinant 1 over O_d, compares projectively (M ~ -M) on coordinates and
-takes every power by binary powering.
+them through `quadint.mul_add`, for the PslElement determinant check and the
+residue matrices of `congruence`.  PslElement enforces determinant 1 over
+O_d, compares projectively (M ~ -M) on coordinates and takes every power by
+binary powering.
 
-`eval_word` keeps its running product as coordinates and builds one Mat2 and
-one PslElement, for the value: u^e for a translation u = (1, t; 0, 1) is
-(1, e*t; 0, 1), the one closed form of a translation power; a run
-x^k u^e x^-k is the transvection 1 + e*t*(p; q)(-q, p), with (p; q) the
-first column of X = x^k, equal to X u^e X^-1 because det X = 1, which
-every PslElement guarantees; any other term is the rep of its power.
+`eval_word` evaluates the one word shape that commands evaluate,
+sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import enum
 import re
 from functools import cache
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any
 
 from .quadint import Frozen, QuadInt, _tau_square, from_xy, mul_add, parse_quadint, tau_square_of
 
@@ -53,11 +49,6 @@ class Mat2(Frozen):
 
     def trace(self) -> Any:
         return self.a11 + self.a22
-
-    def is_translation(self) -> bool:
-        """Whether this matrix of QuadInts is (1, t; 0, 1), read off the coordinates."""
-        a, c, e = self.a11, self.a21, self.a22
-        return not (c.x or c.y or a.y or e.y) and a.x == 1 == e.x
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if type(other) is not Mat2:
@@ -234,46 +225,30 @@ def parse_psl(text: str, d: int) -> PslElement:
     return PslElement(parse_mat2(text, d))
 
 
-def eval_word(gens: Mapping[str, PslElement], word: Iterable[tuple[str, int]]) -> PslElement:
-    """Left-to-right product of gens[id]**exponent, det-checked once.
+def eval_word(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> PslElement:
+    """sigma^a h sigma^b h^-1 sigma^c for sigma = (1, xi; 0, 1) and exponents
+    (a, b, c), det-checked once.
 
-    A running product of eight coordinates takes each term: u^e for a
-    translation u = (1, t; 0, 1) as (1, e*t; 0, 1); a run x^k u^e x^-k as the
-    transvection 1 + e*t*(p; q)(-q, p), (p; q) the first column of X = x^k,
-    which is X u^e adj(X) = X u^e X^-1 as det X = 1 (true of every
-    PslElement); any other term as (gens[id]**e).rep.  The value is the
-    matrix that the product of PslElements gives."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("empty word")
-    for gen_id, _ in word:
-        if gen_id not in gens:
-            raise KeyError(f"unbound generator id {gen_id!r}")
-    ring = [gens[gen_id].rep.a11 for gen_id, _ in word]  # an entry of each term's ring
-    s, n = tau_square_of(*ring)  # two rings raise
-    xy: Optional[tuple[int, ...]] = None
-    i = 0
-    while i < len(word):
-        gen_id, exponent = word[i]
-        u_id, e = word[i + 1] if i + 2 < len(word) else (None, 0)
-        if (u_id in gens and tuple(word[i + 2]) == (gen_id, -exponent)
-                and gens[u_id].rep.is_translation()):
-            t = gens[u_id].rep.a12
-            tx, ty = e * t.x, e * t.y
-            px, py, _, _, qx, qy, _, _ = (gens[gen_id] ** exponent).rep.xy()
-            ptx, pty = mul_add(s, n, px, py, tx, ty, 0, 0, 0, 0)  # e*t*p
-            qtx, qty = mul_add(s, n, qx, qy, tx, ty, 0, 0, 0, 0)  # e*t*q
-            pqx, pqy = mul_add(s, n, ptx, pty, qx, qy, 0, 0, 0, 0)  # e*t*p*q
-            factor = (1 - pqx, -pqy, *mul_add(s, n, ptx, pty, px, py, 0, 0, 0, 0),
-                      *mul_add(s, n, -qtx, -qty, qx, qy, 0, 0, 0, 0), 1 + pqx, pqy)
-            i += 3
-        else:
-            rep = gens[gen_id].rep
-            factor = ((1, 0, exponent * rep.a12.x, exponent * rep.a12.y, 0, 0, 1, 0)
-                      if rep.is_translation() else (gens[gen_id] ** exponent).rep.xy())
-            i += 1
-        xy = factor if xy is None else product_xy(s, n, xy, factor)
-    return PslElement(Mat2(*from_xy(ring[0], xy)))
+    The middle factor is the transvection T = 1 + b*xi*(p; q)(-q, p), (p; q)
+    the first column of h, which is h sigma^b adj(h) = h sigma^b h^-1 as
+    det h = 1 (true of every PslElement).  sigma^a on the left adds a*xi times
+    row 2 of T to row 1; sigma^c on the right adds c*xi times column 1 to
+    column 2.  The value is the matrix that the product of PslElements gives."""
+    a, b, c = exponents
+    s, n = tau_square_of(xi, h.rep.a11)  # two rings raise; h's entries share one ring
+    px, py, _, _, qx, qy, _, _ = h.rep.xy()
+    ptx, pty = mul_add(s, n, px, py, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*p
+    qtx, qty = mul_add(s, n, qx, qy, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*q
+    pqx, pqy = mul_add(s, n, ptx, pty, qx, qy, 0, 0, 0, 0)  # b*xi*p*q
+    t12x, t12y = mul_add(s, n, ptx, pty, px, py, 0, 0, 0, 0)  # b*xi*p^2
+    t21x, t21y = mul_add(s, n, -qtx, -qty, qx, qy, 0, 0, 0, 0)  # -b*xi*q^2
+    # sigma^a T: row 1 of T plus a*xi times row 2
+    m11x, m11y = mul_add(s, n, a * xi.x, a * xi.y, t21x, t21y, 1 - pqx, -pqy, 1, 0)
+    m12x, m12y = mul_add(s, n, a * xi.x, a * xi.y, 1 + pqx, pqy, t12x, t12y, 1, 0)
+    # (sigma^a T) sigma^c: column 2 plus c*xi times column 1
+    xy = (m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
+          t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0))
+    return PslElement(Mat2(*from_xy(xi, xy)))
 
 
 def render_word(word: Word) -> str:

@@ -42,8 +42,9 @@ def test_traced_construct_and_verify_count_calls():
         parsed = dict(zip(tracer.names, tracer.calls))
     finally:
         tracer.uninstall()
-    for name in ("pipeline.construct_witness", "pipeline.run_checks", "psl2.PslElement.pow"):
+    for name in ("pipeline.construct_witness", "pipeline.run_checks"):
         assert calls[name] >= 1, name
+    assert calls["psl2.PslElement.pow"] == 0
     # the word is evaluated once by construct and once by verify, through eval_word
     assert calls["psl2.eval_word"] == 2
     # the parsers are looked up by name on every call, so the tracer sees each

@@ -15,7 +15,7 @@ from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, InvalidParams,
                                   bezout_rt, construct_series,
                                   construct_witness, h_matrix, parse_witnesses,
-                                  render_witnesses, run_checks, sigma_from_xi, validate_fig8,
+                                  render_witnesses, run_checks, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
 from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign, eval_word,
@@ -71,8 +71,7 @@ def fig8_h(params):
 
 def fig8_middle_factor(params):
     """h sigma^6 h^-1 by word evaluation."""
-    gens = {"h": fig8_h(params), "sigma": sigma_from_xi(params.xi)}
-    return eval_word(gens, (("h", 1), ("sigma", 6), ("h", -1)))
+    return eval_word(params.xi, fig8_h(params), (0, 6, 0))
 
 
 def bezout_rt_scan(d, c):
@@ -111,7 +110,8 @@ class TestSlopes:
         rng = random.Random(51)
         for _ in range(30):
             params = random_valid_slope(rng)
-            sigma = sigma_from_xi(params.xi)
+            one, zero = QuadInt.integer(3, 1), QuadInt.integer(3, 0)
+            sigma = PslElement.from_entries(one, params.xi, zero, one)
             direct = (mu() ** params.p) * (lam() ** params.q)
             assert sigma.psl_eq(direct)
 
@@ -298,10 +298,10 @@ class TestConstructGeneral:
         eta = QuadInt.tau(7)
         params = validate_general(7, 1 + 7 * eta)
         w = construct_witness(GENERAL, params, 2)
-        sigma = sigma_from_xi(params.xi)
         r, t = bezout_rt(7, 106)
         h = PslElement(h_matrix(1, 7, params.xi, r, t))
-        g = eval_word({"sigma": sigma, "h": h}, w.word)
+        assert w.word == witness_word(w.n_k, 14)
+        g = eval_word(params.xi, h, (w.n_k, 14, w.n_k))
         assert g.psl_eq(PslElement(w.g_k))
 
     def test_several_fields(self):
@@ -422,9 +422,9 @@ WIDE_PARAMS = validate_general(7, QuadInt(7, 999983, 999979))
 
 class TestWordCost:
     """Constructing, rendering, parsing and verifying the honest witness takes
-    no Mat2 or PslElement product, no Mat2 determinant and no inverse: the
-    matrix work runs on coordinates.  Each evaluated word builds one
-    PslElement, and no check negates a matrix to compare up to sign."""
+    no Mat2 or PslElement product, no Mat2 determinant, no inverse and no
+    power: the matrix work runs on coordinates.  Each evaluated word builds
+    one PslElement, and no check negates a matrix to compare up to sign."""
 
     @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
                              ids=["fig8-20-7-k1", "wide-anchor"])
@@ -432,7 +432,7 @@ class TestWordCost:
         counts, in_word, in_checks = Counter(), Counter(), Counter()
         for cls, name in ((Mat2, "__mul__"), (Mat2, "det"), (Mat2, "__neg__"),
                           (PslElement, "__mul__"), (PslElement, "inv"),
-                          (PslElement, "__post_init__")):
+                          (PslElement, "__pow__"), (PslElement, "__post_init__")):
             def counting(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
                 counts[_name] += 1
                 return _original(*args)
@@ -452,7 +452,8 @@ class TestWordCost:
         w = construct_witness(params.mode, params, k)
         [parsed] = parse_witnesses(render_witnesses([w]))
         assert parsed == w and verify_witness(parsed).ok
-        for name in ("Mat2.__mul__", "Mat2.det", "PslElement.__mul__", "PslElement.inv"):
+        for name in ("Mat2.__mul__", "Mat2.det", "PslElement.__mul__", "PslElement.inv",
+                     "PslElement.__pow__"):
             assert counts[name] == 0, name
         assert in_word["PslElement.__post_init__"] == 2  # one word in construct, one in verify
         assert in_checks["Mat2.__neg__"] == 0

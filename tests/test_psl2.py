@@ -127,18 +127,18 @@ def power_and_products(g, n):
         Mat2.__mul__ = original
 
 
-FAST_PATH_DS = (3, 5, 7, 11, 43, 89)  # both classes mod 4
+POWER_DS = (3, 5, 7, 11, 43, 89)  # both classes mod 4
 WIDE = 2 ** 80
 COORD = st.integers(-10**6, 10**6)
 EXPONENT = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-WIDE, WIDE))
 SMALL_EXPONENT = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-40, 40))
 
 
-class TestUnipotentFastPath:
+class TestBinaryPowering:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
-    def test_sigma_power_is_closed_form(self, d, x, y, n):
-        """A translation power is binary powering too; its closed form is eval_word's."""
+    @given(st.sampled_from(POWER_DS), COORD, COORD, EXPONENT)
+    def test_translation_power(self, d, x, y, n):
+        """A translation power is binary powering too."""
         one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
         sigma = PslElement.from_entries(one, QuadInt(d, x, y), zero, one)
         power, products = power_and_products(sigma, n)
@@ -146,7 +146,7 @@ class TestUnipotentFastPath:
         assert (products > 0) == (abs(n) > 1)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, EXPONENT)
+    @given(st.sampled_from(POWER_DS), COORD, COORD, EXPONENT)
     def test_negated_unipotent_takes_generic_path(self, d, x, y, n):
         minus_one, zero = QuadInt.integer(d, -1), QuadInt.integer(d, 0)
         g = PslElement.from_entries(minus_one, QuadInt(d, x, y), zero, minus_one)
@@ -155,7 +155,7 @@ class TestUnipotentFastPath:
         assert (products > 0) == (abs(n) > 1)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(FAST_PATH_DS), COORD, COORD, SMALL_EXPONENT)
+    @given(st.sampled_from(POWER_DS), COORD, COORD, SMALL_EXPONENT)
     def test_non_unipotent_takes_generic_path(self, d, x, y, n):
         one, xi = QuadInt.integer(d, 1), QuadInt(d, x, y)
         h = PslElement.from_entries(one, xi, one, one + xi)
@@ -240,15 +240,6 @@ class TestCoordinateKernel:
         right, left = m * u, u * m
         assert [half(e) for e in right.entries()] == oracle_product(d, hm, hu)
         assert [half(e) for e in left.entries()] == oracle_product(d, hu, hm)
-
-    def test_translation_is_read_off_the_coordinates(self):
-        one, zero, t = QuadInt.integer(7, 1), QuadInt.integer(7, 0), QuadInt(7, 3, -2)
-        assert Mat2(one, t, zero, one).is_translation()
-        assert Mat2(one, zero, zero, one).is_translation()
-        for m in (Mat2(-one, t, zero, -one), Mat2(one, t, one, one),
-                  Mat2(QuadInt(7, 1, 1), t, zero, one), Mat2(one, t, QuadInt(7, 0, 1), one),
-                  Mat2(one, t, zero, QuadInt(7, 1, -1))):
-            assert not m.is_translation()
 
     def test_two_rings_raise(self):
         with pytest.raises(ValueError, match="mixed rings"):
@@ -373,9 +364,13 @@ class TestClassify:
         assert g.classify() is IsometryClass.HYPERBOLIC
 
 
+GOLDEN_XI = "20+14*sqrt(-3)"
+GOLDEN_H = "[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]"
+
+
 class TestEvalWord:
     def test_single_generator(self):
-        assert eval_word({"mu": MU}, [("mu", 1)]).psl_eq(MU)
+        assert eval_word(q("1"), PslElement.identity(3), (1, 0, 0)).psl_eq(MU)
 
     def test_displayed_product(self):
         # ((1,2;0,1)(1,0;omega,1))^2 = (sqrt(-3)-4, 2+2 sqrt(-3); -2, sqrt(-3))
@@ -383,98 +378,42 @@ class TestEvalWord:
         a = psl("[[1,2],[0,1]]")
         b = PslElement.from_entries(QuadInt.integer(3, 1), QuadInt.integer(3, 0),
                                     omega, QuadInt.integer(3, 1))
-        g = eval_word({"a": a, "b": b}, [("a", 1), ("b", 1), ("a", 1), ("b", 1)])
         expected = psl("[[-4+1*sqrt(-3),2+2*sqrt(-3)],[-2,0+1*sqrt(-3)]]")
-        assert g.psl_eq(expected)
+        assert (a * b * a * b).psl_eq(expected)
 
     def test_golden_word(self):
-        xi = q("20+14*sqrt(-3)")
-        sigma = PslElement.from_entries(QuadInt.integer(3, 1), xi,
-                                        QuadInt.integer(3, 0), QuadInt.integer(3, 1))
-        h = psl("[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]")
-        g = eval_word({"sigma": sigma, "h": h},
-                      [("sigma", -14811), ("h", 1), ("sigma", 6), ("h", -1), ("sigma", -14811)])
+        g = eval_word(q(GOLDEN_XI), psl(GOLDEN_H), (-14811, 6, -14811))
         expected = psl("[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
                        "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]")
         assert g.psl_eq(expected)
 
-    def test_unbound_generator(self):
-        with pytest.raises(KeyError):
-            eval_word({}, [("mu", 1)])
 
-
-def oracle_word(gens, word):
-    """Left-to-right product of oracle_pow factors on raw Mat2s."""
-    result = None
-    for gen_id, e in word:
-        factor = oracle_pow(gens[gen_id].rep, e)
-        result = factor if result is None else result * factor
-    return result
-
-
-RUN_K = st.sampled_from((1, -1, 2, -2))
-
-
-@st.composite
-def word_case(draw):
-    """(generators, word): a translation u, the non-translation v = -u',
-    general h and g, and up to 6 terms, runs x^k u^e x^-k among them."""
-    d = draw(st.sampled_from(FAST_PATH_DS))
-    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
-    t, b, c = (QuadInt(d, draw(COORD), draw(COORD)) for _ in range(3))
-    gens = {
-        "u": PslElement.from_entries(one, t, zero, one),
-        "v": PslElement.from_entries(-one, b, zero, -one),
-        "h": PslElement.from_entries(one, b, c, one + b * c),
-        "g": PslElement.from_entries(one + c, c, one, one),
-    }
-    word = []
-    while True:
-        kind = draw(st.sampled_from(("run", "u", "v", "general")))
-        if kind == "run":
-            x, k = draw(st.sampled_from(("h", "g", "v", "u"))), draw(RUN_K)
-            chunk = [(x, k), ("u", draw(EXPONENT)), (x, -k)]
-        elif kind in ("u", "v"):
-            chunk = [(kind, draw(EXPONENT))]
-        else:
-            chunk = [(draw(st.sampled_from(("h", "g"))), draw(st.integers(-2, 2)))]
-        if len(word) + len(chunk) > 6:
-            break
-        word += chunk
-        if draw(st.integers(0, 3)) == 0:
-            break
-    return gens, word or [("u", draw(EXPONENT))]
+def oracle_witness_word(xi, h, a, b, c):
+    """sigma^a h sigma^b h^-1 sigma^c for sigma = (1, xi; 0, 1), as the
+    left-to-right product of raw Mat2s, each sigma power by oracle_pow."""
+    one, zero = QuadInt.integer(xi.d, 1), QuadInt.integer(xi.d, 0)
+    sigma = Mat2(one, xi, zero, one)
+    return (oracle_pow(sigma, a) * h.rep * oracle_pow(sigma, b) * h.rep.adjugate()
+            * oracle_pow(sigma, c))
 
 
 class TestEvalWordDifferential:
-    """eval_word's running product, transvections included, is the very
-    matrix that the left-to-right product of the factors gives."""
+    """eval_word's closed form is the very matrix that the left-to-right
+    product of the five factors gives."""
 
     @settings(max_examples=300, deadline=None)
-    @given(word_case())
-    def test_same_matrix(self, case):
-        gens, word = case
-        assert eval_word(gens, word).rep == oracle_word(gens, word)
+    @given(st.sampled_from(POWER_DS), st.lists(COORD, min_size=6, max_size=6),
+           EXPONENT, EXPONENT, EXPONENT)
+    def test_same_matrix(self, d, cs, a, b, c):
+        xi, u, v = (QuadInt(d, x, y) for x, y in zip(cs[::2], cs[1::2]))
+        one = QuadInt.integer(d, 1)
+        h = PslElement.from_entries(one + u * v, u, v, one)
+        assert eval_word(xi, h, (a, b, c)).rep == oracle_witness_word(xi, h, a, b, c)
 
     def test_witness_shape(self):
-        xi = q("20+14*sqrt(-3)")
-        sigma = PslElement.from_entries(QuadInt.integer(3, 1), xi,
-                                        QuadInt.integer(3, 0), QuadInt.integer(3, 1))
-        h = psl("[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]")
-        gens = {"sigma": sigma, "h": h}
-        word = [("sigma", -14811), ("h", 1), ("sigma", 6), ("h", -1), ("sigma", -14811)]
-        assert eval_word(gens, word).rep == oracle_word(gens, word)
-
-    def test_errors(self):
-        u = MU
-        with pytest.raises(ValueError, match="^empty word$"):
-            eval_word({"u": u}, [])
-        with pytest.raises(KeyError, match="unbound generator id 'mu'"):
-            eval_word({}, [("mu", 1)])
-        with pytest.raises(KeyError, match="unbound generator id 'w'"):
-            eval_word({"h": ROTATION}, [("h", 1), ("w", 3), ("h", -1)])
-        with pytest.raises(KeyError, match="unbound generator id 'w'"):
-            eval_word({"u": u}, [("u", 1), ("u", 2), ("w", -1)])
+        xi, h = q(GOLDEN_XI), psl(GOLDEN_H)
+        value = eval_word(xi, h, (-14811, 6, -14811)).rep
+        assert value == oracle_witness_word(xi, h, -14811, 6, -14811)
 
 
 def loop_canonical_sign(m):
@@ -513,8 +452,8 @@ class TestOneSignRule:
         assert canonical_sign(-m) == canonical_sign(m) or all(e.is_zero() for e in m.entries())
 
 
-# The coordinate kernel against the object-level arithmetic it replaced: the
-# QuadInt ring operators entry by entry, and eval_word on a running Mat2.
+# The coordinate kernel against the half-pair oracle for entries up to 2^300:
+# products, determinants, the PslElement determinant check and eval_word.
 
 OBJECT_DS = (1, 2, 3, 5, 7, 11, 1009)
 HUGE_COORD = st.integers(-2 ** 300, 2 ** 300)
@@ -522,107 +461,36 @@ HUGE_EXPONENT = st.one_of(st.sampled_from((0, 1, -1, 2, -2)), st.integers(-2 ** 
 MIXED_RINGS = r"^mixed rings: d=\d+ vs d=\d+$"
 
 
-def ring_product(m, o):
-    """m * o with every entry built by the QuadInt ring operators."""
-    a, b, c, e = m.entries()
-    f, g, h, k = o.entries()
-    return Mat2(a * f + b * h, a * g + b * k, c * f + e * h, c * g + e * k)
-
-
-def ring_det(m):
-    return m.a11 * m.a22 - m.a12 * m.a21
-
-
-def ring_pow(m, n):
-    """m**n for a determinant-1 m, by repeated squaring with ring_product."""
-    if n < 0:
-        m, n = m.adjugate(), -n
-    result = Mat2.identity(m.a11.d)
-    while n:
-        if n & 1:
-            result = ring_product(result, m)
-        m = ring_product(m, m)
-        n >>= 1
-    return result
-
-
-def object_eval_word(gens, word):
-    """eval_word as written on objects: a running Mat2 of QuadInts, a
-    translation power as (1, e*t; 0, 1), a run x^k u^e x^-k as the
-    transvection 1 + e*t*(p; q)(-q, p) built from QuadInt products, and
-    every product by the ring operators."""
-    word = tuple(word)
-    result = None
-    i = 0
-    while i < len(word):
-        gen_id, exponent = word[i]
-        x = gens[gen_id].rep
-        u_id, e = word[i + 1] if i + 2 < len(word) else (None, 0)
-        if (u_id in gens and tuple(word[i + 2]) == (gen_id, -exponent)
-                and gens[u_id].rep.is_translation()):
-            X = ring_pow(x, exponent)
-            et = gens[u_id].rep.a12 * e
-            etp, etq = X.a11 * et, X.a21 * et
-            etpq = etp * X.a21
-            factor = Mat2(1 - etpq, etp * X.a11, -(etq * X.a21), 1 + etpq)
-            i += 3
-        else:
-            factor = (Mat2(x.a11, x.a12 * exponent, x.a21, x.a22) if x.is_translation()
-                      else ring_pow(x, exponent))
-            i += 1
-        result = factor if result is None else ring_product(result, factor)
-    return result
-
-
 def huge_element(draw, d):
     return QuadInt(d, draw(HUGE_COORD), draw(HUGE_COORD))
 
 
-@st.composite
-def object_word_case(draw):
-    """(generators, word) over one of OBJECT_DS, entries up to 2^300: the
-    translations u and w, the non-translations h and g and -u, and up to
-    seven terms among transvection runs x^k u^e x^-k, translation powers with
-    exponents up to 2^300, and non-translation powers with small exponents of
-    either sign."""
-    d = draw(st.sampled_from(OBJECT_DS))
-    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
-    t, w, b, c = (huge_element(draw, d) for _ in range(4))
-    gens = {
-        "u": PslElement.from_entries(one, t, zero, one),
-        "w": PslElement.from_entries(one, w, zero, one),
-        "h": PslElement.from_entries(one + b * c, b, c, one),
-        "g": PslElement.from_entries(one + c, c, one, one),
-        "v": PslElement.from_entries(-one, t, zero, -one),
-    }
-    word = []
-    while len(word) < 7:
-        kind = draw(st.sampled_from(("run", "translation", "power")))
-        if kind == "run":
-            x, k = draw(st.sampled_from(("h", "g", "v", "w"))), draw(RUN_K)
-            chunk = [(x, k), ("u", draw(HUGE_EXPONENT)), (x, -k)]
-        elif kind == "translation":
-            chunk = [(draw(st.sampled_from(("u", "w"))), draw(HUGE_EXPONENT))]
-        else:
-            chunk = [(draw(st.sampled_from(("h", "g", "v"))), draw(st.integers(-3, 3)))]
-        word += chunk[:7 - len(word)]
-        if draw(st.integers(0, 3)) == 0:
-            break
-    return gens, word
+def half_translation(t):
+    """(1, t; 0, 1) as half pairs, for the half pair t."""
+    return [(2, 0), t, (0, 0), (2, 0)]
 
 
 class TestObjectLevelDifferential:
     """Products, determinants, the PslElement determinant check and
-    eval_word on coordinates equal the object-level arithmetic they replaced,
-    for entries up to 2^300."""
+    eval_word on coordinates against the half-pair oracle, for entries up
+    to 2^300."""
 
     @settings(max_examples=150, deadline=None)
-    @given(object_word_case())
-    def test_eval_word(self, case):
-        gens, word = case
-        value = eval_word(gens, word).rep
-        assert value == object_eval_word(gens, word)
-        assert ring_det(value) == QuadInt.integer(value.a11.d, 1)
+    @given(st.data(), st.sampled_from(OBJECT_DS), HUGE_EXPONENT, HUGE_EXPONENT, HUGE_EXPONENT,
+           st.booleans())
+    def test_eval_word(self, data, d, a, b, c, unit_corner):
+        xi, u, v = (huge_element(data.draw, d) for _ in range(3))
+        one = QuadInt.integer(d, 1)
+        h = (PslElement.from_entries(one, u, v, one + u * v) if unit_corner
+             else PslElement.from_entries(one + u * v, u, v, one))
+        value = eval_word(xi, h, (a, b, c)).rep
+        hx, hh = half(xi), [half(e) for e in h.rep.entries()]
+        expected = half_translation((a * hx[0], a * hx[1]))
+        for factor in (hh, half_translation((b * hx[0], b * hx[1])),
+                       [half(e) for e in h.rep.adjugate().entries()],
+                       half_translation((c * hx[0], c * hx[1]))):
+            expected = oracle_product(d, expected, factor)
+        assert [half(e) for e in value.entries()] == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=16, max_size=16),
@@ -635,8 +503,9 @@ class TestObjectLevelDifferential:
             m = Mat2(one, m.a12, zero, one)
         elif translation == "right":
             o = Mat2(one, o.a12, zero, one)
-        assert m * o == ring_product(m, o)
-        assert m.det() == ring_det(m) and o.det() == ring_det(o)
+        hm, ho = [half(e) for e in m.entries()], [half(e) for e in o.entries()]
+        assert [half(e) for e in (m * o).entries()] == oracle_product(d, hm, ho)
+        assert half(m.det()) == oracle_det(d, hm) and half(o.det()) == oracle_det(d, ho)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=4, max_size=4),
@@ -646,7 +515,7 @@ class TestObjectLevelDifferential:
         entries = [one + b * c, b, c, one]
         entries[i] = entries[i] + QuadInt(d, *shift)
         m = Mat2(*entries)
-        if ring_det(m) == one:
+        if oracle_det(d, [half(e) for e in entries]) == (2, 0):
             assert PslElement(m).rep == m
         else:
             with pytest.raises(ValueError, match="^PslElement requires determinant 1$"):
@@ -667,13 +536,11 @@ class TestObjectLevelDifferential:
                      lambda: PslElement(mixed)):
             with pytest.raises(ValueError, match=MIXED_RINGS):
                 call()
-        one7, zero7 = QuadInt.integer(other, 1), QuadInt.integer(other, 0)
-        gens = {"u": PslElement(u), "x": PslElement.from_entries(one7, one7, one7, one7 + one7),
-                "y": PslElement.from_entries(one7, zero7, one7, one7)}
-        for word in ([("u", 3), ("x", 1)], [("x", 1), ("u", 2), ("x", -1)],
-                     [("y", 2), ("u", -1)]):
+        one7 = QuadInt.integer(other, 1)
+        h7 = PslElement.from_entries(one7, one7, one7, one7 + one7)
+        for xi, h in ((t, h7), (QuadInt(other, *cs), PslElement(u))):
             with pytest.raises(ValueError, match=MIXED_RINGS):
-                eval_word(gens, word)
+                eval_word(xi, h, (3, 1, -2))
 
 
 class TestSerialization:
