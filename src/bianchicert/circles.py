@@ -1,94 +1,19 @@
-"""Circle triples (a, B, c), the discriminant invariant, the two
-PSL2(O_d) actions, stabilizer-form recognition, and co-compactness
-certificates via quadratic residues.
+"""Stabilizer-form recognition and co-compactness certificates via
+quadratic residues.
 
-A triple describes the circle a|z|^2 + B z + conj(B z) + c = 0 in the
-Riemann sphere.  Writing B = (b1 + b2 sqrt(-d))/2, primitivity means
-
-    gcd(a, b1/2, b2/2, c) = 1   if b1, b2 both even
-    gcd(a, b1, b2, c) = 1       otherwise
+`stab_form` decides membership in Stab_{PSL2(O_d)}(C_D) for the circle C_D
+of radius sqrt(D) centered at the origin; the residue functions decide
+whether D is a non-residue mod the odd prime d, which certifies that
+stabilizer co-compact.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .psl2 import Mat2, PslElement, _first_nonzero
+from .psl2 import PslElement
 from .quadint import QuadInt, _tau_square, is_prime
-
-
-class CircleTriple(NamedTuple):
-    """Sign-canonical circle datum.  Build via primitive_triple to also
-    divide out the rational content."""
-
-    a: int
-    B: QuadInt
-    c: int
-
-    @property
-    def d(self) -> int:
-        return self.B.d
-
-    def matrix(self) -> Mat2:
-        """The Hermitian matrix (a, B; conj(B), c)."""
-        d = self.d
-        return Mat2(QuadInt.integer(d, self.a), self.B, self.B.conj(), QuadInt.integer(d, self.c))
-
-
-def primitive_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
-    """Divide out the content and apply the canonical sign.  Idempotent."""
-    if B.norm() - a * c <= 0:
-        raise ValueError(f"degenerate circle datum ({a},{B},{c})")
-    b1, b2 = B.half_pair()
-    if b1 % 2 == 0 and b2 % 2 == 0:
-        g = gcd(a, b1 // 2, b2 // 2, c)
-    else:
-        g = gcd(a, b1, b2, c)
-    return _signed_triple(a // g, QuadInt.from_half_pair(B.d, b1 // g, b2 // g), c // g)
-
-
-def _signed_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
-    """Canonical sign without content division.  Used by the actions, which
-    must not rescale: T A T* preserves the determinant exactly, while the
-    rational content of a triple can change even when the content ideal of
-    the Hermitian matrix does not."""
-    if _first_nonzero((a, *B.half_pair(), c)) < 0:
-        return CircleTriple(-a, -B, -c)
-    return CircleTriple(a, B, c)
-
-
-def circle_at_origin(d: int, D: int) -> CircleTriple:
-    """C_D: the circle of radius sqrt(D) centered at the origin, (1, 0, -D)."""
-    if D < 1:
-        raise ValueError(f"D must be a positive integer, got {D}")
-    return CircleTriple(1, QuadInt.integer(d, 0), -D)
-
-
-def discriminant(C: CircleTriple) -> int:
-    """|B|^2 - ac, a positive integer; invariant under the PSL2(O_d) action."""
-    return C.B.norm() - C.a * C.c
-
-
-def hermitian_action(T: PslElement, C: CircleTriple) -> CircleTriple:
-    """T . A = T A T* on Hermitian matrices, returned sign-canonically."""
-    m = T.rep * C.matrix() * T.rep.conj_transpose()
-    a = m.a11.rational_value()
-    c = m.a22.rational_value()
-    if m.a21 != m.a12.conj():
-        raise AssertionError("Hermitian structure lost")
-    return _signed_triple(a, m.a12, c)
-
-
-def circle_action(T: PslElement, C: CircleTriple) -> CircleTriple:
-    """Image circle under the Moebius transformation of T.
-
-    Realized via the Hermitian action of V = (T^-1)^t, which intertwines
-    the two actions and so preserves the discriminant.
-    """
-    V = PslElement(T.inv().rep.transpose())
-    return hermitian_action(V, C)
 
 
 def stab_form(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:

@@ -1,7 +1,5 @@
 """Exact 2x2 matrix algebra over O_d and projective (PSL) elements.
 
-Mat2 is duck-typed over its entries: its product and determinant take the
-entries' ring operators, so anything with them works (QuadInt, QuadRat, int).
 A matrix of QuadInts of one ring is also its eight integer coordinates
 `xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and `det_xy` compute on
 them through `quadint.mul_add`, for the PslElement determinant check and the
@@ -15,7 +13,6 @@ sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates.
 
 from __future__ import annotations
 
-import enum
 import re
 from functools import cache
 from typing import Any
@@ -60,12 +57,6 @@ class Mat2(Frozen):
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a11, self.a21, self.a12, self.a22)
-
-    def conj_transpose(self) -> "Mat2":
-        return Mat2(self.a11.conj(), self.a21.conj(), self.a12.conj(), self.a22.conj())
-
     def adjugate(self) -> "Mat2":
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
@@ -95,8 +86,7 @@ def det_xy(s: int, n: int, m: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _first_nonzero(values: tuple[int, ...]) -> int:
-    """The first nonzero value, or 0: the one sign rule, of `canonical_sign`
-    and of the circle triples in `circles`."""
+    """The first nonzero value, or 0: the one sign rule, of `canonical_sign`."""
     for v in values:
         if v:
             return v
@@ -111,13 +101,6 @@ def canonical_sign(m: Mat2) -> Mat2:
     key = _first_nonzero((2 * ax + s * ay, ay, 2 * bx + s * by, by,
                           2 * cx + s * cy, cy, 2 * ex + s * ey, ey))
     return -m if key < 0 else m
-
-
-class IsometryClass(enum.Enum):
-    IDENTITY = "identity"
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
 
 
 class PslElement(Frozen):
@@ -184,19 +167,6 @@ class PslElement(Frozen):
     def trace(self) -> QuadInt:
         return self.rep.trace()
 
-    def classify(self) -> IsometryClass:
-        if self.is_identity():
-            return IsometryClass.IDENTITY
-        t = self.trace()
-        if not t.is_rational():
-            return IsometryClass.HYPERBOLIC
-        v = abs(t.rational_value())
-        if v < 2:
-            return IsometryClass.ELLIPTIC
-        if v == 2:
-            return IsometryClass.PARABOLIC
-        return IsometryClass.HYPERBOLIC
-
     def render(self) -> str:
         return render_mat2(canonical_sign(self.rep))
 
@@ -219,10 +189,6 @@ def parse_mat2(text: str, d: int) -> Mat2:
     if m is None:
         raise ValueError(f"cannot parse matrix {text!r}")
     return Mat2(*(parse_quadint(g, d) for g in m.groups()))
-
-
-def parse_psl(text: str, d: int) -> PslElement:
-    return PslElement(parse_mat2(text, d))
 
 
 def eval_word(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> PslElement:

@@ -1,18 +1,150 @@
-"""Quaternion algebras (a,b/Q): conjugation, reduced norm/trace, the
-matrix embedding into M_2(Q(sqrt(a))), the standard orders for a = -d,
-and the passage from norm-one order units to circle-stabilizer matrices.
+"""Test-local oracles: the objects of the paper that no command runs.
+
+The library decides membership in Stab(C_D) by `circles.stab_form`, the
+residue test and `congruence.in_gamma8`.  What the tests check it against
+lives here:
+
+- `parse_psl`, the text form of a PslElement;
+- `transpose` and `conj_transpose` of a Mat2;
+- `IsometryClass` and `classify`, the trace classification;
+- circle triples (a, B, c), the discriminant invariant and the two
+  PSL2(O_d) actions;
+- quaternion algebras (a,b/Q): conjugation, reduced norm/trace, the matrix
+  embedding into M_2(Q(sqrt(a))), the standard orders for a = -d, and the
+  passage from norm-one order units to circle-stabilizer matrices.
+
+A triple describes the circle a|z|^2 + B z + conj(B z) + c = 0 in the
+Riemann sphere.  Writing B = (b1 + b2 sqrt(-d))/2, primitivity means
+
+    gcd(a, b1/2, b2/2, c) = 1   if b1, b2 both even
+    gcd(a, b1, b2, c) = 1       otherwise
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import NamedTuple, Union
 
-from .circles import stab_form
-from .psl2 import Mat2, PslElement
-from .quadint import QuadInt, is_squarefree
+from bianchicert.circles import stab_form
+from bianchicert.psl2 import Mat2, PslElement, _first_nonzero, parse_mat2
+from bianchicert.quadint import QuadInt, is_squarefree
+
+
+def parse_psl(text: str, d: int) -> PslElement:
+    return PslElement(parse_mat2(text, d))
+
+
+def transpose(m: Mat2) -> Mat2:
+    return Mat2(m.a11, m.a21, m.a12, m.a22)
+
+
+def conj_transpose(m: Mat2) -> Mat2:
+    return Mat2(m.a11.conj(), m.a21.conj(), m.a12.conj(), m.a22.conj())
+
+
+# -- isometry classes ---------------------------------------------------------
+
+
+class IsometryClass(enum.Enum):
+    IDENTITY = "identity"
+    ELLIPTIC = "elliptic"
+    PARABOLIC = "parabolic"
+    HYPERBOLIC = "hyperbolic"
+
+
+def classify(g: PslElement) -> IsometryClass:
+    if g.is_identity():
+        return IsometryClass.IDENTITY
+    t = g.trace()
+    if not t.is_rational():
+        return IsometryClass.HYPERBOLIC
+    v = abs(t.rational_value())
+    if v < 2:
+        return IsometryClass.ELLIPTIC
+    if v == 2:
+        return IsometryClass.PARABOLIC
+    return IsometryClass.HYPERBOLIC
+
+
+# -- circle triples and the two actions --------------------------------------
+
+
+class CircleTriple(NamedTuple):
+    """Sign-canonical circle datum.  Build via primitive_triple to also
+    divide out the rational content."""
+
+    a: int
+    B: QuadInt
+    c: int
+
+    @property
+    def d(self) -> int:
+        return self.B.d
+
+    def matrix(self) -> Mat2:
+        """The Hermitian matrix (a, B; conj(B), c)."""
+        d = self.d
+        return Mat2(QuadInt.integer(d, self.a), self.B, self.B.conj(), QuadInt.integer(d, self.c))
+
+
+def primitive_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
+    """Divide out the content and apply the canonical sign.  Idempotent."""
+    if B.norm() - a * c <= 0:
+        raise ValueError(f"degenerate circle datum ({a},{B},{c})")
+    b1, b2 = B.half_pair()
+    if b1 % 2 == 0 and b2 % 2 == 0:
+        g = gcd(a, b1 // 2, b2 // 2, c)
+    else:
+        g = gcd(a, b1, b2, c)
+    return _signed_triple(a // g, QuadInt.from_half_pair(B.d, b1 // g, b2 // g), c // g)
+
+
+def _signed_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
+    """Canonical sign without content division.  Used by the actions, which
+    must not rescale: T A T* preserves the determinant exactly, while the
+    rational content of a triple can change even when the content ideal of
+    the Hermitian matrix does not."""
+    if _first_nonzero((a, *B.half_pair(), c)) < 0:
+        return CircleTriple(-a, -B, -c)
+    return CircleTriple(a, B, c)
+
+
+def circle_at_origin(d: int, D: int) -> CircleTriple:
+    """C_D: the circle of radius sqrt(D) centered at the origin, (1, 0, -D)."""
+    if D < 1:
+        raise ValueError(f"D must be a positive integer, got {D}")
+    return CircleTriple(1, QuadInt.integer(d, 0), -D)
+
+
+def discriminant(C: CircleTriple) -> int:
+    """|B|^2 - ac, a positive integer; invariant under the PSL2(O_d) action."""
+    return C.B.norm() - C.a * C.c
+
+
+def hermitian_action(T: PslElement, C: CircleTriple) -> CircleTriple:
+    """T . A = T A T* on Hermitian matrices, returned sign-canonically."""
+    m = T.rep * C.matrix() * conj_transpose(T.rep)
+    a = m.a11.rational_value()
+    c = m.a22.rational_value()
+    if m.a21 != m.a12.conj():
+        raise AssertionError("Hermitian structure lost")
+    return _signed_triple(a, m.a12, c)
+
+
+def circle_action(T: PslElement, C: CircleTriple) -> CircleTriple:
+    """Image circle under the Moebius transformation of T.
+
+    Realized via the Hermitian action of V = (T^-1)^t, which intertwines
+    the two actions and so preserves the discriminant.
+    """
+    V = PslElement(transpose(T.inv().rep))
+    return hermitian_action(V, C)
+
+
+# -- quaternion algebras -------------------------------------------------------
 
 Rational = Union[int, Fraction]
 
@@ -112,7 +244,8 @@ def rho(x: Quaternion) -> Mat2:
         (x0 + x1 sqrt(a),  b (x2 + x3 sqrt(a)))
         (x2 - x3 sqrt(a),  x0 - x1 sqrt(a))
 
-    Entries are QuadRat values over O_d.
+    Entries are QuadRat values over O_d; Mat2's product and determinant take
+    their ring operators.
     """
     d = _imaginary_d(x.algebra)
     b = x.algebra.b

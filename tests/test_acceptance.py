@@ -8,8 +8,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from bianchicert.circles import (circle_action, circle_at_origin, discriminant,
-                                 stab_form)
+from bianchicert.circles import stab_form
 from bianchicert.congruence import (enumerate_psl2, gamma8_generators,
                                     gamma8_level4_image,
                                     gamma8_prime_extra_generator,
@@ -20,10 +19,11 @@ from bianchicert.pipeline import (FIG8, GENERAL, InvalidParams, construct_series
                                   construct_witness, parse_witnesses,
                                   render_witnesses, validate_fig8,
                                   validate_general, verify_witness)
-from bianchicert.psl2 import PslElement, parse_psl
+from bianchicert.psl2 import PslElement
 from bianchicert.quadint import QuadInt
-from bianchicert.quat import QuatAlgebra, Quaternion, order_unit_to_stab, rho
 
+from oracles import (QuatAlgebra, Quaternion, circle_action, discriminant,
+                     order_unit_to_stab, parse_psl, rho)
 from test_circles import random_circle
 from test_pipeline import fig8_h, random_valid_slope
 from test_psl2 import random_psl

@@ -13,9 +13,10 @@ from bianchicert.congruence import (ClosureCapExceeded, ResidueMatrix,
                                     group_closure, in_gamma8,
                                     phi_n, reduce_level, residue_identity,
                                     residue_matrix)
-from bianchicert.psl2 import Mat2, PslElement, parse_psl
+from bianchicert.psl2 import Mat2, PslElement
 from bianchicert.quadint import QuadInt
 
+from oracles import parse_psl
 from test_psl2 import random_psl
 
 MU = parse_psl("[[1,1],[0,1]]", 3)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bianchicert import pipeline, quadint
-from bianchicert.circles import circle_action, circle_at_origin, is_prime
+from bianchicert.circles import is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, InvalidParams,
                                   bezout_rt, construct_series,
@@ -18,9 +18,10 @@ from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, Invali
                                   render_witnesses, run_checks, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import (IsometryClass, Mat2, PslElement, canonical_sign, eval_word,
-                              parse_psl, render_word)
+from bianchicert.psl2 import Mat2, PslElement, canonical_sign, eval_word, render_word
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
+
+from oracles import IsometryClass, circle_action, circle_at_origin, classify, parse_psl
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
 
@@ -270,10 +271,14 @@ class TestConstructFig8:
         w = fig8_witness(k=2)
         assert w.word == witness_word(w.n_k, 6)
 
-    def test_g_k_fixes_its_circle(self):
-        w = fig8_witness(k=3)
+    # fig8 at d = 3; general mode with xi = 1 + d*tau at the other d: the
+    # oracle's Moebius action stands behind stab_form's verdict
+    @pytest.mark.parametrize("d, k", [(3, 3)] + [(d, k) for d in (5, 7, 11, 19) for k in (1, 2)])
+    def test_g_k_fixes_its_circle(self, d, k):
+        w = (fig8_witness(k=k) if d == 3
+             else construct_witness(GENERAL, validate_general(d, 1 + d * QuadInt.tau(d)), k))
         g = PslElement(w.g_k)
-        c = circle_at_origin(3, w.D_k)
+        c = circle_at_origin(d, w.D_k)
         assert circle_action(g, c) == c
 
     def test_bad_k(self):
@@ -461,12 +466,12 @@ class TestWordCost:
 
 def hyperbolic_trace_oracle(record):
     """check.hyperbolic_trace as first stated: the claimed g_k is hyperbolic
-    by PslElement.classify(), with rational trace of the expected size."""
+    by `classify`, with rational trace of the expected size."""
     g = PslElement(record.g_k)
     m = record.word[2][1]
     expected = 2 - 2 * m * record.n_k * record.norm_xi ** 2
     tr = g.trace()
-    return (g.classify() is IsometryClass.HYPERBOLIC and tr.is_rational()
+    return (classify(g) is IsometryClass.HYPERBOLIC and tr.is_rational()
             and abs(tr.rational_value()) == abs(expected))
 
 

@@ -7,9 +7,9 @@ from math import lcm
 import pytest
 
 from bianchicert.circles import stab_form
-from bianchicert.quat import (QuadRat, QuatAlgebra, Quaternion, in_order,
-                              order_unit_to_stab, rho)
 from bianchicert.quadint import QuadInt
+
+from oracles import QuadRat, QuatAlgebra, Quaternion, in_order, order_unit_to_stab, rho
 
 
 def alg(a, b):
