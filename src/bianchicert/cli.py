@@ -18,7 +18,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import golden
 from .circles import check_odd_prime, is_quadratic_nonresidue
 from .pipeline import (FIG8, GENERAL, CompressionWitness, InvalidParams, Params,
                        construct_series, parse_witnesses, render_witnesses,
@@ -125,6 +124,7 @@ def cmd_residues(args: argparse.Namespace) -> int:
 
 
 def cmd_appendix(_args: argparse.Namespace) -> int:
+    from . import golden  # here, as no other command reads the table
     params = validate_fig8(golden.GOLDEN_P, golden.GOLDEN_Q)
     witnesses = construct_series(FIG8, params, range(1, 11))
     h = witnesses[0].h

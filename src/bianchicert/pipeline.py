@@ -8,19 +8,22 @@ gcd(p, q) = 1) and the Gamma_8 level-4 certificate added to the checks.
 
 A witness packages (params, r, t, h, k, n_k, D_k, g_k, alpha_k, beta_k),
 a generator word certifying g_k lies in the normal closure of sigma, and
-a battery of named exactness checks.
+a battery of named exactness checks.  `parse_witnesses` reads a block in
+render's form with one match of its mode's pattern, any other line by line.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from math import gcd
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
 from .psl2 import (Mat2, PslElement, Word, canonical_sign, eval_word, parse_mat2,
                    parse_word, render_mat2, render_word)
-from .quadint import QuadInt, parse_quadint
+from .quadint import RENDERED, QuadInt, from_rendered, parse_quadint
 
 FIG8 = "fig8"
 GENERAL = "general"
@@ -126,33 +129,41 @@ def h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
 
 # -- witnesses --------------------------------------------------------------
 
-# Every key a record may carry, in render order: key -> (parser (text, d) ->
-# value, renderer, whether verify_witness compares the claimed value with the
-# honest one as field.<key>).  The parsers look parse_* up when called, so a
-# tracer that rebinds those module names sees every call.
-FIELDS: dict[str, tuple[Callable[[str, int], Any], Callable[[Any], str], bool]] = {
-    "mode": (lambda text, d: text, str, False),
-    "d": (lambda text, d: int(text), str, False),
-    "p": (lambda text, d: int(text), str, False),
-    "q": (lambda text, d: int(text), str, False),
-    "x": (lambda text, d: int(text), str, False),
-    "xi": (lambda text, d: parse_quadint(text, d), str, True),
-    "norm_xi": (lambda text, d: int(text), str, True),
-    "r": (lambda text, d: int(text), str, True),
-    "t": (lambda text, d: int(text), str, True),
-    "h": (lambda text, d: parse_mat2(text, d), render_mat2, True),  # compared up to sign
-    "k": (lambda text, d: int(text), str, False),
-    "n_k": (lambda text, d: int(text), str, True),
-    "D_k": (lambda text, d: int(text), str, True),
-    "alpha_k": (lambda text, d: parse_quadint(text, d), str, True),
-    "beta_k": (lambda text, d: parse_quadint(text, d), str, True),
-    "g_k": (lambda text, d: parse_mat2(text, d), render_mat2, False),
-    "word": (lambda text, d: parse_word(text), render_word, False),
+def _read_mat2(g: Iterator[str], d: int) -> Optional[Mat2]:
+    entries = [from_rendered(d, next(g), next(g), next(g), next(g)) for _ in range(4)]
+    return Mat2(*entries) if all(entries) else None  # a QuadInt is true, None false
+
+
+# The kinds of value a record holds: (the line reader's parser (text, d) ->
+# value, the renderer, the pattern of render's form, and the record reader's
+# conversion (iterator over the match groups, d) -> value, which takes its
+# pattern's groups, or None where render would not have written the text).
+# The parsers look parse_* up when called, so a tracer sees every call.
+_INT = (lambda text, d: int(text), str, r"(-?\d+)", lambda g, d: int(next(g)))
+_QUADINT = (lambda text, d: parse_quadint(text, d), str, RENDERED,
+            lambda g, d: from_rendered(d, next(g), next(g), next(g), next(g)))
+_MAT2 = (lambda text, d: parse_mat2(text, d), render_mat2,
+         rf"\[\[{RENDERED},{RENDERED}\],\[{RENDERED},{RENDERED}\]\]", _read_mat2)
+_WORD = (lambda text, d: parse_word(text), render_word,  # the witness shape alone
+         r"sigma\^(-?\d+) h\^1 sigma\^(-?\d+) h\^-1 sigma\^(-?\d+)",
+         lambda g, d: (("sigma", int(next(g))), ("h", 1), ("sigma", int(next(g))), ("h", -1),
+                       ("sigma", int(next(g)))))
+# Every key a record may carry, in render order: key -> its kind, then whether
+# verify_witness compares the claimed value with the honest one as field.<key>.
+FIELDS: dict[str, tuple] = {
+    "mode": (lambda text, d: text, str, r"(\w+)", lambda g, d: next(g), False),
+    "d": (*_INT[:2], r"(?P<d>-?\d+)", _INT[3], False),  # sqrt(-(?P=d)) refers to it
+    "p": (*_INT, False), "q": (*_INT, False), "x": (*_INT, False),
+    "xi": (*_QUADINT, True), "norm_xi": (*_INT, True), "r": (*_INT, True), "t": (*_INT, True),
+    "h": (*_MAT2, True),  # compared up to sign
+    "k": (*_INT, False), "n_k": (*_INT, True), "D_k": (*_INT, True),
+    "alpha_k": (*_QUADINT, True), "beta_k": (*_QUADINT, True), "g_k": (*_MAT2, False),
+    "word": (*_WORD, False),
 }
 # Each mode's record: its keys in render order -> None, then its trailer,
 # each check the mode runs -> "pass" and the fig8 finite-model note.  A record
 # exists only when all its checks pass, so its mode fixes its trailer; render
-# writes this, _parse_block reads nothing else and run_checks runs its checks;
+# writes this, the record readers read nothing else and run_checks runs its checks;
 # TRAILERS holds each trailer alone.
 LAYOUTS: dict[str, dict[str, Optional[str]]] = {
     mode: {**dict.fromkeys(key for key in FIELDS if key not in absent),
@@ -301,6 +312,44 @@ def render_witnesses(witnesses: Sequence[CompressionWitness]) -> str:
     return "\n".join(w.render() for w in witnesses)
 
 
+@cache  # compiled on the first record of each mode
+def _rendered_record(mode: str) -> tuple[re.Pattern[str], list[tuple[int, Callable]]]:
+    """The pattern of mode's block in render's form, and per field of the mode
+    its place in a CompressionWitness and its conversion, which takes the
+    field's groups in turn."""
+    lines, reads = [], []
+    for key, value in LAYOUTS[mode].items():
+        pattern, read = FIELDS[key][2:4] if value is None else (re.escape(value), None)
+        lines.append(f"{re.escape(key)}: {pattern}")
+        if read:
+            reads.append((CompressionWitness._fields.index(key), read))
+    return re.compile("\n".join(lines), re.ASCII), reads
+
+
+def _read_rendered(block: list[str]) -> Optional[CompressionWitness]:
+    """The record of a block that is exactly its mode's layout in render's
+    form, read with one match.  None for any other block, which `_parse_block`
+    reads (sugar, spaces, reordered lines) or names the fault of."""
+    key, _, mode = block[0].partition(": ")
+    if key != "mode" or mode not in LAYOUTS:
+        return None
+    pattern, reads = _rendered_record(mode)
+    m = pattern.fullmatch("\n".join(block))
+    if m is None:
+        return None
+    groups, values = iter(m.groups()), [None] * len(CompressionWitness._fields)
+    try:
+        d = int(m["d"])
+        check_odd_prime(d)  # before any element, as in _parse_block
+        for at, read in reads:
+            value = values[at] = read(groups, d)
+            if value is None:
+                return None
+    except ValueError:  # an integer past the digit limit, or d not an odd prime
+        return None
+    return CompressionWitness._make(values)
+
+
 def _parse_block(lines: list[str]) -> CompressionWitness:
     """The record of a block with exactly its mode's keys, each once, and the
     trailer render writes; a line the verifier does not read could show what
@@ -327,21 +376,21 @@ def _parse_block(lines: list[str]) -> CompressionWitness:
     d = int(fields["d"])
     check_odd_prime(d)  # before any element, as an O_d test of a composite d is trial division
     return CompressionWitness(**{key: parse(fields[key], d) if key in fields else None
-                                 for key, (parse, _, _) in FIELDS.items()})
+                                 for key, (parse, *_) in FIELDS.items()})
 
 
 def parse_witnesses(text: str) -> list[CompressionWitness]:
     """The records of text, each parsed as soon as its block ends; blank and
     `#` comment lines end a block."""
     records: list[CompressionWitness] = []
-    block: list[str] = []
-    for raw in [*text.splitlines(), ""]:  # the blank line ends the last block
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            block.append(line)
-        elif block:
-            records.append(_parse_block(block))
-            block = []
+    lines = [line.strip() for line in text.splitlines()]
+    start = 0
+    for end, line in enumerate([*lines, ""]):  # the blank line ends the last block
+        if not line or line[0] == "#":
+            if end > start:
+                block = lines[start:end]
+                records.append(_read_rendered(block) or _parse_block(block))
+            start = end + 1
     return records
 
 
@@ -377,7 +426,7 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
         return VerificationReport({"field.d": False})
     results = {f"field.{key}": getattr(honest, key) == (canonical_sign(w.h) if key == "h"
                                                           else getattr(w, key))
-               for key, (_, _, compared) in FIELDS.items() if compared}
+               for key, (*_, compared) in FIELDS.items() if compared}
     if not _has_witness_shape(w.word):  # h^N has entries of ~N bits: evaluate no other word
         results["field.word"] = False
         return VerificationReport(results)

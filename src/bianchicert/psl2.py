@@ -176,7 +176,8 @@ IDENTITY_XY = (1, 0, 0, 0, 0, 0, 1, 0)  # the coordinates of the identity matrix
 _PLUS_MINUS_ONE = (IDENTITY_XY, tuple([-v for v in IDENTITY_XY]))
 
 
-_MATRIX_RE = re.compile(r"^\[\[([^\[\]]*),([^\[\]]*)\],\[([^\[\]]*),([^\[\]]*)\]\]$")
+# an entry holds no comma or bracket, so a failed match never backtracks
+_MATRIX_RE = re.compile(r"\[\[([^\[\],]*),([^\[\],]*)\],\[([^\[\],]*),([^\[\],]*)\]\]")
 
 
 def render_mat2(m: Mat2) -> str:
@@ -185,7 +186,7 @@ def render_mat2(m: Mat2) -> str:
 
 def parse_mat2(text: str, d: int) -> Mat2:
     """Parse the matrix text form without any determinant requirement."""
-    m = _MATRIX_RE.match(text.replace(" ", ""))
+    m = _MATRIX_RE.fullmatch(text.replace(" ", ""))
     if m is None:
         raise ValueError(f"cannot parse matrix {text!r}")
     return Mat2(*(parse_quadint(g, d) for g in m.groups()))

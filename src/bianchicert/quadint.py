@@ -12,7 +12,8 @@ construction.  All coordinates are Python ints (arbitrary precision).
 it rejects a d that is not positive and square-free, and otherwise gives
 (s, n) with tau^2 = s*tau - n, where s = 1 exactly when tau = (1 + sqrt(-d))/2.
 Validation of d, products, norms, traces, conjugates, the half-pair view
-(2x + s*y, (2 - s)*y), its inverse, `render` and the parser all read it.
+(2x + s*y, (2 - s)*y), its inverse, `render` and both readers of text read it:
+`from_rendered`, of the groups of render's form, and `parse_quadint`, term by term.
 Its square-free test accepts a prime d at once through `is_prime`, which is
 also the odd-prime test of `circles.check_odd_prime`.
 
@@ -292,8 +293,10 @@ def from_xy(like: QuadInt, xy: tuple[int, ...]) -> tuple[QuadInt, ...]:
 
 
 # the form `render` writes: u, or u+v*sqrt(-d) or u-v*sqrt(-d), with u and v both
-# integers or both odd/2; the groups are u, u's /2, v with its sign, v's /2 and d
-_RENDERED_RE = re.compile(r"(-?\d+)(/2)?(?:([+-]\d+)(/2)?\*sqrt\(-(\d+)\))?", re.ASCII)
+# integers or both odd/2; the groups are u, u's /2, v with its sign and v's /2.
+# `pipeline` reads each ring element of a record in render's form with it, where
+# (?P=d) is the text of the record's d, a group named d.
+RENDERED = r"(-?\d+)(/2)?(?:([+-]\d+)(/2)?\*sqrt\(-(?P=d)\))?"
 
 # a number with an optional *symbol, or a bare symbol: a plain integer needs no backtracking
 _TERM_RE = re.compile(
@@ -305,6 +308,24 @@ _TERM_RE = re.compile(
 )
 
 
+def from_rendered(d: int, u: str, u_half: str | None, v: str | None,
+                  v_half: str | None) -> QuadInt | None:
+    """The element of O_d that the groups of a RENDERED match denote, or None
+    where render would not have written the text (halves where render writes
+    none).  d must pass `_tau_square`; an integer past int()'s digit limit
+    raises ValueError."""
+    if v is None:
+        return None if u_half else _unchecked(d, int(u), 0)
+    if u_half != v_half:
+        return None
+    s, _ = _tau_square(d)
+    a, b = int(u), int(v)
+    if not u_half:  # a + b*sqrt(-d), where sqrt(-d) is tau if s = 0 and 2*tau - 1 if s = 1
+        return _unchecked(d, a - s * b, b << s)
+    # render writes halves only when s = 1, and then (a + b*sqrt(-d))/2 = (a - b)/2 + b*tau
+    return _unchecked(d, (a - b) // 2, b) if s and (a - b) % 2 == 0 else None
+
+
 def _parse_coeff4(tok: str) -> int:
     """Four times the coefficient token n or n/2, an even integer."""
     if tok.endswith("/2"):
@@ -313,45 +334,14 @@ def _parse_coeff4(tok: str) -> int:
 
 
 def parse_quadint(text: str, d: int) -> QuadInt:
-    """Parse the canonical text form (and tau/eta/omega sugar) for O_d.
+    """Parse the text form of an element of O_d term by term.
 
     Accepted terms: integers, odd/2 halves, and multiples of sqrt(-d),
     tau (the integral-basis generator, the half pair (s, 2 - s)), eta (alias
-    for tau when s = 1), and omega (d = 3 only, omega^2 + omega + 1 = 0).
-    Text in the form `render` writes is read with one match; any other text
-    is read term by term, which alone names the faults of rejected text.
+    for tau when s = 1), and omega (d = 3 only, omega^2 + omega + 1 = 0),
+    with spaces anywhere.  Rejected text raises ValueError naming its fault.
     """
     s, _ = _tau_square(d)
-    q = _parse_rendered(text, d, s)
-    return _parse_terms(text, d, s) if q is None else q
-
-
-def _parse_rendered(text: str, d: int, s: int) -> QuadInt | None:
-    """The element that text in `render`'s form denotes, for a valid d with
-    s = `_tau_square(d)[0]`.  None for any other text, and for rendered-looking
-    text that names another d, has an integer past int()'s digit limit or has
-    halves that render would not write; for all of these `_parse_terms` gives
-    the value or the error."""
-    m = _RENDERED_RE.fullmatch(text)
-    if m is None:
-        return None
-    u, u_half, v, v_half, dd = m.groups()
-    try:
-        if v is None:
-            return None if u_half else _unchecked(d, int(u), 0)
-        if u_half != v_half or int(dd) != d:
-            return None
-        a, b = int(u), int(v)
-    except ValueError:
-        return None
-    if not u_half:  # a + b*sqrt(-d), where sqrt(-d) is tau if s = 0 and 2*tau - 1 if s = 1
-        return _unchecked(d, a - s * b, b << s)
-    # render writes halves only when s = 1, and then (a + b*sqrt(-d))/2 = (a - b)/2 + b*tau
-    return _unchecked(d, (a - b) // 2, b) if s and (a - b) % 2 == 0 else None
-
-
-def _parse_terms(text: str, d: int, s: int) -> QuadInt:
-    """The term-by-term reader behind `parse_quadint`; s is `_tau_square(d)[0]`."""
     body = text.replace(" ", "")
     if not body:
         raise ValueError("empty element text")

@@ -8,6 +8,8 @@ from pathlib import Path
 
 from bianchicert import pipeline
 
+from test_pipeline import sugared
+
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
 
@@ -39,7 +41,10 @@ def test_traced_construct_and_verify_count_calls():
         calls = dict(zip(tracer.names, tracer.calls))
         tracer.reset()
         assert pipeline.parse_witnesses(pipeline.render_witnesses([w])) == [w]
-        parsed = dict(zip(tracer.names, tracer.calls))
+        rendered = dict(zip(tracer.names, tracer.calls))
+        tracer.reset()
+        assert pipeline.parse_witnesses(sugared(w)) == [w]
+        sugar = dict(zip(tracer.names, tracer.calls))
     finally:
         tracer.uninstall()
     for name in ("pipeline.construct_witness", "pipeline.run_checks"):
@@ -47,8 +52,12 @@ def test_traced_construct_and_verify_count_calls():
     assert calls["psl2.PslElement.pow"] == 0
     # the word is evaluated once by construct and once by verify, through eval_word
     assert calls["psl2.eval_word"] == 2
-    # the parsers are looked up by name on every call, so the tracer sees each
-    # one: h and g_k are two matrices of four ring elements, plus xi, alpha_k
-    # and beta_k
-    assert parsed["psl2.parse_mat2"] == 2
-    assert parsed["quadint.parse_quadint"] == 11
+    # a record in render's form is read with one match of its mode's pattern,
+    # with no call of the element and matrix parsers
+    assert rendered["pipeline.parse_witnesses"] == 1
+    assert rendered["psl2.parse_mat2"] == rendered["quadint.parse_quadint"] == 0
+    # the line reader looks the parsers up by name on every call, so the tracer
+    # sees each one: h and g_k are two matrices of four ring elements, plus xi,
+    # alpha_k and beta_k
+    assert sugar["psl2.parse_mat2"] == 2
+    assert sugar["quadint.parse_quadint"] == 11

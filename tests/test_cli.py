@@ -40,10 +40,11 @@ def run_process(*args):
 
 
 def test_commands_import_no_rational_arithmetic(tmp_path):
-    # a fresh interpreter runs every command; none of them needs quat's
-    # quaternion algebras, nor the fractions and decimal modules behind them,
-    # and none pays for dataclasses and the inspect module it imports.  Only
-    # what the commands add counts: a site hook may have loaded any of these.
+    # a fresh interpreter runs every command; none of them needs the fractions
+    # and decimal modules, and none pays for dataclasses and the inspect module
+    # it imports.  Only `appendix` reads the golden table, so the other
+    # commands do not import it.  Only what the commands add counts: a site
+    # hook may have loaded any of these.
     script = ("import sys\nbare = set(sys.modules)\n"
               "import contextlib, io\nfrom bianchicert.cli import main\n"
               "path = sys.argv[1]\n"
@@ -53,14 +54,15 @@ def test_commands_import_no_rational_arithmetic(tmp_path):
               "             main(['construct', 'general', '--d', '7', '--xi', '1+7*eta',\n"
               "                   '--k', '1..2', '--out', path]),\n"
               "             main(['verify', path]),\n"
-              "             main(['residues', '--d', '7']),\n"
-              "             main(['appendix'])]\n"
+              "             main(['residues', '--d', '7'])]\n"
+              "    before_appendix = set(sys.modules) - bare\n"
+              "    codes.append(main(['appendix']))\n"
               "added = set(sys.modules) - bare\n"
-              "print(codes, sorted({'bianchicert.quat', 'fractions', 'decimal', 'dataclasses',\n"
-              "                     'inspect'} & added))\n")
+              "print(codes, sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & added),\n"
+              "      sorted({'bianchicert.golden'} & before_appendix))\n")
     proc = run_process("-c", script, str(tmp_path / "w.txt"))
     assert proc.stderr == ""
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] [] []\n"
 
 
 class TestKRange:

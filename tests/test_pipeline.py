@@ -2,6 +2,7 @@ import random
 import re
 import time
 from collections import Counter
+from unittest import mock
 from dataclasses import dataclass
 from math import gcd
 
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bianchicert import pipeline, quadint
+from bianchicert import pipeline
 from bianchicert.circles import is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
-from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, InvalidParams,
+from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, CompressionWitness,
+                                  InvalidParams,
                                   bezout_rt, construct_series,
                                   construct_witness, h_matrix, parse_witnesses,
                                   render_witnesses, run_checks, validate_fig8,
@@ -586,28 +588,204 @@ def sugared(w):
 
 
 class TestSugarRecord:
-    """A record whose ring elements are not in render's form is read term by
-    term, and gets the rendered record's value and report."""
+    """A record whose ring elements are not in render's form is read line by
+    line, and gets the rendered record's value and report."""
 
     def test_same_record_and_report(self, monkeypatch):
         ws = construct_series(FIG8, validate_fig8(20, 7), range(1, 3))
-        taken = Counter()  # how many elements took the one-match path, and how many not
-        original = quadint._parse_rendered
+        taken = Counter()  # how many blocks the one match read, and how many it left
+        original = pipeline._read_rendered
 
-        def counting(text, d, s):
-            q = original(text, d, s)
-            taken[q is not None] += 1
-            return q
+        def counting(block):
+            record = original(block)
+            taken[record is not None] += 1
+            return record
 
-        monkeypatch.setattr(quadint, "_parse_rendered", counting)
+        monkeypatch.setattr(pipeline, "_read_rendered", counting)
         assert parse_witnesses(render_witnesses(ws)) == ws
-        assert taken == Counter({True: 22})
+        assert taken == Counter({True: 2})
         taken.clear()
         parsed = parse_witnesses("\n".join(sugared(w) for w in ws))
-        assert taken == Counter({False: 22})
+        assert taken == Counter({False: 2})
         assert parsed == ws
         assert [verify_witness(w).results for w in parsed] == [verify_witness(w).results
                                                                 for w in ws]
+
+
+def parse_outcome(text):
+    """parse_witnesses' records of text, or its ValueError message."""
+    try:
+        return parse_witnesses(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def read_both(text):
+    """(each block's (one-match record or None, line reader's record or
+    error), parse_witnesses' outcome, its outcome with the line reader alone)."""
+    blocks = []
+    original = pipeline._read_rendered
+
+    def spy(block):
+        record = original(block)
+        try:
+            blocks.append((record, pipeline._parse_block(block)))
+        except ValueError as exc:
+            blocks.append((record, f"ValueError: {exc}"))
+        return record
+
+    with mock.patch.object(pipeline, "_read_rendered", spy):
+        both = parse_outcome(text)
+    with mock.patch.object(pipeline, "_read_rendered", lambda block: None):
+        lines_only = parse_outcome(text)
+    return blocks, both, lines_only
+
+
+def assert_readers_agree(text):
+    """The one match returns the line reader's record or defers, and
+    parse_witnesses gives the line reader's records or its error."""
+    blocks, both, lines_only = read_both(text)
+    assert both == lines_only
+    for record, line in blocks:
+        assert record is None or record == line
+    return blocks
+
+
+ODD_PRIMES = (3, 5, 7, 11, 43, 1000003)  # d = 1 and 3 (mod 4)
+COORD_256 = st.one_of(st.integers(-20, 20), st.integers(-2**256, 2**256))
+INT_KEYS = ("d", "p", "q", "x", "norm_xi", "r", "t", "k", "n_k", "D_k")
+ELEMENT_KEYS = ("xi", "alpha_k", "beta_k", "h", "g_k")
+
+
+@st.composite
+def rendered_record(draw):
+    """A record of either mode with every integer and coordinate up to 2^256
+    in size, and now and then a word of another shape: reading checks no
+    parameter, so any values make a record."""
+    mode = draw(st.sampled_from((FIG8, GENERAL)))
+    d = draw(st.sampled_from(ODD_PRIMES))
+    element = st.builds(lambda x, y: QuadInt(d, x, y), COORD_256, COORD_256)
+    matrix = st.builds(Mat2, element, element, element, element)
+    word = st.one_of(st.builds(witness_word, COORD_256, COORD_256),
+                     st.lists(st.tuples(st.sampled_from(("sigma", "h")), COORD_256),
+                              max_size=6).map(tuple))
+    values = {key: draw(COORD_256) for key in INT_KEYS}
+    values.update(mode=mode, d=d, word=draw(word),
+                  **{key: draw(element) for key in ("xi", "alpha_k", "beta_k")},
+                  **{key: draw(matrix) for key in ("h", "g_k")})
+    for key in FIELDS.keys() - LAYOUTS[mode].keys():
+        values[key] = None
+    return CompressionWitness(**values)
+
+
+def replace_value(lines, key, value):
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
+    lines[at] = f"{key}: {value}"
+
+
+@st.composite
+def one_edit_record(draw):
+    """(record, the lines of its render with one edit): two lines swapped,
+    one ring element in tau form, an int as +n, 00n or with a _, sqrt(-0d)
+    or sqrt(-d') of another d' in one element, a /2 added or dropped on one
+    number or on both of xi, alpha_k or beta_k, a space inside a line, or a
+    `#` line put in."""
+    w = draw(rendered_record())
+    lines = w.render().splitlines()
+    edit = draw(st.sampled_from(("swap", "sugar", "int", "zero-d", "other-d", "half",
+                                 "halves", "space", "comment")))
+    if edit == "swap":
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                             unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "sugar":
+        key = draw(st.sampled_from(ELEMENT_KEYS))
+        value = getattr(w, key)
+        if type(value) is QuadInt:
+            replace_value(lines, key, tau_text(value))
+        else:
+            entries = [str(e) for e in value.entries()]
+            at = draw(st.integers(0, 3))
+            entries[at] = tau_text(value.entries()[at])
+            replace_value(lines, key, "[[{},{}],[{},{}]]".format(*entries))
+    elif edit == "int":
+        key = draw(st.sampled_from([key for key in INT_KEYS if key in LAYOUTS[w.mode]]))
+        text = str(getattr(w, key))
+        form = draw(st.sampled_from(("plus", "zeros", "underscore")))
+        if form == "plus":
+            text = "+" + text
+        elif form == "zeros":
+            text = "00" + text
+        else:
+            at = draw(st.integers(1, max(1, len(text) - 1)))
+            text = text[:at] + "_" + text[at:]
+        replace_value(lines, key, text)
+    elif edit in ("zero-d", "other-d", "half", "halves"):
+        key = draw(st.sampled_from(ELEMENT_KEYS[:3] if edit == "halves" else ELEMENT_KEYS))
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
+        line = lines[at]
+        if edit in ("half", "halves"):  # on u or v, not the d inside sqrt(-d)
+            spans = [m.span() for m in re.finditer(r"(?<=[-+,\[ ])\d+(/2)?(?!\d|/|\))", line)]
+            if edit == "half":
+                spans = [draw(st.sampled_from(spans))]
+            for start, end in reversed(spans):
+                number = line[start:end]
+                number = number[:-2] if number.endswith("/2") else number + "/2"
+                line = line[:start] + number + line[end:]
+            lines[at] = line
+        else:
+            other = f"0{w.d}" if edit == "zero-d" else str(draw(st.sampled_from(
+                [e for e in ODD_PRIMES if e != w.d])))
+            lines[at] = line.replace(f"sqrt(-{w.d})", f"sqrt(-{other})", 1)
+    elif edit == "space":
+        at = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + " " + lines[at][cut:]
+    else:
+        lines.insert(draw(st.integers(0, len(lines))), "# a stray comment")
+    return w, "\n".join(lines) + "\n"
+
+
+class TestRecordReader:
+    """A block that is exactly its mode's layout in render's form is read
+    with one match; the line reader reads every other block.  The one match
+    returns the line reader's record or defers, so parse_witnesses gives
+    every text the same records or the same error as the line reader alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rendered_record())
+    def test_rendered_record_takes_one_match(self, w):
+        blocks = assert_readers_agree(w.render())
+        shaped = pipeline._has_witness_shape(w.word)
+        assert blocks == [(w if shaped else None, w)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(one_edit_record())
+    def test_one_edit_reads_as_the_line_reader(self, case):
+        _, text = case
+        assert_readers_agree(text)
+
+    @pytest.mark.parametrize("mode", (FIG8, GENERAL))
+    def test_both_modes_of_benchmark_size_take_one_match(self, mode):
+        w = fig8_witness(k=3) if mode == FIG8 else construct_witness(
+            GENERAL, validate_general(7, QuadInt(7, 999983, 999979)), 10**6)
+        assert assert_readers_agree(w.render()) == [(w, w)]
+
+
+class TestLongLine:
+    """A long matrix line is refused in time linear in its length: neither
+    the record pattern nor the matrix pattern backtracks."""
+
+    @pytest.mark.parametrize("key", ("h", "g_k"))
+    def test_200_kb_matrix_is_refused_at_once(self, key):
+        value = "[[" + ",".join(["1"] * 100_000) + "]]"
+        text = re.sub(f"^{key}: .*$", lambda m: f"{key}: {value}", fig8_witness(k=1).render(),
+                      count=1, flags=re.M)
+        assert len(text) > 200_000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^cannot parse matrix "):
+            parse_witnesses(text)
+        assert time.perf_counter() - start < 0.5
 
 
 # 1000000000100000000002379 is the product of the two primes after 10^12;

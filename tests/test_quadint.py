@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from bianchicert import quadint
 from bianchicert.circles import is_quadratic_nonresidue
-from bianchicert.pipeline import (FIG8, GENERAL, construct_series, validate_fig8,
-                                  validate_general)
+from bianchicert.pipeline import (FIG8, GENERAL, CompressionWitness, construct_series,
+                                  validate_fig8, validate_general, witness_word)
 from bianchicert.psl2 import Mat2
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, is_prime, is_squarefree, parse_quadint
+
+from test_pipeline import ODD_PRIMES, assert_readers_agree
 
 
 def qi(text, d):
@@ -613,15 +615,28 @@ class TestMergedTermPattern:
         assert a.render() == oracle_render(a)
 
 
-# -- the one-match reader of rendered text against the term-by-term reader ----
-
-
-def terms_outcome(text, d):
-    return outcome(lambda t, dd: quadint._parse_terms(t, dd, quadint._tau_square(dd)[0]), text, d)
+# -- the one match of a record in render's form against the line reader -------
 
 
 def one_match(text, d):
-    return quadint._parse_rendered(text, d, quadint._tau_square(d)[0])
+    """The element that a record's one match reads from text: `from_rendered`
+    on the groups of RENDERED, after d's text, or None where the record
+    reader defers."""
+    m = re.fullmatch(rf"(?P<d>\d+):{quadint.RENDERED}", f"{d}:{text}", re.ASCII)
+    try:
+        return None if m is None else quadint.from_rendered(d, *m.groups()[1:])
+    except ValueError:  # past the digit limit
+        return None
+
+
+def record_with(text, d):
+    """The render of a general record over d whose ring elements are all 1,
+    with text as its alpha_k: reading checks no parameter, so any values
+    make a record."""
+    one = QuadInt(d, 1, 0)
+    w = CompressionWitness(GENERAL, d, None, None, 2, one, 1, 0, 0, Mat2(one, one, one, one), 1,
+                           0, 0, Mat2(one, one, one, one), one, one, witness_word(1, 2))
+    return w.render().replace("alpha_k: 1\n", f"alpha_k: {text}\n")
 
 
 COORD_256 = st.one_of(st.integers(-20, 20), st.integers(-2**256, 2**256))
@@ -654,23 +669,30 @@ def near_rendered(draw):
 
 
 class TestOneMatchReader:
-    """parse_quadint reads the form render writes with one match and any other
-    text term by term; both give the same element or the same ValueError."""
+    """A record in render's form is read with one match, whose ring elements
+    `from_rendered` reads from the groups of RENDERED; any other record is
+    read line by line, its elements by `parse_quadint`.  Placed as alpha_k
+    of a record, every element text gets the same record or the same error
+    either way."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(BASIS_DS), COORD_256, COORD_256)
     def test_rendered_text_takes_one_match(self, d, x, y):
         a = QuadInt(d, x, y)
         text = a.render()
-        assert one_match(text, d) == a
-        assert parse_quadint(text, d) == a == terms_outcome(text, d)
+        assert one_match(text, d) == a == parse_quadint(text, d)
+        ((record, line),) = assert_readers_agree(record_with(text, d))
+        if d in ODD_PRIMES:  # a record's d is an odd prime
+            assert record.alpha_k == a == line.alpha_k
+        else:
+            assert record is None and line == f"ValueError: d={d} is not a prime >= 3"
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(near_rendered(), term_text(), element_text()))
     def test_same_result_or_same_error(self, case):
         text, d = case
-        assert outcome(parse_quadint, text, d) == terms_outcome(text, d)
-        assert one_match(text, d) in (None, terms_outcome(text, d))
+        assert one_match(text, d) in (None, outcome(parse_quadint, text, d))
+        assert_readers_agree(record_with(text, d))
 
     @pytest.mark.parametrize("d", BASIS_DS)
     def test_edge_cases(self, d):
@@ -682,13 +704,15 @@ class TestOneMatchReader:
                      f"1+-2*sqrt(-{d})", f"1+2*sqrt(-{d})+1", "9" * 5000,
                      f"1+{'9' * 5000}*sqrt(-{d})", f"1+2*sqrt(-{'9' * 5000})",
                      f"{'9' * 5000}+2*sqrt(-{'9' * 4400})"):
-            assert outcome(parse_quadint, text, d) == terms_outcome(text, d), text
+            assert one_match(text, d) in (None, outcome(parse_quadint, text, d)), text
+            assert_readers_agree(record_with(text, d))
 
     @pytest.mark.parametrize("text, d", [("1+7*eta", 7), ("34+28*omega", 3), ("3+2*tau", 3),
                                          ("1 + 2*sqrt(-5)", 5), ("+1+2*sqrt(-5)", 5)])
     def test_sugar_is_read_term_by_term(self, text, d):
         assert one_match(text, d) is None
-        assert parse_quadint(text, d) == terms_outcome(text, d)
+        ((record, line),) = assert_readers_agree(record_with(text, d))
+        assert record is None and line.alpha_k == parse_quadint(text, d)
 
 
 class TestResidueRing:
