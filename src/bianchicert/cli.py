@@ -70,7 +70,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:  # InvalidParams is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    witnesses = construct_series(args.submode, params, ks)
+    try:
+        witnesses = construct_series(args.submode, params, ks)
+    except MemoryError:  # more k than memory can hold: a request no run can meet, not a crash
+        print(f"error: k range {args.k!r} is too large to construct", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         text = (render_witnesses(witnesses) if args.format == "machine"
                 else "".join(_witness_summary(w) + "\n" for w in witnesses))

@@ -222,12 +222,13 @@ def _derive(params: Params, k: int) -> CompressionWitness:
     root = QuadInt.sqrt_minus_d(d)
     alpha = QuadInt.integer(d, 1 - m * n_k * n_xi ** 2) - m * n_xi * root
     beta = -m * n_xi * xi
+    # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
     return CompressionWitness(
         mode=params.mode, d=d, p=params.p, q=params.q,
         x=x if "x" in LAYOUTS[params.mode] else None,
         xi=xi, norm_xi=n_xi, r=r, t=t,
-        h=canonical_sign(h_matrix(params.level, d, xi, r, t)), k=k, n_k=n_k, D_k=D_k,
-        g_k=canonical_sign(Mat2(alpha, beta * D_k, beta.conj(), alpha.conj())),
+        h=h_matrix(params.level, d, xi, r, t), k=k, n_k=n_k, D_k=D_k,
+        g_k=Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()),
         alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
 
 
@@ -400,9 +401,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(self.results.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.results.items() if not ok]
 
 
 def verify_witness(w: CompressionWitness) -> VerificationReport:

@@ -41,9 +41,6 @@ class Mat2(Frozen):
         a, b, c, e = self.a11, self.a12, self.a21, self.a22
         return (a.x, a.y, b.x, b.y, c.x, c.y, e.x, e.y)
 
-    def det(self) -> Any:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
     def trace(self) -> Any:
         return self.a11 + self.a22
 

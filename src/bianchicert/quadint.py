@@ -11,17 +11,17 @@ construction.  All coordinates are Python ints (arbitrary precision).
 `_tau_square(d)`, cached per d, is the one statement of these conventions:
 it rejects a d that is not positive and square-free, and otherwise gives
 (s, n) with tau^2 = s*tau - n, where s = 1 exactly when tau = (1 + sqrt(-d))/2.
-Validation of d, products, norms, traces, conjugates, the half-pair view
-(2x + s*y, (2 - s)*y), its inverse, `render` and both readers of text read it:
+Validation of d, products, norms, conjugates, the half-pair view (2x + s*y,
+(2 - s)*y), its inverse, `render` and both readers of text read it:
 `from_rendered`, of the groups of render's form, and `parse_quadint`, term by term.
 Its square-free test accepts a prime d at once through `is_prime`, which is
 also the odd-prime test of `circles.check_odd_prime`.
 
 The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
 Arithmetic results inherit d from an operand that was already validated, so
-`+`, `-`, `*`, `conj`, `reduce_mod` and `from_xy` build them with
-`_unchecked`, which only this module may call.  An operand of `+`, `-` or
-`*` must be an int or a QuadInt of the same ring.
+`+`, `-`, `*`, `conj` and `from_xy` build them with `_unchecked`, which only
+this module may call.  An operand of `+`, `-` or `*` must be an int or a
+QuadInt of the same ring.
 """
 
 from __future__ import annotations
@@ -225,17 +225,6 @@ class QuadInt(Frozen):
         """self * conj(self), a non-negative rational integer."""
         s, n = _tau_square(self.d)
         return self.x * self.x + s * self.x * self.y + n * self.y * self.y
-
-    def trace(self) -> int:
-        """Field trace self + conj(self)."""
-        s, _ = _tau_square(self.d)
-        return 2 * self.x + s * self.y
-
-    def reduce_mod(self, n: int) -> "QuadInt":
-        """The representative of self mod (n) with both coordinates in [0, n)."""
-        if n < 2:
-            raise ValueError(f"modulus must be >= 2, got {n}")
-        return _unchecked(self.d, self.x % n, self.y % n)
 
     # -- text form ----------------------------------------------------------
 

@@ -1,0 +1,83 @@
+"""The entry points of the reachability gate in `test_hygiene.py`.
+
+`run()` calls `bianchicert.cli.main` in this process over every command that
+the CI workflow `.github/workflows/tier1.yml` runs, plus one `construct
+--format text`, and asserts each exit code as the workflow does.  It works in
+the current directory, where it writes the witness files and their edited
+copies, and then runs the three demos.
+
+Run:  PYTHONPATH=src:tests python -c "import entry_points; entry_points.run()"
+"""
+
+import contextlib
+import io
+import re
+import runpy
+from pathlib import Path
+
+from bianchicert.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, EXIT_OK, main
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+F_WORD = "word: sigma^-14811 h^1 sigma^6 h^-1 sigma^-14811"
+
+
+def bianchicert(*argv: str, want: int = EXIT_OK) -> str:
+    """The stdout of `bianchicert argv`, which must exit with `want`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(list(argv))
+    assert got == want, f"bianchicert {' '.join(argv)} exited {got}, not {want}: {err.getvalue()}"
+    return out.getvalue()
+
+
+def edited(source: str, target: str, line: str, new: str) -> str:
+    """Write target: source with every line that is exactly `line` replaced by `new`."""
+    text, count = re.subn(f"^{re.escape(line)}$", lambda _: new, Path(source).read_text(),
+                          flags=re.M)
+    assert count, f"no line {line!r} in {source}"
+    Path(target).write_text(text)
+    return target
+
+
+def run() -> None:
+    for xi, d, path in (("1+7*eta", "7", "w.txt"), ("1+2*sqrt(-5)", "5", "w5.txt")):
+        bianchicert("construct", "general", "--d", d, "--xi", xi, "--k", "1..3", "--out", path)
+        bianchicert("verify", path)
+    bianchicert("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..10", "--out", "f.txt")
+    verdict = bianchicert("verify", "f.txt")
+    bianchicert("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..3", "--format", "text")
+    bianchicert("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..100000000000000",
+                want=EXIT_BAD_INPUT)
+
+    for source, line, new, fails in (
+            ("f.txt", "D_k: 216733332353", "D_k: 216733332354", ("field.D_k",)),
+            ("w.txt", "D_k: 5759153956", "D_k: 5759153957", ("field.D_k",)),
+            ("f.txt", F_WORD, "word: h^3", ("field.word",)),
+            ("f.txt", F_WORD, F_WORD.replace("sigma^6", "sigma^7"),
+             ("check.closed_form", "check.normal_closure_word"))):
+        shown = bianchicert("verify", edited(source, "bad.txt", line, new), want=EXIT_MISMATCH)
+        assert all(f"  {name}: fail" in shown.splitlines() for name in fails), shown
+    bianchicert("verify", edited("f.txt", "f_omega.txt", "xi: 20+14*sqrt(-3)", "xi: 34+28*omega"))
+
+    crlf = []
+    for number, line in enumerate(Path("f.txt").read_text().splitlines()):
+        if number and line.startswith("mode: "):
+            crlf.append("# the next record\r\n")
+        crlf.append(f"{line}  \r\n")
+    Path("f_crlf.txt").write_bytes("".join(crlf).encode())
+    assert bianchicert("verify", "f_crlf.txt") == verdict
+
+    long_g_k = "g_k: [[" + ",".join(["1"] * 100000) + "]]"  # the first record's, 200 KB
+    Path("f_long.txt").write_text(re.sub(r"^g_k: .*$", lambda _: long_g_k,
+                                         Path("f.txt").read_text(), count=1, flags=re.M))
+    Path("empty.txt").write_text("")
+    for path in ("f_long.txt", edited("f.txt", "f_big_d.txt", "d: 3", "d: 100000000000031"),
+                 "empty.txt"):
+        bianchicert("verify", path, want=EXIT_BAD_INPUT)
+
+    assert "smallest non-residue: 5" in bianchicert("residues", "--d", "97").splitlines()
+    bianchicert("appendix")
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        for demo in DEMOS:
+            runpy.run_path(str(demo), run_name="__main__")

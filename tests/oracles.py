@@ -5,7 +5,8 @@ residue test and `congruence.in_gamma8`.  What the tests check it against
 lives here:
 
 - `parse_psl`, the text form of a PslElement;
-- `transpose` and `conj_transpose` of a Mat2;
+- `transpose`, `conj_transpose` and `determinant` of a Mat2, and
+  `reduced`, the representative of an element mod (n);
 - `IsometryClass` and `classify`, the trace classification;
 - circle triples (a, B, c), the discriminant invariant and the two
   PSL2(O_d) actions;
@@ -43,6 +44,17 @@ def transpose(m: Mat2) -> Mat2:
 
 def conj_transpose(m: Mat2) -> Mat2:
     return Mat2(m.a11.conj(), m.a21.conj(), m.a12.conj(), m.a22.conj())
+
+
+def determinant(m: Mat2):
+    """a11*a22 - a12*a21 by the entries' own ring operators: QuadInts, the
+    QuadRats of `rho` or ints."""
+    return m.a11 * m.a22 - m.a12 * m.a21
+
+
+def reduced(a: QuadInt, n: int) -> QuadInt:
+    """The representative of a mod (n) with both coordinates in [0, n)."""
+    return QuadInt(a.d, a.x % n, a.y % n)
 
 
 # -- isometry classes ---------------------------------------------------------
@@ -244,8 +256,8 @@ def rho(x: Quaternion) -> Mat2:
         (x0 + x1 sqrt(a),  b (x2 + x3 sqrt(a)))
         (x2 - x3 sqrt(a),  x0 - x1 sqrt(a))
 
-    Entries are QuadRat values over O_d; Mat2's product and determinant take
-    their ring operators.
+    Entries are QuadRat values over O_d; Mat2's product and `determinant`
+    take their ring operators.
     """
     d = _imaginary_d(x.algebra)
     b = x.algebra.b
@@ -344,7 +356,7 @@ class QuadRat:
         return Fraction(QuadInt(self.d, self.x, self.y).norm(), self.den ** 2)
 
     def trace(self) -> Fraction:
-        return Fraction(QuadInt(self.d, self.x, self.y).trace(), self.den)
+        return Fraction(QuadInt(self.d, self.x, self.y).half_pair()[0], self.den)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

@@ -121,6 +121,13 @@ class TestConstruct:
         assert code == EXIT_BAD_INPUT
         assert err
 
+    def test_k_range_past_any_memory_is_bad_input(self):
+        # 10^14 values are more than any address space holds, so nothing is allocated
+        proc = run_process("-m", "bianchicert.cli", "construct", "fig8", "--p", "20", "--q", "7",
+                           "--k", "1..100000000000000")
+        assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
+        assert proc.stderr == "error: k range '1..100000000000000' is too large to construct\n"
+
     def test_crash_is_internal(self):
         # a ValueError escaping construction, in a whole interpreter process
         crash = ("import sys\nfrom bianchicert import cli\n"

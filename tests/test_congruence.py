@@ -16,7 +16,7 @@ from bianchicert.congruence import (ClosureCapExceeded, ResidueMatrix,
 from bianchicert.psl2 import Mat2, PslElement
 from bianchicert.quadint import QuadInt
 
-from oracles import parse_psl
+from oracles import determinant, parse_psl, reduced
 from test_psl2 import random_psl
 
 MU = parse_psl("[[1,1],[0,1]]", 3)
@@ -112,17 +112,17 @@ class TestResidueMatrix:
     @given(st.sampled_from((1, 2, 3, 7, 11)), st.integers(2, 9),
            st.lists(st.integers(-60, 60), min_size=8, max_size=8))
     def test_reduction_matches_ring_arithmetic(self, d, n, xy):
-        # oracle: the entries reduced as QuadInts and the determinant of Mat2
+        # oracle: the entries reduced as QuadInts and the determinant by ring operators
         m = Mat2(*(QuadInt(d, xy[i], xy[i + 1]) for i in range(0, 8, 2)))
-        det = m.det().reduce_mod(n)
+        det = reduced(determinant(m), n)
         if det != QuadInt.integer(d, 1):
             with pytest.raises(ValueError, match=re.escape(f"determinant {det} is not 1 in R_{n}")):
                 residue_matrix(m, n)
             return
         plus, minus = residue_matrix(m, n), residue_matrix(-m, n)
-        reduced = [tuple(c for e in sign.entries() for c in (e.reduce_mod(n).x, e.reduce_mod(n).y))
-                   for sign in (m, -m)]
-        assert plus.xy == min(reduced)
+        coords = [tuple(c for e in sign.entries() for c in (reduced(e, n).x, reduced(e, n).y))
+                  for sign in (m, -m)]
+        assert plus.xy == min(coords)
         assert plus == minus and hash(plus) == hash(minus)
 
     @settings(max_examples=200, deadline=None)
@@ -140,7 +140,7 @@ class TestResidueMatrix:
         x_lift = Mat2(*(QuadInt(d, xy[i], xy[i + 1]) for i in range(0, 8, 2)))
         x = outcome(lambda: ResidueMatrix(d, n, xy))
         assert x == outcome(lambda: residue_matrix(x_lift, n))
-        det = x_lift.det().reduce_mod(n)
+        det = reduced(determinant(x_lift), n)
         if det != QuadInt.integer(d, 1):
             assert x == f"determinant {det} is not 1 in R_{n}"
             return
@@ -270,7 +270,7 @@ class TestFiniteModel:
 def gamma8_oracle(m: PslElement) -> bool:
     """Whether +-M, its entries reduced mod 4 as QuadInts, equals some element
     of the level-4 image coordinate by coordinate, by a scan of the image."""
-    signs = [[e.reduce_mod(4) for e in sign.entries()] for sign in (m.rep, -m.rep)]
+    signs = [[reduced(e, 4) for e in sign.entries()] for sign in (m.rep, -m.rep)]
     return any(all((e.x, e.y) == r.xy[2 * i:2 * i + 2] for i, e in enumerate(entries))
                for r in gamma8_level4_image() for entries in signs)
 

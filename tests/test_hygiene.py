@@ -9,14 +9,30 @@ function, class and method the library defines is named somewhere in
 carries nothing that only tests reach (the test-local oracles live in
 `tests/oracles.py`), and every field of a record, a `@dataclass` or a
 `typing.NamedTuple`, is read somewhere in `src/`, `tests/`, `demos/` or
-`benchmarks/`, so no record carries a value that nothing looks at.  `quadint._unchecked`, which builds a QuadInt without
-validating d, is named nowhere outside `quadint.py`, and neither is the
-basis case split `% 4 == 3`: the integral basis of O_d is decided there, in
-`_tau_square`, and every other module converts through it.
+`benchmarks/`, so no record carries a value that nothing looks at.
+
+The name-based check is fooled by a name that something else also bears, so a
+reachability gate backs it for functions, methods and properties: a fresh
+interpreter installs a profile hook before `bianchicert` is imported, then
+runs `entry_points.run()` (every command of the CI workflow through
+`cli.main`, with the exit codes the workflow asserts, then the three demos),
+and each definition must be entered or named in `ORACLES`, with the reason
+it is kept.  A code object is matched to its definition by file and first
+line, the first decorator's line for a decorated one.  An `ORACLES` entry
+that the run enters, or that is no longer defined, fails the gate too.
+
+`quadint._unchecked`, which builds a QuadInt without validating d, is named
+nowhere outside `quadint.py`, and neither is the basis case split
+`% 4 == 3`: the integral basis of O_d is decided there, in `_tau_square`,
+and every other module converts through it.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -143,6 +159,121 @@ def test_checker_sees_an_unreferenced_definition():
     test = "from lib import tested\nassert tested() == 1\n"
     sources = outside_tests({"lib.py": lib, "user.py": user, "tests/test_lib.py": test})
     assert unreferenced(sources, ["lib.py"]) == ["lib.py:6 dead", "lib.py:8 tested"]
+
+
+# The definitions that no command or demo enters, each kept for a caller
+# outside them; an entry that the entry points enter, or that is no longer
+# defined, fails the gate.
+ORACLES = {
+    "Mat2.adjugate": "the body of PslElement.inv; oracle_pow in tests/test_psl2.py",
+    "Mat2.identity": "the body of PslElement.identity; oracle_pow in tests/test_psl2.py",
+    "PslElement.identity": "n = 0 of PslElement.__pow__, which benchmarks/spans.py wraps by "
+                           "name and the object-level oracles of tests/test_psl2.py use",
+    "PslElement.inv": "n < 0 of PslElement.__pow__, as PslElement.identity",
+    "QuadInt.half_pair": "the basis conversion of tests/oracles.py (ROADMAP aim 2)",
+    "ResidueMatrix.inv": "the finite model's inverse; waits on ROADMAP item 1",
+    "CompressionWitness.assumptions": "read only by acceptance criterion 6; ROADMAP item 1 "
+                                      "step 2 removes it with the fig8 assumption line",
+}
+# Frozen's hook, which its dunders call only when a value is compared or hashed
+ENTRY_EXEMPT = {"_values"}
+TRACED = """\
+import json, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+sys.setprofile(profile)
+{program}
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def entered(program, path, cwd):
+    """(file, first line, name) of each code object that a fresh interpreter
+    enters while it runs `program` in cwd, with path as its PYTHONPATH.  The
+    profile hook is installed before the program imports anything, so no body
+    hides behind a cache filled at import."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in path)}
+    proc = subprocess.run([sys.executable, "-c", TRACED.format(program=program)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {(str(Path(f).resolve()), line, name)
+            for f, line, name in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def entry_definitions(body, prefix=""):
+    """(qualified name, first line) of each function, method and property
+    outside the dunders; the first line is that of the first decorator, as
+    a code object's `co_firstlineno`."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from entry_definitions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")
+                    or node.name in ENTRY_EXEMPT):
+                yield (f"{prefix}{node.name}",
+                       min([node.lineno] + [dec.lineno for dec in node.decorator_list]))
+            yield from entry_definitions(node.body, f"{prefix}{node.name}.")
+
+
+def unentered(package, run, oracles):
+    """`<file>:<line> <name>` for each definition in package's modules that
+    the run did not enter and oracles does not name, then each oracles entry
+    that the run entered or that the package no longer defines."""
+    found, defined = [], set()
+    for path in sorted(package.glob("*.py")):
+        for name, line in entry_definitions(parse(path).body):
+            defined.add(name)
+            hit = (str(path.resolve()), line, name.rsplit(".", 1)[-1]) in run
+            if hit and name in oracles:
+                found.append(f"ORACLES entry {name} is entered")
+            elif not hit and name not in oracles:
+                found.append(f"{path.name}:{line} {name}")
+    return found + [f"ORACLES entry {name} is not defined" for name in oracles
+                    if name not in defined]
+
+
+def test_every_definition_is_entered(tmp_path):
+    run = entered("import entry_points\nentry_points.run()", [ROOT / "src", ROOT / "tests"],
+                  tmp_path)
+    assert unentered(PACKAGE, run, ORACLES) == []
+
+
+def test_checker_sees_an_unentered_definition(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "lib.py").write_text(
+        "from functools import cache\n"
+        "\n"
+        "@cache\n"
+        "def cached(n):\n"
+        "    return n + 1\n"
+        "\n"
+        "def tested():\n"
+        "    return 1\n"
+        "\n"
+        "class Elem:\n"
+        "    def __pow__(self, n):\n"
+        "        return self.inv()\n"
+        "\n"
+        "    def inv(self):\n"
+        "        return self\n")
+    # the cache is filled at import, so only a hook installed first sees cached's body
+    (package / "cli.py").write_text("from pkg.lib import Elem, cached\n"
+                                    "WARM = cached(1)\n"
+                                    "def main():\n"
+                                    "    return cached(1), Elem() ** -1\n")
+    (tmp_path / "test_lib.py").write_text("from pkg.lib import tested\n"
+                                          "def test_tested():\n"
+                                          "    assert tested() == 1\n")
+    run = entered("from pkg.cli import main\nmain()", [tmp_path], tmp_path)
+    assert unentered(package, run, {}) == ["lib.py:7 tested"]
+    assert unentered(package, run, {"tested": "a test's", "cached": "stale", "gone": "stale"}) == [
+        "ORACLES entry cached is entered", "ORACLES entry gone is not defined"]
 
 
 def named(node):

@@ -23,7 +23,8 @@ from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, Compre
 from bianchicert.psl2 import Mat2, PslElement, canonical_sign, eval_word, render_word
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
 
-from oracles import IsometryClass, circle_action, circle_at_origin, classify, parse_psl
+from oracles import (IsometryClass, circle_action, circle_at_origin, classify, determinant,
+                     parse_psl)
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
 
@@ -228,7 +229,7 @@ class TestConjugator:
         rng = random.Random(53)
         for _ in range(50):
             h = fig8_h(random_valid_slope(rng))
-            assert h.rep.det() == QuadInt.integer(3, 1)
+            assert determinant(h.rep) == QuadInt.integer(3, 1)
 
 
 class TestMiddleFactor:
@@ -326,6 +327,36 @@ class TestConstructGeneral:
                 assert verify_witness(w).ok
 
 
+@st.composite
+def admissible_params(draw):
+    """Params of either mode: a fig8 slope with |p|, |q| up to 4*10^12, or a
+    prime d with xi's coordinates up to 2^128."""
+    if draw(st.booleans()):
+        p, q = 4 * draw(st.integers(-10**12, 10**12)), draw(st.integers(-4 * 10**12, 4 * 10**12))
+        assume(p % 3 != 0 and gcd(p, q) == 1)
+        return validate_fig8(p, q)
+    d = draw(st.sampled_from((3, 5, 7, 11, 43, 97, 1000003)))
+    xi = QuadInt(d, draw(st.integers(-2**128, 2**128)), draw(st.integers(-2**128, 2**128)))
+    assume(xi.norm() % d != 0)
+    return validate_general(d, xi)
+
+
+class TestBuiltInCanonicalSign:
+    """`_derive` takes h and g_k as built, with no sign normalization: h's a11
+    is sqrt(-d), of trace 0 and positive y, and g_k's a11 is alpha, whose
+    rational part 1 - m n_k |xi|^2 is positive as n_k < 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_params(), st.one_of(st.integers(1, 10), st.integers(1, 2**64)))
+    def test_h_and_g_k_are_their_own_canonical_sign(self, params, k):
+        d, xi = params.d, params.xi
+        h = h_matrix(params.level, d, xi, *bezout_rt(d, params.level * xi.norm()))
+        w = construct_witness(params.mode, params, k)
+        g = Mat2(w.alpha_k, w.beta_k * w.D_k, w.beta_k.conj(), w.alpha_k.conj())
+        assert canonical_sign(h) == h and canonical_sign(g) == g
+        assert (w.h, w.g_k) == (h, g)
+
+
 class TestFig8IsGeneralPreset:
     def test_fig8_equals_general_d3_x2(self):
         # the same witness but for the conjugator (r, t, h): its Bezout
@@ -342,7 +373,7 @@ class TestFig8IsGeneralPreset:
                 assert getattr(a, name) == getattr(b, name), name
             assert a.h != b.h
             for h in (a.h, b.h):
-                assert h.det() == QuadInt.integer(3, 1)
+                assert determinant(h) == QuadInt.integer(3, 1)
 
     def test_mode_must_match_params(self):
         with pytest.raises(InvalidParams, match="does not match"):
@@ -388,25 +419,29 @@ class TestSerialization:
             parse_witnesses(text)
 
 
+def failures(report):
+    return [name for name, ok in report.results.items() if not ok]
+
+
 class TestVerify:
     def test_clean_witness(self):
         report = verify_witness(fig8_witness(k=1))
-        assert report.ok and not report.failures()
+        assert report.ok and not failures(report)
 
     def test_tampered_diagonal_digit(self):
         w = fig8_witness(k=1)
         tampered = w.render().replace("86746012705", "86746012706", 1)
         report = verify_witness(parse_witnesses(tampered)[0])
         assert not report.ok
-        assert "check.unit_determinant" in report.failures() or \
-            "check.closed_form" in report.failures()
+        assert "check.unit_determinant" in failures(report) or \
+            "check.closed_form" in failures(report)
 
     def test_tampered_D_k(self):
         w = fig8_witness(k=1)
         bad = w._replace(D_k=w.D_k + 3)
         report = verify_witness(bad)
-        assert "field.D_k" in report.failures()
-        failed = set(report.failures())
+        assert "field.D_k" in failures(report)
+        failed = set(failures(report))
         assert failed & {"check.residue_class", "check.stabilizer_membership",
                          "check.unit_determinant"}
 
@@ -414,7 +449,7 @@ class TestVerify:
         w = fig8_witness(k=1)
         bad = w._replace(word=witness_word(w.n_k + 1, 6))
         report = verify_witness(bad)
-        assert "check.normal_closure_word" in report.failures()
+        assert "check.normal_closure_word" in failures(report)
 
     def test_invalid_params_reported(self):
         w = fig8_witness(k=1)
@@ -429,15 +464,15 @@ WIDE_PARAMS = validate_general(7, QuadInt(7, 999983, 999979))
 
 class TestWordCost:
     """Constructing, rendering, parsing and verifying the honest witness takes
-    no Mat2 or PslElement product, no Mat2 determinant, no inverse and no
-    power: the matrix work runs on coordinates.  Each evaluated word builds
+    no Mat2 or PslElement product, no inverse and no power: the matrix work
+    runs on coordinates.  Each evaluated word builds
     one PslElement, and no check negates a matrix to compare up to sign."""
 
     @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
                              ids=["fig8-20-7-k1", "wide-anchor"])
     def test_counts(self, params, k, monkeypatch):
         counts, in_word, in_checks = Counter(), Counter(), Counter()
-        for cls, name in ((Mat2, "__mul__"), (Mat2, "det"), (Mat2, "__neg__"),
+        for cls, name in ((Mat2, "__mul__"), (Mat2, "__neg__"),
                           (PslElement, "__mul__"), (PslElement, "inv"),
                           (PslElement, "__pow__"), (PslElement, "__post_init__")):
             def counting(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
@@ -459,7 +494,7 @@ class TestWordCost:
         w = construct_witness(params.mode, params, k)
         [parsed] = parse_witnesses(render_witnesses([w]))
         assert parsed == w and verify_witness(parsed).ok
-        for name in ("Mat2.__mul__", "Mat2.det", "PslElement.__mul__", "PslElement.inv",
+        for name in ("Mat2.__mul__", "PslElement.__mul__", "PslElement.inv",
                      "PslElement.__pow__"):
             assert counts[name] == 0, name
         assert in_word["PslElement.__post_init__"] == 2  # one word in construct, one in verify
@@ -541,13 +576,13 @@ class TestVerifyIsTotal:
         text = fig8_witness(k=1).render()
         for word in ("tau^1 h^1 sigma^6 h^-1 tau^1", ""):
             report = self.verify_text(edited(text, "word", word))
-            assert report.failures() == ["field.word"]
+            assert failures(report) == ["field.word"]
 
     def test_non_positive_D_k(self):
         text = fig8_witness(k=1).render()
         for D in (-5, 0):
             report = self.verify_text(edited(text, "D_k", D))
-            failed = set(report.failures())
+            failed = set(failures(report))
             assert {"field.D_k", "check.stabilizer_membership", "check.cocompact"} <= failed
             assert "field.g_k" not in failed
 
@@ -564,7 +599,7 @@ class TestVerifyIsTotal:
         start = time.perf_counter()
         report = self.verify_text(text)
         assert time.perf_counter() - start < 0.5
-        assert report.failures() == ["field.word"]
+        assert failures(report) == ["field.word"]
 
 
 def tau_text(a):
