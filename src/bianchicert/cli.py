@@ -92,7 +92,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        with open(args.path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
             witnesses = parse_witnesses(fh.read())
         if not witnesses:
             raise ValueError("no witness records found")

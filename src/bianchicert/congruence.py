@@ -24,10 +24,6 @@ SURJECTIVITY_NOTE = (
 )
 
 
-class ClosureCapExceeded(RuntimeError):
-    pass
-
-
 class ResidueMatrix(Frozen):
     """Determinant-1 matrix over R_n = O_d/(n) in projective normal form: xy
     holds the coordinates (a11.x, a11.y, ..., a22.y) reduced into [0, n), of
@@ -93,7 +89,7 @@ def reduce_level(m: ResidueMatrix, n2: int) -> ResidueMatrix:
     return ResidueMatrix(m.d, n2, m.xy)
 
 
-def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[ResidueMatrix]:
+def group_closure(gens: Iterable[ResidueMatrix]) -> frozenset[ResidueMatrix]:
     """Breadth-first closure of the generators under multiplication.
 
     In a finite group, closure under the generators alone yields the
@@ -111,8 +107,6 @@ def group_closure(gens: Iterable[ResidueMatrix], cap: int = 10**6) -> frozenset[
         for g in gens:
             nxt = current * g
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                 seen.add(nxt)
                 found.append(nxt)
     return frozenset(seen)
@@ -124,7 +118,7 @@ def enumerate_psl2(d: int, n: int) -> frozenset[ResidueMatrix]:
     built as a ResidueMatrix.  Intended for small n (2 or 4)."""
     s, norm = _tau_square(d)
     if n ** 8 > 2 * 10**7:
-        raise ClosureCapExceeded(f"scan of {n}^8 coordinate tuples is too large")
+        raise ValueError(f"scan of {n}^8 coordinate tuples is too large")
     found: set[ResidueMatrix] = set()
     for xy in product(range(n), repeat=8):
         det_x, det_y = det_xy(s, norm, xy)

@@ -14,7 +14,6 @@ sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates.
 from __future__ import annotations
 
 import re
-from functools import cache
 from typing import Any
 
 from .quadint import Frozen, QuadInt, _tau_square, from_xy, mul_add, parse_quadint, tau_square_of
@@ -53,15 +52,6 @@ class Mat2(Frozen):
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
-
-    def adjugate(self) -> "Mat2":
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
-
-    @staticmethod
-    @cache  # per accepted d; a rejected d raises
-    def identity(d: int) -> "Mat2":
-        one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
-        return Mat2(one, zero, zero, one)
 
 
 _set_a11, _set_a12, _set_a21, _set_a22 = (getattr(Mat2, name).__set__ for name in Mat2.__slots__)
@@ -128,22 +118,17 @@ class PslElement(Frozen):
                      a22: QuadInt) -> "PslElement":
         return cls(Mat2(a11, a12, a21, a22))
 
-    @classmethod
-    def identity(cls, d: int) -> "PslElement":
-        return cls(Mat2.identity(d))
-
     def __mul__(self, other: "PslElement") -> "PslElement":
         if type(other) is not PslElement:
             return NotImplemented
         return PslElement(self.rep * other.rep)
 
-    def inv(self) -> "PslElement":
-        return PslElement(self.rep.adjugate())
-
     def __pow__(self, n: int) -> "PslElement":
+        m = self.rep
         if n == 0:
-            return PslElement.identity(self.d)
-        base = self if n > 0 else self.inv()
+            return PslElement(Mat2(*from_xy(m.a11, IDENTITY_XY)))
+        # for n < 0, the adjugate, which is the inverse as det = 1
+        base = self if n > 0 else PslElement(Mat2(m.a22, -m.a12, -m.a21, m.a11))
         result = base
         for bit in bin(abs(n))[3:]:  # left to right, after the leading 1
             result = PslElement(result.rep * result.rep)

@@ -19,6 +19,8 @@ from bianchicert.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, EXIT_OK, main
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 F_WORD = "word: sigma^-14811 h^1 sigma^6 h^-1 sigma^-14811"
+F_H = "h: [[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]"
+F_H_NEGATED = "h: [[0-1*sqrt(-3),80+56*sqrt(-3)],[-20+14*sqrt(-3),0-1317*sqrt(-3)]]"
 
 
 def bianchicert(*argv: str, want: int = EXIT_OK) -> str:
@@ -30,11 +32,12 @@ def bianchicert(*argv: str, want: int = EXIT_OK) -> str:
     return out.getvalue()
 
 
-def edited(source: str, target: str, line: str, new: str) -> str:
-    """Write target: source with every line that is exactly `line` replaced by `new`."""
-    text, count = re.subn(f"^{re.escape(line)}$", lambda _: new, Path(source).read_text(),
-                          flags=re.M)
-    assert count, f"no line {line!r} in {source}"
+def edited(source: str, target: str, line: str, new: str, count: int = 0) -> str:
+    """Write target: source with every line that is exactly `line`, or the
+    first `count` of them, replaced by `new`."""
+    text, found = re.subn(f"^{re.escape(line)}$", lambda _: new, Path(source).read_text(),
+                          count=count, flags=re.M)
+    assert found, f"no line {line!r} in {source}"
     Path(target).write_text(text)
     return target
 
@@ -66,6 +69,10 @@ def run() -> None:
         crlf.append(f"{line}  \r\n")
     Path("f_crlf.txt").write_bytes("".join(crlf).encode())
     assert bianchicert("verify", "f_crlf.txt") == verdict
+    Path("f_bom.txt").write_bytes(b"\xef\xbb\xbf" + Path("f.txt").read_bytes())
+    assert bianchicert("verify", "f_bom.txt") == verdict
+    # h is compared up to sign, so the first record's h of the other sign passes
+    assert bianchicert("verify", edited("f.txt", "f_neg_h.txt", F_H, F_H_NEGATED, 1)) == verdict
 
     long_g_k = "g_k: [[" + ",".join(["1"] * 100000) + "]]"  # the first record's, 200 KB
     Path("f_long.txt").write_text(re.sub(r"^g_k: .*$", lambda _: long_g_k,

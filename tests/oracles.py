@@ -5,8 +5,9 @@ residue test and `congruence.in_gamma8`.  What the tests check it against
 lives here:
 
 - `parse_psl`, the text form of a PslElement;
-- `transpose`, `conj_transpose` and `determinant` of a Mat2, and
-  `reduced`, the representative of an element mod (n);
+- `identity(d)`, and `transpose`, `conj_transpose`, `determinant` and
+  `adjugate` of a Mat2, and `reduced`, the representative of an element
+  mod (n);
 - `IsometryClass` and `classify`, the trace classification;
 - circle triples (a, B, c), the discriminant invariant and the two
   PSL2(O_d) actions;
@@ -38,6 +39,11 @@ def parse_psl(text: str, d: int) -> PslElement:
     return PslElement(parse_mat2(text, d))
 
 
+def identity(d: int) -> Mat2:
+    one, zero = QuadInt.integer(d, 1), QuadInt.integer(d, 0)
+    return Mat2(one, zero, zero, one)
+
+
 def transpose(m: Mat2) -> Mat2:
     return Mat2(m.a11, m.a21, m.a12, m.a22)
 
@@ -50,6 +56,11 @@ def determinant(m: Mat2):
     """a11*a22 - a12*a21 by the entries' own ring operators: QuadInts, the
     QuadRats of `rho` or ints."""
     return m.a11 * m.a22 - m.a12 * m.a21
+
+
+def adjugate(m: Mat2) -> Mat2:
+    """(a22, -a12; -a21, a11): the inverse of a determinant-1 matrix."""
+    return Mat2(m.a22, -m.a12, -m.a21, m.a11)
 
 
 def reduced(a: QuadInt, n: int) -> QuadInt:
@@ -152,7 +163,7 @@ def circle_action(T: PslElement, C: CircleTriple) -> CircleTriple:
     Realized via the Hermitian action of V = (T^-1)^t, which intertwines
     the two actions and so preserves the discriminant.
     """
-    V = PslElement(transpose(T.inv().rep))
+    V = PslElement(transpose((T ** -1).rep))
     return hermitian_action(V, C)
 
 

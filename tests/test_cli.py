@@ -272,6 +272,15 @@ class TestVerify:
         assert err.startswith(f"error: cannot read witness file: {message}")
         assert err.count("\n") == 1
 
+    def test_byte_order_mark_is_not_text(self, tmp_path, capsys):
+        # an editor that saves UTF-8 with a BOM: the same records, the same verdict
+        path = self.witness_file(tmp_path, capsys)
+        _, expected, _ = run(capsys, "verify", str(path))
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "verify", str(bom)) == (EXIT_OK, expected, "")
+        assert expected.count("PASS") == 2
+
     def test_sugar_record_gets_the_rendered_report(self, tmp_path, capsys):
         rendered = self.witness_file(tmp_path, capsys)
         _, expected, _ = run(capsys, "verify", str(rendered))

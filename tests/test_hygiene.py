@@ -4,22 +4,26 @@ Every name a module in `src/bianchicert/` imports is used in that module,
 the package root included, and no module imports `fractions` or
 `dataclasses`: the ring O_d and everything built on it is exact integer
 arithmetic, and records are `typing.NamedTuple`s or slotted classes.  Every
-function, class and method the library defines is named somewhere in
-`src/`, `demos/` or `benchmarks/` outside its own definition, so the library
+function, class and method the library defines, the dunders aside, is named
+somewhere in `src/`, `demos/` or `benchmarks/` outside its own definition
+(`UNREFERENCED_ALLOWED` names the two kept for a reason), so the library
 carries nothing that only tests reach (the test-local oracles live in
 `tests/oracles.py`), and every field of a record, a `@dataclass` or a
 `typing.NamedTuple`, is read somewhere in `src/`, `tests/`, `demos/` or
 `benchmarks/`, so no record carries a value that nothing looks at.
 
 The name-based check is fooled by a name that something else also bears, so a
-reachability gate backs it for functions, methods and properties: a fresh
-interpreter installs a profile hook before `bianchicert` is imported, then
-runs `entry_points.run()` (every command of the CI workflow through
-`cli.main`, with the exit codes the workflow asserts, then the three demos),
-and each definition must be entered or named in `ORACLES`, with the reason
-it is kept.  A code object is matched to its definition by file and first
-line, the first decorator's line for a decorated one.  An `ORACLES` entry
-that the run enters, or that is no longer defined, fails the gate too.
+reachability gate backs it for functions, methods and properties, the
+dunders included: a fresh interpreter installs a profile hook before
+`bianchicert` is imported, then runs `entry_points.run()` (every command of
+the CI workflow through `cli.main`, with the exit codes the workflow asserts,
+then the three demos), and each definition must be entered or be named, with
+the reason it is kept, in `ORACLES` (kept for a caller outside the commands)
+or `ENTRY_EXEMPT` (a hook that Python calls for a caller, exempt by its
+qualified name only).  A code object is matched to its definition by file and
+first line, the first decorator's line for a decorated one.  An `ORACLES`
+entry that the run enters, or an entry of either that is no longer defined,
+fails the gate too.
 
 `quadint._unchecked`, which builds a QuadInt without validating d, is named
 nowhere outside `quadint.py`, and neither is the basis case split
@@ -44,9 +48,11 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py"))
 NOT_INTEGER_ONLY = ("fractions", "dataclasses")
 SCANNED = sorted(p for top in ("src", "tests", "demos", "benchmarks")
                  for p in (ROOT / top).rglob("*.py"))
-# Read only by acceptance criterion 6; ROADMAP item 1 step 2 removes it with
-# the fig8 assumption line.
-UNREFERENCED_ALLOWED = {"assumptions"}
+# Named nowhere outside the tests, each kept for the reason its ORACLES entry
+# gives: `assumptions` (CompressionWitness), which ROADMAP item 1 step 2
+# removes with the fig8 assumption line, and `inv` (ResidueMatrix), the finite
+# model's inverse, which waits on ROADMAP item 1.
+UNREFERENCED_ALLOWED = {"assumptions", "inv"}
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -165,18 +171,26 @@ def test_checker_sees_an_unreferenced_definition():
 # outside them; an entry that the entry points enter, or that is no longer
 # defined, fails the gate.
 ORACLES = {
-    "Mat2.adjugate": "the body of PslElement.inv; oracle_pow in tests/test_psl2.py",
-    "Mat2.identity": "the body of PslElement.identity; oracle_pow in tests/test_psl2.py",
-    "PslElement.identity": "n = 0 of PslElement.__pow__, which benchmarks/spans.py wraps by "
-                           "name and the object-level oracles of tests/test_psl2.py use",
-    "PslElement.inv": "n < 0 of PslElement.__pow__, as PslElement.identity",
+    "Mat2.__mul__": "benchmarks/spans.py wraps it by name; ROADMAP item 3 drops that layer",
+    "PslElement.__mul__": "the group product of the object-level tests, their reference",
+    "PslElement.__pow__": "benchmarks/spans.py wraps it by name; ROADMAP item 3 drops that layer",
+    "QuadInt.__rsub__": "tests write -1 - omega (TestRingOps::test_omega_squared)",
     "QuadInt.half_pair": "the basis conversion of tests/oracles.py (ROADMAP aim 2)",
     "ResidueMatrix.inv": "the finite model's inverse; waits on ROADMAP item 1",
     "CompressionWitness.assumptions": "read only by acceptance criterion 6; ROADMAP item 1 "
                                       "step 2 removes it with the fig8 assumption line",
 }
-# Frozen's hook, which its dunders call only when a value is compared or hashed
-ENTRY_EXEMPT = {"_values"}
+# Protocol methods and hooks that Python calls for a caller, each exempt by its
+# qualified name; an exemption that is no longer defined fails the gate.
+ENTRY_EXEMPT = {
+    "Frozen.__setattr__": "refuses an assignment, which no command makes; "
+                          "tests/test_values.py pins the refusal",
+    "Frozen.__delattr__": "refuses a deletion, as Frozen.__setattr__",
+    "Frozen.__repr__": "shows a value; tests/test_values.py pins it",
+    "Frozen.__reduce__": "copy and pickle by value; tests/test_values.py pins them",
+    "PslElement._values": "Frozen's hook, which its dunders call only when a PslElement "
+                          "is compared or hashed",
+}
 TRACED = """\
 import json, sys
 entered = set()
@@ -205,24 +219,23 @@ def entered(program, path, cwd):
 
 
 def entry_definitions(body, prefix=""):
-    """(qualified name, first line) of each function, method and property
-    outside the dunders; the first line is that of the first decorator, as
+    """(qualified name, first line) of each function, method and property,
+    the dunders included; the first line is that of the first decorator, as
     a code object's `co_firstlineno`."""
     for node in body:
         if isinstance(node, ast.ClassDef):
             yield from entry_definitions(node.body, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")
-                    or node.name in ENTRY_EXEMPT):
-                yield (f"{prefix}{node.name}",
-                       min([node.lineno] + [dec.lineno for dec in node.decorator_list]))
+            yield (f"{prefix}{node.name}",
+                   min([node.lineno] + [dec.lineno for dec in node.decorator_list]))
             yield from entry_definitions(node.body, f"{prefix}{node.name}.")
 
 
-def unentered(package, run, oracles):
+def unentered(package, run, oracles, exempt):
     """`<file>:<line> <name>` for each definition in package's modules that
-    the run did not enter and oracles does not name, then each oracles entry
-    that the run entered or that the package no longer defines."""
+    the run did not enter and neither oracles nor exempt names, then each
+    oracles entry that the run entered and each entry of either that the
+    package no longer defines."""
     found, defined = [], set()
     for path in sorted(package.glob("*.py")):
         for name, line in entry_definitions(parse(path).body):
@@ -230,16 +243,17 @@ def unentered(package, run, oracles):
             hit = (str(path.resolve()), line, name.rsplit(".", 1)[-1]) in run
             if hit and name in oracles:
                 found.append(f"ORACLES entry {name} is entered")
-            elif not hit and name not in oracles:
+            elif not hit and name not in oracles and name not in exempt:
                 found.append(f"{path.name}:{line} {name}")
-    return found + [f"ORACLES entry {name} is not defined" for name in oracles
-                    if name not in defined]
+    return found + [f"{kind} {name} is not defined"
+                    for kind, names in (("ORACLES entry", oracles), ("exemption", exempt))
+                    for name in names if name not in defined]
 
 
 def test_every_definition_is_entered(tmp_path):
     run = entered("import entry_points\nentry_points.run()", [ROOT / "src", ROOT / "tests"],
                   tmp_path)
-    assert unentered(PACKAGE, run, ORACLES) == []
+    assert unentered(PACKAGE, run, ORACLES, ENTRY_EXEMPT) == []
 
 
 def test_checker_sees_an_unentered_definition(tmp_path):
@@ -256,12 +270,19 @@ def test_checker_sees_an_unentered_definition(tmp_path):
         "def tested():\n"
         "    return 1\n"
         "\n"
-        "class Elem:\n"
+        "class Frozen:\n"
+        "    def __repr__(self):\n"
+        "        return 'Frozen()'\n"
+        "\n"
+        "class Elem(Frozen):\n"
         "    def __pow__(self, n):\n"
         "        return self.inv()\n"
         "\n"
         "    def inv(self):\n"
-        "        return self\n")
+        "        return self\n"
+        "\n"
+        "    def __repr__(self):\n"
+        "        return 'Elem()'\n")
     # the cache is filled at import, so only a hook installed first sees cached's body
     (package / "cli.py").write_text("from pkg.lib import Elem, cached\n"
                                     "WARM = cached(1)\n"
@@ -271,9 +292,18 @@ def test_checker_sees_an_unentered_definition(tmp_path):
                                           "def test_tested():\n"
                                           "    assert tested() == 1\n")
     run = entered("from pkg.cli import main\nmain()", [tmp_path], tmp_path)
-    assert unentered(package, run, {}) == ["lib.py:7 tested"]
-    assert unentered(package, run, {"tested": "a test's", "cached": "stale", "gone": "stale"}) == [
-        "ORACLES entry cached is entered", "ORACLES entry gone is not defined"]
+    # a dunder that nothing calls is flagged like any other definition
+    assert unentered(package, run, {}, {}) == [
+        "lib.py:7 tested", "lib.py:11 Frozen.__repr__", "lib.py:21 Elem.__repr__"]
+    # an exemption names one definition: Frozen's __repr__, not Elem's override
+    assert unentered(package, run, {}, {"Frozen.__repr__": "shows a value"}) == [
+        "lib.py:7 tested", "lib.py:21 Elem.__repr__"]
+    assert unentered(package, run,
+                     {"tested": "a test's", "cached": "stale", "gone": "stale"},
+                     {"Frozen.__repr__": "shows a value", "Elem.__repr__": "shows a value",
+                      "Gone.__repr__": "stale"}) == [
+        "ORACLES entry cached is entered", "ORACLES entry gone is not defined",
+        "exemption Gone.__repr__ is not defined"]
 
 
 def named(node):

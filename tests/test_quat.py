@@ -7,9 +7,10 @@ from math import lcm
 import pytest
 
 from bianchicert.circles import stab_form
+from bianchicert.psl2 import PslElement
 from bianchicert.quadint import QuadInt
 
-from oracles import (QuadRat, QuatAlgebra, Quaternion, determinant, in_order,
+from oracles import (QuadRat, QuatAlgebra, Quaternion, determinant, identity, in_order,
                      order_unit_to_stab, rho)
 
 
@@ -159,7 +160,7 @@ class TestOrder:
 class TestOrderUnitsToStabilizer:
     def test_one_maps_to_identity(self):
         m = order_unit_to_stab(alg(-3, 2).one(), 3, 2)
-        assert m.psl_eq(m.identity(3))
+        assert m.psl_eq(PslElement(identity(3)))
 
     def test_bounded_search(self):
         # oracle: exhaustive scan of order elements with doubled coordinates
