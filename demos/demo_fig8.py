@@ -8,7 +8,8 @@ Run:  python3 demos/demo_fig8.py
 """
 
 from bianchicert.pipeline import FIG8, bezout_rt, construct_series, h_matrix, validate_fig8
-from bianchicert.psl2 import PslElement, eval_word, render_word
+from bianchicert.psl2 import Mat2, PslElement, eval_word, render_word
+from bianchicert.quadint import from_xy
 
 
 def main() -> None:
@@ -24,7 +25,8 @@ def main() -> None:
     h = PslElement(h_matrix(params.level, 3, xi, r, t))
     print(f"h = {h.render()}")
 
-    f = eval_word(xi, h, (0, 6, 0))  # sigma^0 h sigma^6 h^-1 sigma^0
+    # sigma^0 h sigma^6 h^-1 sigma^0, wrapped as a group element for printing
+    f = PslElement(Mat2(*from_xy(xi, eval_word(3, xi, h.rep.xy(), (0, 6, 0)))))
     print(f"h sigma^6 h^-1 = {f.render()}   trace = {f.trace()}")
 
     print()

@@ -1,38 +1,34 @@
 """Stabilizer-form recognition and co-compactness certificates via
 quadratic residues.
 
-`stab_form` decides membership in Stab_{PSL2(O_d)}(C_D) for the circle C_D
-of radius sqrt(D) centered at the origin; the residue functions decide
-whether D is a non-residue mod the odd prime d, which certifies that
-stabilizer co-compact.
+`stab_form` decides, on a matrix's coordinates, membership in
+Stab_{PSL2(O_d)}(C_D) for the circle C_D of radius sqrt(D) centered at the
+origin; the residue functions decide whether D is a non-residue mod the odd
+prime d, which certifies that stabilizer co-compact.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
 
-from .psl2 import PslElement
-from .quadint import QuadInt, _tau_square, is_prime
+from .quadint import _tau_square, is_prime
 
 
-def stab_form(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
-    """Recognize the shape (alpha, D beta; conj(beta), conj(alpha)).
-
-    Returns (alpha, beta) with |alpha|^2 - D|beta|^2 = 1 iff the representative
-    has the shape; this is membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm
-    equation are invariant under M -> -M, so -M need not be tried.  The shape
-    is read on coordinates, as conj(x + y*tau) = (x + s*y) - y*tau.
+def stab_form(d: int, xy: tuple[int, ...], D: int) -> bool:
+    """Whether the matrix over O_d with coordinates xy has the shape
+    (alpha, D beta; conj(beta), conj(alpha)) with |alpha|^2 - D|beta|^2 = 1:
+    membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm equation are
+    invariant under M -> -M, so -M need not be tried.  The shape is read on
+    coordinates, as conj(x + y*tau) = (x + s*y) - y*tau, and the norms as
+    |x + y*tau|^2 = x^2 + s*x*y + n*y^2.
     """
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
-    m = M.rep
-    s, _ = _tau_square(M.d)
-    ax, ay, bx, by, cx, cy, ex, ey = m.xy()
-    if (ex == ax + s * ay and ey == -ay and bx == D * (cx + s * cy) and by == -D * cy
-            and m.a11.norm() - D * m.a21.norm() == 1):
-        return (m.a11, m.a21.conj())
-    return None
+    s, n = _tau_square(d)
+    ax, ay, bx, by, cx, cy, ex, ey = xy
+    return (ex == ax + s * ay and ey == -ay and bx == D * (cx + s * cy) and by == -D * cy
+            and ax * ax + s * ax * ay + n * ay * ay
+            - D * (cx * cx + s * cx * cy + n * cy * cy) == 1)
 
 
 # -- quadratic residues and co-compactness ----------------------------------

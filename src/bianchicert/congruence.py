@@ -1,6 +1,7 @@
 """Finite quotients PSL2(O_d/(n)), entrywise reduction, principal
 congruence subgroups, finite-group closure from generators, and the
-figure-eight group membership test through its level-4 image.
+figure-eight group membership test, on a matrix's coordinates, through its
+level-4 image.
 
 A residue matrix is its eight coordinates on {1, tau_d}, reduced into
 [0, n) and in sign normal form, so reduction, products, inverses,
@@ -164,11 +165,12 @@ def _gamma8_level4_xy() -> frozenset[tuple[int, ...]]:
                      for xy in (m.xy, tuple([-v % 4 for v in m.xy])))
 
 
-def in_gamma8(M: PslElement) -> bool:
-    """Membership in the figure-eight group: the group contains the level-4
-    principal congruence subgroup, so membership only depends on the level-4
-    image: as det M = 1 and the set holds both signs, M's coordinates mod 4
-    are in it exactly when `phi_n(M, 4)` is in the image."""
-    if M.d != 3:
-        raise ValueError(f"figure-eight membership requires d=3, got d={M.d}")
-    return tuple([v % 4 for v in M.rep.xy()]) in _gamma8_level4_xy()
+def in_gamma8(d: int, xy: tuple[int, ...]) -> bool:
+    """Membership in the figure-eight group of the determinant-1 matrix over
+    O_d with coordinates xy: the group contains the level-4 principal
+    congruence subgroup, so membership only depends on the level-4 image: as
+    the set holds both signs, the coordinates mod 4 are in it exactly when
+    the matrix's `phi_n` class is in the image."""
+    if d != 3:
+        raise ValueError(f"figure-eight membership requires d=3, got d={d}")
+    return tuple([v % 4 for v in xy]) in _gamma8_level4_xy()

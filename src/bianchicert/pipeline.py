@@ -8,8 +8,10 @@ gcd(p, q) = 1) and the Gamma_8 level-4 certificate added to the checks.
 
 A witness packages (params, r, t, h, k, n_k, D_k, g_k, alpha_k, beta_k),
 a generator word certifying g_k lies in the normal closure of sigma, and
-a battery of named exactness checks.  `parse_witnesses` reads a block in
-render's form with one match of its mode's pattern, any other line by line.
+a battery of named exactness checks, which `run_checks` decides on the
+integer coordinates of h, the word's value and g_k.  `parse_witnesses`
+reads a block in render's form with one match of its mode's pattern, any
+other line by line.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
-from .psl2 import (Mat2, PslElement, Word, canonical_sign, eval_word, parse_mat2,
-                   parse_word, render_mat2, render_word)
+from .psl2 import (_PLUS_MINUS_ONE, Mat2, Word, canonical_sign, eval_word, parse_mat2,
+                   parse_word, psl_xy, render_mat2, render_word)
 from .quadint import RENDERED, QuadInt, from_rendered, parse_quadint
 
 FIG8 = "fig8"
@@ -247,35 +249,38 @@ def _has_witness_shape(word: Word) -> bool:
 def run_checks(params: Params, honest: CompressionWitness,
                claimed: CompressionWitness) -> dict[str, bool]:
     """The named checks on the claimed n_k, D_k, alpha_k, beta_k, word and
-    g_k, with h, |xi|^2 and the middle exponent taken from `honest`.  The
-    claimed word, of the witness shape, is evaluated from its three sigma
-    exponents, and h and the claimed g_k are checked for determinant 1."""
+    g_k, with h, |xi|^2 and the middle exponent taken from `honest`.  h and
+    the claimed g_k are read once each as coordinates and checked for
+    determinant 1 (`psl_xy`); the claimed word, of the witness shape, is
+    evaluated from its three sigma exponents, and every check decides on the
+    coordinates, with no group element built."""
     d, x = params.d, params.x
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
     m = honest.word[2][1]  # sigma^m, the middle term
-    h = PslElement(honest.h)
+    h = psl_xy(honest.h)
     a, b, c = (e for _, e in claimed.word[::2])  # sigma^a h sigma^b h^-1 sigma^c
-    g_word = eval_word(params.xi, h, (a, b, c))
+    g_word = eval_word(d, params.xi, h, (a, b, c))
     try:
-        g_closed: Optional[PslElement] = PslElement(claimed.g_k)
+        g_closed: Optional[tuple[int, ...]] = psl_xy(claimed.g_k)
     except ValueError:
         g_closed = None  # not even unimodular: closed_form fails
     g = g_closed or g_word
     checks: dict[str, bool] = {}
-    checks["closed_form"] = g_closed is not None and g_word.psl_eq(g_closed)
+    # equal up to sign, over O_d: a g_k over another ring fails
+    checks["closed_form"] = (g_closed is not None and claimed.g_k.a11.d == d
+                             and (g_word == g_closed or g_word == tuple([-v for v in g_closed])))
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
     checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
-    checks["nontrivial"] = not g.is_identity()
+    checks["nontrivial"] = g not in _PLUS_MINUS_ONE
     expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
-    tr = g.trace()
-    # |trace| > 2 is hyperbolic; it also excludes +-1, whose trace is +-2
-    checks["hyperbolic_trace"] = (tr.is_rational()
-                                  and abs(tr.rational_value()) == abs(expected_trace) > 2)
+    # the trace is (x11 + x22) + (y11 + y22) tau; |trace| > 2 is hyperbolic,
+    # and it also excludes +-1, whose trace is +-2
+    checks["hyperbolic_trace"] = g[1] + g[7] == 0 and abs(g[0] + g[6]) == abs(expected_trace) > 2
     # a claimed D_k < 1 names no circle; both circle checks then fail
-    checks["stabilizer_membership"] = D_k >= 1 and stab_form(g, D_k) is not None
+    checks["stabilizer_membership"] = D_k >= 1 and stab_form(d, g, D_k)
     checks["normal_closure_word"] = claimed.word == witness_word(n_k, m)
     if "check.gamma8_membership" in LAYOUTS[params.mode]:
-        checks["gamma8_membership"] = congruence.in_gamma8(g) and congruence.in_gamma8(h)
+        checks["gamma8_membership"] = congruence.in_gamma8(d, g) and congruence.in_gamma8(d, h)
     checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k)
     return checks
 

@@ -2,13 +2,15 @@
 
 A matrix of QuadInts of one ring is also its eight integer coordinates
 `xy()` = (a11.x, a11.y, ..., a22.y): `product_xy` and `det_xy` compute on
-them through `quadint.mul_add`, for the PslElement determinant check and the
-residue matrices of `congruence`.  PslElement enforces determinant 1 over
-O_d, compares projectively (M ~ -M) on coordinates and takes every power by
-binary powering.
+them through `quadint.mul_add`, for the determinant rule and the residue
+matrices of `congruence`.  `psl_xy` states that rule once: a matrix's
+entries are QuadInts over one ring and its determinant is 1, and then it
+gives the matrix's coordinates.  PslElement enforces it and takes every
+power by binary powering.
 
 `eval_word` evaluates the one word shape that commands evaluate,
-sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates.
+sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates, and
+returns the value's coordinates.
 """
 
 from __future__ import annotations
@@ -90,6 +92,22 @@ def canonical_sign(m: Mat2) -> Mat2:
     return -m if key < 0 else m
 
 
+def psl_xy(m: Mat2) -> tuple[int, ...]:
+    """The coordinates of m, whose entries must be QuadInts over one ring and
+    whose determinant must be 1: the one statement of that rule, which
+    PslElement and `pipeline.run_checks` apply.  Raises ValueError otherwise."""
+    if not (type(m.a11) is type(m.a12) is type(m.a21) is type(m.a22) is QuadInt):
+        raise ValueError("PslElement entries must be QuadInt over one ring")
+    return _unimodular(*tau_square_of(*m.entries()), m.xy())  # two rings raise
+
+
+def _unimodular(s: int, n: int, xy: tuple[int, ...]) -> tuple[int, ...]:
+    """xy, which must have determinant 1 over the ring with tau^2 = s*tau - n."""
+    if det_xy(s, n, xy) != (1, 0):
+        raise ValueError("PslElement requires determinant 1")
+    return xy
+
+
 class PslElement(Frozen):
     """Determinant-1 matrix over O_d up to global sign."""
 
@@ -100,18 +118,10 @@ class PslElement(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        rep = self.rep
-        if not (type(rep.a11) is type(rep.a12) is type(rep.a21) is type(rep.a22) is QuadInt):
-            raise ValueError("PslElement entries must be QuadInt over one ring")
-        if det_xy(*tau_square_of(*rep.entries()), rep.xy()) != (1, 0):  # two rings raise
-            raise ValueError("PslElement requires determinant 1")
+        psl_xy(self.rep)
 
     def _values(self) -> tuple[Mat2]:
         return (self.rep,)
-
-    @property
-    def d(self) -> int:
-        return self.rep.a11.d
 
     @classmethod
     def from_entries(cls, a11: QuadInt, a12: QuadInt, a21: QuadInt,
@@ -135,16 +145,6 @@ class PslElement(Frozen):
             if bit == "1":
                 result = PslElement(result.rep * base.rep)
         return result
-
-    def psl_eq(self, other: "PslElement") -> bool:
-        if self.d != other.d:
-            raise ValueError(f"mixed rings: d={self.d} vs d={other.d}")
-        m, o = self.rep.xy(), other.rep.xy()
-        return m == o or m == tuple([-v for v in o])
-
-    def is_identity(self) -> bool:
-        """Whether rep is +1 or -1."""
-        return self.rep.xy() in _PLUS_MINUS_ONE
 
     def trace(self) -> QuadInt:
         return self.rep.trace()
@@ -174,18 +174,22 @@ def parse_mat2(text: str, d: int) -> Mat2:
     return Mat2(*(parse_quadint(g, d) for g in m.groups()))
 
 
-def eval_word(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> PslElement:
-    """sigma^a h sigma^b h^-1 sigma^c for sigma = (1, xi; 0, 1) and exponents
-    (a, b, c), det-checked once.
+def eval_word(d: int, xi: QuadInt, h: tuple[int, ...],
+              exponents: tuple[int, int, int]) -> tuple[int, ...]:
+    """The coordinates of sigma^a h sigma^b h^-1 sigma^c over O_d, for
+    sigma = (1, xi; 0, 1), h given by its coordinates and exponents (a, b, c);
+    det-checked once.  xi over another ring raises ValueError.
 
     The middle factor is the transvection T = 1 + b*xi*(p; q)(-q, p), (p; q)
-    the first column of h, which is h sigma^b adj(h) = h sigma^b h^-1 as
-    det h = 1 (true of every PslElement).  sigma^a on the left adds a*xi times
+    the first column of h, which is h sigma^b adj(h) = h sigma^b h^-1 when
+    det h = 1, as `psl_xy` ensures.  sigma^a on the left adds a*xi times
     row 2 of T to row 1; sigma^c on the right adds c*xi times column 1 to
     column 2.  The value is the matrix that the product of PslElements gives."""
+    if xi.d != d:
+        raise ValueError(f"mixed rings: d={xi.d} vs d={d}")
     a, b, c = exponents
-    s, n = tau_square_of(xi, h.rep.a11)  # two rings raise; h's entries share one ring
-    px, py, _, _, qx, qy, _, _ = h.rep.xy()
+    s, n = _tau_square(d)
+    px, py, _, _, qx, qy, _, _ = h
     ptx, pty = mul_add(s, n, px, py, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*p
     qtx, qty = mul_add(s, n, qx, qy, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*q
     pqx, pqy = mul_add(s, n, ptx, pty, qx, qy, 0, 0, 0, 0)  # b*xi*p*q
@@ -195,9 +199,9 @@ def eval_word(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> Ps
     m11x, m11y = mul_add(s, n, a * xi.x, a * xi.y, t21x, t21y, 1 - pqx, -pqy, 1, 0)
     m12x, m12y = mul_add(s, n, a * xi.x, a * xi.y, 1 + pqx, pqy, t12x, t12y, 1, 0)
     # (sigma^a T) sigma^c: column 2 plus c*xi times column 1
-    xy = (m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
-          t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0))
-    return PslElement(Mat2(*from_xy(xi, xy)))
+    return _unimodular(s, n, (
+        m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
+        t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0)))
 
 
 def render_word(word: Word) -> str:

@@ -168,14 +168,6 @@ class QuadInt(Frozen):
         s, _ = _tau_square(self.d)
         return (2 * self.x + s * self.y, (2 - s) * self.y)
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def rational_value(self) -> int:
-        if self.y != 0:
-            raise ValueError(f"{self!r} is not rational")
-        return self.x
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 

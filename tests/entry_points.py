@@ -21,6 +21,10 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 F_WORD = "word: sigma^-14811 h^1 sigma^6 h^-1 sigma^-14811"
 F_H = "h: [[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]"
 F_H_NEGATED = "h: [[0-1*sqrt(-3),80+56*sqrt(-3)],[-20+14*sqrt(-3),0-1317*sqrt(-3)]]"
+F_G_K = ("g_k: [[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
+         "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]")
+F_G_K_NEGATED = ("g_k: [[-86746012705+5928*sqrt(-3),25695903883771680+17987132718640176*sqrt(-3)],"
+                 "[118560-82992*sqrt(-3),-86746012705-5928*sqrt(-3)]]")
 
 
 def bianchicert(*argv: str, want: int = EXIT_OK) -> str:
@@ -60,6 +64,12 @@ def run() -> None:
              ("check.closed_form", "check.normal_closure_word"))):
         shown = bianchicert("verify", edited(source, "bad.txt", line, new), want=EXIT_MISMATCH)
         assert all(f"  {name}: fail" in shown.splitlines() for name in fails), shown
+    # the first g_k with a11 off by one is not unimodular: exactly two entries fail
+    shown = bianchicert("verify", edited("f.txt", "f_bad_gk.txt", F_G_K,
+                                         F_G_K.replace("[[86746012705-", "[[86746012706-"), 1),
+                        want=EXIT_MISMATCH)
+    assert [line for line in shown.splitlines() if line.endswith(": fail")] == [
+        "  field.g_k: fail", "  check.closed_form: fail"], shown
     bianchicert("verify", edited("f.txt", "f_omega.txt", "xi: 20+14*sqrt(-3)", "xi: 34+28*omega"))
 
     crlf = []
@@ -73,6 +83,8 @@ def run() -> None:
     assert bianchicert("verify", "f_bom.txt") == verdict
     # h is compared up to sign, so the first record's h of the other sign passes
     assert bianchicert("verify", edited("f.txt", "f_neg_h.txt", F_H, F_H_NEGATED, 1)) == verdict
+    # g_k is compared up to sign too
+    assert bianchicert("verify", edited("f.txt", "f_neg_gk.txt", F_G_K, F_G_K_NEGATED, 1)) == verdict
 
     long_g_k = "g_k: [[" + ",".join(["1"] * 100000) + "]]"  # the first record's, 200 KB
     Path("f_long.txt").write_text(re.sub(r"^g_k: .*$", lambda _: long_g_k,

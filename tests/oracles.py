@@ -1,9 +1,15 @@
 """Test-local oracles: the objects of the paper that no command runs.
 
 The library decides membership in Stab(C_D) by `circles.stab_form`, the
-residue test and `congruence.in_gamma8`.  What the tests check it against
-lives here:
+residue test and `congruence.in_gamma8`, all on a matrix's integer
+coordinates, and `pipeline.run_checks` builds no group element.  What the
+tests check it against lives here:
 
+- `oracle_run_checks`, the nine witness checks as first written on
+  PslElements and QuadInts, with what they read: `ring`, an element's d;
+  `word_value`, eval_word's value as a PslElement; `psl_eq`, projective
+  equality; `is_identity`; `is_rational` and `rational_value` of a
+  QuadInt; and `stab_pair`, stab_form's answer (alpha, beta) or None;
 - `parse_psl`, the text form of a PslElement;
 - `identity(d)`, and `transpose`, `conj_transpose`, `determinant` and
   `adjugate` of a Mat2, and `reduced`, the representative of an element
@@ -28,11 +34,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
-from bianchicert.circles import stab_form
-from bianchicert.psl2 import Mat2, PslElement, _first_nonzero, parse_mat2
-from bianchicert.quadint import QuadInt, is_squarefree
+from bianchicert.circles import cocompact_certificate, is_quadratic_nonresidue
+from bianchicert.congruence import gamma8_level4_image, phi_n
+from bianchicert.pipeline import LAYOUTS, CompressionWitness, Params, witness_word
+from bianchicert.psl2 import _PLUS_MINUS_ONE, Mat2, PslElement, _first_nonzero, eval_word, parse_mat2
+from bianchicert.quadint import QuadInt, _tau_square, from_xy, is_squarefree
 
 
 def parse_psl(text: str, d: int) -> PslElement:
@@ -68,6 +76,98 @@ def reduced(a: QuadInt, n: int) -> QuadInt:
     return QuadInt(a.d, a.x % n, a.y % n)
 
 
+# -- the witness checks on objects -------------------------------------------
+
+
+def ring(g: PslElement) -> int:
+    """The d of g's ring O_d."""
+    return g.rep.a11.d
+
+
+def word_value(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> PslElement:
+    """sigma^a h sigma^b h^-1 sigma^c as a PslElement: eval_word's coordinates,
+    det-checked again as a group element."""
+    return PslElement(Mat2(*from_xy(xi, eval_word(ring(h), xi, h.rep.xy(), exponents))))
+
+
+def psl_eq(g: PslElement, o: PslElement) -> bool:
+    """Projective equality, M ~ -M, of two elements of one ring."""
+    if ring(g) != ring(o):
+        raise ValueError(f"mixed rings: d={ring(g)} vs d={ring(o)}")
+    m, n = g.rep.xy(), o.rep.xy()
+    return m == n or m == tuple([-v for v in n])
+
+
+def is_identity(g: PslElement) -> bool:
+    """Whether g's representative is +1 or -1."""
+    return g.rep.xy() in _PLUS_MINUS_ONE
+
+
+def is_rational(a: QuadInt) -> bool:
+    return a.y == 0
+
+
+def rational_value(a: QuadInt) -> int:
+    if a.y != 0:
+        raise ValueError(f"{a!r} is not rational")
+    return a.x
+
+
+def stab_pair(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
+    """Recognize the shape (alpha, D beta; conj(beta), conj(alpha)).
+
+    Returns (alpha, beta) with |alpha|^2 - D|beta|^2 = 1 iff the representative
+    has the shape; this is membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm
+    equation are invariant under M -> -M, so -M need not be tried.  The shape
+    is read on coordinates, as conj(x + y*tau) = (x + s*y) - y*tau.
+    """
+    if D < 1:
+        raise ValueError(f"D must be a positive integer, got {D}")
+    m = M.rep
+    s, _ = _tau_square(ring(M))
+    ax, ay, bx, by, cx, cy, ex, ey = m.xy()
+    if (ex == ax + s * ay and ey == -ay and bx == D * (cx + s * cy) and by == -D * cy
+            and m.a11.norm() - D * m.a21.norm() == 1):
+        return (m.a11, m.a21.conj())
+    return None
+
+
+def oracle_run_checks(params: Params, honest: CompressionWitness,
+                      claimed: CompressionWitness) -> dict[str, bool]:
+    """`pipeline.run_checks` as written on group elements: h, the word's value
+    and the claimed g_k are PslElements, the trace a QuadInt, and Gamma_8
+    membership is the level-4 class `phi_n(M, 4)` in the image."""
+    d, x = params.d, params.x
+    n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
+    m = honest.word[2][1]  # sigma^m, the middle term
+    h = PslElement(honest.h)
+    a, b, c = (e for _, e in claimed.word[::2])  # sigma^a h sigma^b h^-1 sigma^c
+    g_word = word_value(params.xi, h, (a, b, c))
+    try:
+        g_closed: Optional[PslElement] = PslElement(claimed.g_k)
+    except ValueError:
+        g_closed = None  # not even unimodular: closed_form fails
+    g = g_closed or g_word
+    checks: dict[str, bool] = {}
+    checks["closed_form"] = g_closed is not None and psl_eq(g_word, g_closed)
+    checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
+    checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
+    checks["nontrivial"] = not is_identity(g)
+    expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
+    tr = g.trace()
+    # |trace| > 2 is hyperbolic; it also excludes +-1, whose trace is +-2
+    checks["hyperbolic_trace"] = (is_rational(tr)
+                                  and abs(rational_value(tr)) == abs(expected_trace) > 2)
+    # a claimed D_k < 1 names no circle; both circle checks then fail
+    checks["stabilizer_membership"] = D_k >= 1 and stab_pair(g, D_k) is not None
+    checks["normal_closure_word"] = claimed.word == witness_word(n_k, m)
+    if "check.gamma8_membership" in LAYOUTS[params.mode]:
+        image = gamma8_level4_image()
+        checks["gamma8_membership"] = phi_n(g, 4) in image and phi_n(h, 4) in image
+    checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k)
+    return checks
+
+
 # -- isometry classes ---------------------------------------------------------
 
 
@@ -79,12 +179,12 @@ class IsometryClass(enum.Enum):
 
 
 def classify(g: PslElement) -> IsometryClass:
-    if g.is_identity():
+    if is_identity(g):
         return IsometryClass.IDENTITY
     t = g.trace()
-    if not t.is_rational():
+    if not is_rational(t):
         return IsometryClass.HYPERBOLIC
-    v = abs(t.rational_value())
+    v = abs(rational_value(t))
     if v < 2:
         return IsometryClass.ELLIPTIC
     if v == 2:
@@ -150,8 +250,8 @@ def discriminant(C: CircleTriple) -> int:
 def hermitian_action(T: PslElement, C: CircleTriple) -> CircleTriple:
     """T . A = T A T* on Hermitian matrices, returned sign-canonically."""
     m = T.rep * C.matrix() * conj_transpose(T.rep)
-    a = m.a11.rational_value()
-    c = m.a22.rational_value()
+    a = rational_value(m.a11)
+    c = rational_value(m.a22)
     if m.a21 != m.a12.conj():
         raise AssertionError("Hermitian structure lost")
     return _signed_triple(a, m.a12, c)
@@ -300,7 +400,7 @@ def order_unit_to_stab(x: Quaternion, d: int, D: int) -> PslElement:
         raise ValueError(f"reduced norm is {x.reduced_norm()}, not 1")
     m = rho(x)
     element = PslElement(Mat2(*(e.to_quadint() for e in m.entries())))
-    if stab_form(element, D) is None:
+    if stab_pair(element, D) is None:
         raise AssertionError("order unit did not land in stabilizer form")
     return element
 

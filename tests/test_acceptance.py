@@ -108,7 +108,7 @@ def test_criterion_5_congruence_claim():
     ok = True
     for _ in range(20):
         h = fig8_h(random_valid_slope(rng))
-        ok = ok and phi_n(h, 4) == target and in_gamma8(h)
+        ok = ok and phi_n(h, 4) == target and in_gamma8(3, h.rep.xy())
     report(5, "congruence claim", ok)
 
 
@@ -166,7 +166,7 @@ def test_criterion_8_quaternion_correspondence():
                 continue
             found += 1
             m = order_unit_to_stab(x, d, D)
-            ok = ok and stab_form(m, D) is not None
+            ok = ok and stab_form(d, m.rep.xy(), D)
         ok = ok and found >= 2
     report(8, "quaternion correspondence", ok)
 

@@ -14,7 +14,7 @@ from bianchicert.quadint import QuadInt, parse_quadint
 
 from oracles import (CircleTriple, circle_action, circle_at_origin, conj_transpose,
                      discriminant, hermitian_action, identity, parse_psl, primitive_triple,
-                     transpose)
+                     rational_value, ring, stab_pair, transpose)
 from test_psl2 import random_psl
 
 
@@ -168,33 +168,40 @@ class TestOneSignRule:
         V = PslElement(transpose((T ** -1).rep))  # circle_action is the Hermitian action of V
         for action, M in ((hermitian_action, T), (circle_action, V)):
             m = M.rep * C.matrix() * conj_transpose(M.rep)
-            want = loop_signed_triple(m.a11.rational_value(), m.a12, m.a22.rational_value())
+            want = loop_signed_triple(rational_value(m.a11), m.a12, rational_value(m.a22))
             assert action(T, C) == want
 
 
 class TestStabForm:
     def test_identity(self):
-        alpha, beta = stab_form(PslElement(identity(3)), 5)
+        assert stab_form(3, identity(3).xy(), 5)
+        alpha, beta = stab_pair(PslElement(identity(3)), 5)
         assert alpha == QuadInt.integer(3, 1) and beta.is_zero()
 
     def test_golden_g1(self):
         g1 = parse_psl(
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
-        result = stab_form(g1, 216733332353)
+        assert stab_form(3, g1.rep.xy(), 216733332353)
+        result = stab_pair(g1, 216733332353)
         assert result is not None
         alpha, beta = result
         assert alpha == q("86746012705-5928*sqrt(-3)")
         assert beta == q("-118560-82992*sqrt(-3)")
 
+    def test_nonpositive_D_refused(self):
+        for D in (0, -5):
+            with pytest.raises(ValueError, match=f"^D must be a positive integer, got {D}$"):
+                stab_form(3, identity(3).xy(), D)
+
     def test_parabolic_absent(self):
-        assert stab_form(parse_psl("[[1,1],[0,1]]", 3), 5) is None
+        assert not stab_form(3, parse_psl("[[1,1],[0,1]]", 3).rep.xy(), 5)
 
     def test_both_signs_tried(self):
         g1 = parse_psl(
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
-        assert stab_form(PslElement(-g1.rep), 216733332353) is not None
+        assert stab_form(3, (-g1.rep).xy(), 216733332353)
 
     def test_member_fixes_circle(self):
         g1 = parse_psl(
@@ -208,9 +215,8 @@ class TestStabForm:
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
         D = 216733332353
-        assert stab_form(g1 * g1, D) is not None
-        assert stab_form(g1 ** -1, D) is not None
-        assert stab_form(g1 * g1 ** -1, D) is not None
+        for m in (g1 * g1, g1 ** -1, g1 * g1 ** -1):
+            assert stab_form(3, m.rep.xy(), D)
 
 
 def object_stab_form(M, D):
@@ -259,7 +265,8 @@ class TestStabFormOnCoordinates:
     def test_matches_object_version(self, case):
         M, D = case
         for m in (M, PslElement(-M.rep)):
-            assert stab_form(m, D) == object_stab_form(m, D)
+            assert stab_form(ring(m), m.rep.xy(), D) == (object_stab_form(m, D) is not None)
+            assert stab_pair(m, D) == object_stab_form(m, D)
 
     def test_one_entry_off(self):
         one, c = QuadInt.integer(7, 1), QuadInt(7, 2, -3)
@@ -268,9 +275,10 @@ class TestStabFormOnCoordinates:
         a = QuadInt(7, 2, 1)
         a22_only = PslElement.from_entries(a, QuadInt.integer(7, a.norm() - 1), one, a.conj())
         for m in (a12_only, a22_only):
-            assert stab_form(m, D) is None and object_stab_form(m, D) is None
+            assert not stab_form(7, m.rep.xy(), D) and object_stab_form(m, D) is None
         # with D = |a|^2 - 1 the second shape holds in full
-        assert stab_form(a22_only, a.norm() - 1) == (a, one)
+        assert stab_form(7, a22_only.rep.xy(), a.norm() - 1)
+        assert stab_pair(a22_only, a.norm() - 1) == (a, one)
 
 
 class TestResidues:

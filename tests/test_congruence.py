@@ -303,8 +303,8 @@ class TestGamma8Membership:
         cases = ((member, True), (member * S, False),
                  (word_value(PSL_LETTERS, any_word), None))
         for m, expected in cases:
-            assert in_gamma8(m) == gamma8_oracle(m)
-            assert expected is None or in_gamma8(m) is expected
+            assert in_gamma8(3, m.rep.xy()) == gamma8_oracle(m)
+            assert expected is None or in_gamma8(3, m.rep.xy()) is expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, len(GAMMA8_LETTERS) - 1), max_size=16), unimodular(3))
@@ -313,25 +313,25 @@ class TestGamma8Membership:
         # it must agree with the normal-form class phi_n(M, 4) in the image
         member, other = word_value(GAMMA8_LETTERS, member_word), PslElement(any_matrix)
         for m in (member, PslElement(-member.rep), other, PslElement(-other.rep)):
-            assert in_gamma8(m) == (phi_n(m, 4) in gamma8_level4_image())
-        assert in_gamma8(member)
+            assert in_gamma8(3, m.rep.xy()) == (phi_n(m, 4) in gamma8_level4_image())
+        assert in_gamma8(3, member.rep.xy())
 
     def test_generators(self):
         for g in gamma8_generators():
-            assert in_gamma8(g)
-            assert in_gamma8(g ** -1)
+            assert in_gamma8(3, g.rep.xy())
+            assert in_gamma8(3, (g ** -1).rep.xy())
 
     def test_conjugator_for_20_7(self):
         h = parse_psl("[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]", 3)
-        assert in_gamma8(h)
+        assert in_gamma8(3, h.rep.xy())
 
     def test_smoke_total(self):
         # no asserted ground truth; the test pins that the operation is total
         candidate = PslElement.from_entries(
             QuadInt.integer(3, 1), QuadInt.tau(3),
             QuadInt.integer(3, 0), QuadInt.integer(3, 1))
-        assert in_gamma8(candidate) in (True, False)
+        assert in_gamma8(3, candidate.rep.xy()) in (True, False)
 
     def test_wrong_ring_rejected(self):
-        with pytest.raises(ValueError):
-            in_gamma8(PslElement(identity(7)))
+        with pytest.raises(ValueError, match="^figure-eight membership requires d=3, got d=7$"):
+            in_gamma8(7, identity(7).xy())

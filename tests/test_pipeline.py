@@ -24,7 +24,8 @@ from bianchicert.psl2 import Mat2, PslElement, canonical_sign, eval_word, render
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
 
 from oracles import (IsometryClass, circle_action, circle_at_origin, classify, determinant,
-                     parse_psl)
+                     identity, is_rational, oracle_run_checks, parse_psl, psl_eq,
+                     rational_value, word_value)
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
 
@@ -75,7 +76,7 @@ def fig8_h(params):
 
 def fig8_middle_factor(params):
     """h sigma^6 h^-1 by word evaluation."""
-    return eval_word(params.xi, fig8_h(params), (0, 6, 0))
+    return word_value(params.xi, fig8_h(params), (0, 6, 0))
 
 
 def bezout_rt_scan(d, c):
@@ -117,7 +118,7 @@ class TestSlopes:
             one, zero = QuadInt.integer(3, 1), QuadInt.integer(3, 0)
             sigma = PslElement.from_entries(one, params.xi, zero, one)
             direct = (mu() ** params.p) * (lam() ** params.q)
-            assert sigma.psl_eq(direct)
+            assert psl_eq(sigma, direct)
 
 
 class TestValidation:
@@ -247,7 +248,7 @@ class TestMiddleFactor:
         for _ in range(50):
             params = random_valid_slope(rng)
             f = fig8_middle_factor(params)
-            assert f.psl_eq(fig8_middle_closed_form(params.xi))
+            assert psl_eq(f, fig8_middle_closed_form(params.xi))
 
 
 class TestConstructFig8:
@@ -261,7 +262,7 @@ class TestConstructFig8:
         g1 = parse_psl(
             "[[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
             "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]", 3)
-        assert PslElement(w.g_k).psl_eq(g1)
+        assert psl_eq(PslElement(w.g_k), g1)
         assert tuple(w.checks) == CHECKS
         assert w.assumptions
 
@@ -309,8 +310,8 @@ class TestConstructGeneral:
         r, t = bezout_rt(7, 106)
         h = PslElement(h_matrix(1, 7, params.xi, r, t))
         assert w.word == witness_word(w.n_k, 14)
-        g = eval_word(params.xi, h, (w.n_k, 14, w.n_k))
-        assert g.psl_eq(PslElement(w.g_k))
+        g = word_value(params.xi, h, (w.n_k, 14, w.n_k))
+        assert psl_eq(g, PslElement(w.g_k))
 
     def test_several_fields(self):
         rng = random.Random(55)
@@ -465,8 +466,8 @@ WIDE_PARAMS = validate_general(7, QuadInt(7, 999983, 999979))
 class TestWordCost:
     """Constructing, rendering, parsing and verifying the honest witness takes
     no Mat2 or PslElement product and no power, an inverse included: the
-    matrix work runs on coordinates.  Each evaluated word builds
-    one PslElement, and no check negates a matrix to compare up to sign."""
+    matrix work runs on coordinates.  Neither `eval_word` nor `run_checks`
+    builds a PslElement, and no check negates a matrix to compare up to sign."""
 
     @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
                              ids=["fig8-20-7-k1", "wide-anchor"])
@@ -481,6 +482,7 @@ class TestWordCost:
 
         def counted(function, into):
             def wrapper(*args):
+                into["calls"] += 1
                 before = Counter(counts)
                 try:
                     return function(*args)
@@ -495,8 +497,80 @@ class TestWordCost:
         assert parsed == w and verify_witness(parsed).ok
         for name in ("Mat2.__mul__", "PslElement.__mul__", "PslElement.__pow__"):
             assert counts[name] == 0, name
-        assert in_word["PslElement.__post_init__"] == 2  # one word in construct, one in verify
+        assert in_word["calls"] == in_checks["calls"] == 2  # one in construct, one in verify
+        assert in_word["PslElement.__post_init__"] == in_checks["PslElement.__post_init__"] == 0
         assert in_checks["Mat2.__neg__"] == 0
+
+
+ORACLE_DS = (5, 7, 11, 13, 19, 23)
+
+
+@st.composite
+def honest_case(draw):
+    """(params, honest record): fig8 at a drawn slope, or general mode at a d
+    in ORACLE_DS with a drawn xi; k up to 10^6."""
+    k = draw(st.integers(1, 10 ** 6))
+    try:
+        if draw(st.booleans()):
+            params = validate_fig8(4 * draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
+        else:
+            d = draw(st.sampled_from(ORACLE_DS))
+            params = validate_general(d, QuadInt(d, draw(st.integers(-50, 50)),
+                                                 draw(st.integers(-50, 50))))
+    except InvalidParams:
+        assume(False)
+    return params, construct_witness(params.mode, params, k)
+
+
+def with_entry(m, at, delta):
+    entries = list(m.entries())
+    entries[at] = entries[at] + delta
+    return Mat2(*entries)
+
+
+def with_exponent(word, at, delta):
+    return tuple((g, e + delta if i == at else e) for i, (g, e) in enumerate(word))
+
+
+# single-field edits of an honest record w, by delta = +-1; an entry of g_k
+# off by one leaves det != 1
+TAMPERS = {
+    "honest": lambda w, e: w,
+    "n_k": lambda w, e: w._replace(n_k=w.n_k + e),
+    "D_k": lambda w, e: w._replace(D_k=w.D_k + e),
+    "alpha_k": lambda w, e: w._replace(alpha_k=w.alpha_k + e),
+    "beta_k": lambda w, e: w._replace(beta_k=w.beta_k + e),
+    **{f"g_k.{name}": lambda w, e, at=at: w._replace(g_k=with_entry(w.g_k, at, e))
+       for at, name in enumerate(Mat2.__slots__)},
+    "-g_k": lambda w, e: w._replace(g_k=-w.g_k),
+    "identity": lambda w, e: w._replace(g_k=identity(w.d)),
+    "-identity": lambda w, e: w._replace(g_k=-identity(w.d)),
+    **{f"word.{at}": lambda w, e, at=at: w._replace(word=with_exponent(w.word, at, e))
+       for at in (0, 2, 4)},
+}
+
+
+class TestRunChecksOracle:
+    """run_checks on coordinates gives every check the verdict of the same
+    checks on group elements (`oracles.oracle_run_checks`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(honest_case(), st.sampled_from(sorted(TAMPERS)), st.sampled_from((1, -1)))
+    def test_matches_oracle(self, case, tamper, delta):
+        params, honest = case
+        claimed = TAMPERS[tamper](honest, delta)
+        checks = run_checks(params, honest, claimed)
+        assert checks == oracle_run_checks(params, honest, claimed)
+        assert all(checks.values()) == (tamper in ("honest", "-g_k"))
+
+    def test_g_k_over_another_ring_fails_closed_form(self):
+        # sigma^0 h sigma^0 h^-1 sigma^0 is the identity, whose coordinates
+        # are those of the identity over any ring
+        params = validate_fig8(20, 7)
+        honest = construct_witness(FIG8, params, 1)
+        claimed = honest._replace(word=witness_word(0, 0))
+        assert run_checks(params, honest, claimed._replace(g_k=identity(3)))["closed_form"]
+        assert not run_checks(params, honest, claimed._replace(g_k=identity(7)))["closed_form"]
 
 
 def hyperbolic_trace_oracle(record):
@@ -506,17 +580,20 @@ def hyperbolic_trace_oracle(record):
     m = record.word[2][1]
     expected = 2 - 2 * m * record.n_k * record.norm_xi ** 2
     tr = g.trace()
-    return (classify(g) is IsometryClass.HYPERBOLIC and tr.is_rational()
-            and abs(tr.rational_value()) == abs(expected))
+    return (classify(g) is IsometryClass.HYPERBOLIC and is_rational(tr)
+            and abs(rational_value(tr)) == abs(expected))
 
 
 class TestHyperbolicTrace:
     """Claimed n_k = 0 gives |expected trace| = 2, the trace of +-1 and of a
-    parabolic; no pinned record reaches it."""
+    parabolic; no pinned record reaches it.  The last g_k has the honest
+    k = 1 trace's rational part, 173492025410, plus tau: not rational."""
 
     @pytest.mark.parametrize("n_k", [None, 0, 1, -1], ids=["honest", "0", "1", "-1"])
-    @pytest.mark.parametrize("g_k", [None, "[[1,0],[0,1]]", "[[-1,0],[0,-1]]", "[[1,1],[0,1]]"],
-                             ids=["honest", "identity", "minus-identity", "parabolic"])
+    @pytest.mark.parametrize("g_k", [None, "[[1,0],[0,1]]", "[[-1,0],[0,-1]]", "[[1,1],[0,1]]",
+                                     "[[173492025410+tau,1],[-1,0]]"],
+                             ids=["honest", "identity", "minus-identity", "parabolic",
+                                  "nonreal-trace"])
     def test_matches_classify(self, n_k, g_k):
         w = fig8_witness(k=1)
         claimed = w._replace(n_k=w.n_k if n_k is None else n_k,

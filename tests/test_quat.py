@@ -11,7 +11,7 @@ from bianchicert.psl2 import PslElement
 from bianchicert.quadint import QuadInt
 
 from oracles import (QuadRat, QuatAlgebra, Quaternion, determinant, identity, in_order,
-                     order_unit_to_stab, rho)
+                     order_unit_to_stab, psl_eq, rho)
 
 
 def alg(a, b):
@@ -160,7 +160,7 @@ class TestOrder:
 class TestOrderUnitsToStabilizer:
     def test_one_maps_to_identity(self):
         m = order_unit_to_stab(alg(-3, 2).one(), 3, 2)
-        assert m.psl_eq(PslElement(identity(3)))
+        assert psl_eq(m, PslElement(identity(3)))
 
     def test_bounded_search(self):
         # oracle: exhaustive scan of order elements with doubled coordinates
@@ -183,7 +183,7 @@ class TestOrderUnitsToStabilizer:
                     continue
                 found += 1
                 m = order_unit_to_stab(x, d, D)
-                assert stab_form(m, D) is not None
+                assert stab_form(d, m.rep.xy(), D)
             assert found >= 2  # at least +-1
 
     def test_norm_precondition(self):
