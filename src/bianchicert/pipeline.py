@@ -8,10 +8,11 @@ gcd(p, q) = 1) and the Gamma_8 level-4 certificate added to the checks.
 
 A witness packages (params, r, t, h, k, n_k, D_k, g_k, alpha_k, beta_k),
 a generator word certifying g_k lies in the normal closure of sigma, and
-a battery of named exactness checks, which `run_checks` decides on the
-integer coordinates of h, the word's value and g_k.  `parse_witnesses`
-reads a block in render's form with one match of its mode's pattern, any
-other line by line.
+named exactness checks.  `_derive` gives the honest values as ints and
+coordinates; `run_checks(params, honest, claimed)` decides the checks on
+them and the claimed record's coordinates, and `verify_witness` compares
+each claimed field with them.  `parse_witnesses` reads a block in render's
+form with one match of its mode's pattern, any other line by line.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 import re
 from functools import cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
-from .psl2 import (_PLUS_MINUS_ONE, Mat2, Word, canonical_sign, eval_word, parse_mat2,
-                   parse_word, psl_xy, render_mat2, render_word)
-from .quadint import RENDERED, QuadInt, from_rendered, parse_quadint
+from .psl2 import (_PLUS_MINUS_ONE, Mat2, Word, _unimodular, canonical_sign, eval_word,
+                   parse_mat2, parse_word, psl_xy, render_mat2, render_word)
+from .quadint import RENDERED, QuadInt, _tau_square, from_rendered, from_xy, parse_quadint
 
 FIG8 = "fig8"
 GENERAL = "general"
@@ -125,8 +126,13 @@ def bezout_rt(d: int, c: int) -> tuple[int, int]:
 def h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
     """The conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r), of
     determinant 1 when -d r - level |xi|^2 t = 1."""
-    root = QuadInt.sqrt_minus_d(d)
-    return Mat2(root, xi * (level * t), xi.conj(), root * r)
+    return Mat2(*from_xy(xi, _h_xy(level, d, xi, r, t)))
+
+
+def _h_xy(level: int, d: int, xi: QuadInt, r: int, t: int) -> tuple[int, ...]:
+    root, (s, _) = QuadInt.sqrt_minus_d(d), _tau_square(d)  # conj(x + y tau) = x + s y - y tau
+    return (root.x, root.y, level * t * xi.x, level * t * xi.y, xi.x + s * xi.y, -xi.y,
+            root.x * r, root.y * r)
 
 
 # -- witnesses --------------------------------------------------------------
@@ -136,25 +142,31 @@ def _read_mat2(g: Iterator[str], d: int) -> Optional[Mat2]:
     return Mat2(*entries) if all(entries) else None  # a QuadInt is true, None false
 
 
-# The kinds of value a record holds: (the line reader's parser (text, d) ->
-# value, the renderer, the pattern of render's form, and the record reader's
-# conversion (iterator over the match groups, d) -> value, which takes its
-# pattern's groups, or None where render would not have written the text).
+# The kinds of value a record holds: (the line reader's parser (text, d) -> value,
+# the renderer, the pattern of render's form, the record reader's conversion
+# (iterator over the match groups, d) -> value, which takes its pattern's groups,
+# or None where render would not have written the text, and the kind's test).
 # The parsers look parse_* up when called, so a tracer sees every call.
-_INT = (lambda text, d: int(text), str, r"(-?\d+)", lambda g, d: int(next(g)))
+_INT = (lambda text, d: int(text), str, r"(-?\d+)", lambda g, d: int(next(g)),
+        lambda v: type(v) is int)
 _QUADINT = (lambda text, d: parse_quadint(text, d), str, RENDERED,
-            lambda g, d: from_rendered(d, next(g), next(g), next(g), next(g)))
+            lambda g, d: from_rendered(d, next(g), next(g), next(g), next(g)),
+            lambda v: type(v) is QuadInt)
 _MAT2 = (lambda text, d: parse_mat2(text, d), render_mat2,
-         rf"\[\[{RENDERED},{RENDERED}\],\[{RENDERED},{RENDERED}\]\]", _read_mat2)
+         rf"\[\[{RENDERED},{RENDERED}\],\[{RENDERED},{RENDERED}\]\]", _read_mat2,
+         lambda v: type(v) is Mat2 and {*map(type, v.entries())} == {QuadInt})
 _WORD = (lambda text, d: parse_word(text), render_word,  # the witness shape alone
          r"sigma\^(-?\d+) h\^1 sigma\^(-?\d+) h\^-1 sigma\^(-?\d+)",
          lambda g, d: (("sigma", int(next(g))), ("h", 1), ("sigma", int(next(g))), ("h", -1),
-                       ("sigma", int(next(g)))))
+                       ("sigma", int(next(g)))),
+         lambda v: type(v) is tuple and all(type(t) is tuple and len(t) == 2 and type(t[0]) is str
+                                            and type(t[1]) is int for t in v))
 # Every key a record may carry, in render order: key -> its kind, then whether
 # verify_witness compares the claimed value with the honest one as field.<key>.
 FIELDS: dict[str, tuple] = {
-    "mode": (lambda text, d: text, str, r"(\w+)", lambda g, d: next(g), False),
-    "d": (*_INT[:2], r"(?P<d>-?\d+)", _INT[3], False),  # sqrt(-(?P=d)) refers to it
+    "mode": (lambda text, d: text, str, r"(\w+)", lambda g, d: next(g), lambda v: type(v) is str,
+             False),
+    "d": (*_INT[:2], r"(?P<d>-?\d+)", *_INT[3:], False),  # sqrt(-(?P=d)) refers to it
     "p": (*_INT, False), "q": (*_INT, False), "x": (*_INT, False),
     "xi": (*_QUADINT, True), "norm_xi": (*_INT, True), "r": (*_INT, True), "t": (*_INT, True),
     "h": (*_MAT2, True),  # compared up to sign
@@ -175,6 +187,8 @@ LAYOUTS: dict[str, dict[str, Optional[str]]] = {
         (GENERAL, ("p", "q", "gamma8_membership"), {}))}
 TRAILERS = {mode: {key: value for key, value in layout.items() if value is not None}
             for mode, layout in LAYOUTS.items()}
+# verify_witness's entries: FIELDS decides which keys it compares, in render order
+_COMPARED = tuple((f"field.{key}", key) for key, (*_, compared) in FIELDS.items() if compared)
 
 
 class CompressionWitness(NamedTuple):
@@ -187,7 +201,7 @@ class CompressionWitness(NamedTuple):
     norm_xi: int
     r: int
     t: int
-    h: Mat2  # stored matrix; det is re-checked at verification time
+    h: Mat2  # verify_witness compares it with the honest h up to sign
     k: int
     n_k: int
     D_k: int
@@ -211,8 +225,9 @@ class CompressionWitness(NamedTuple):
                        for key, value in LAYOUTS[self.mode].items())
 
 
-def _derive(params: Params, k: int) -> CompressionWitness:
-    """The honest record for (params, k), with no checks run yet."""
+def _derive(params: Params, k: int) -> dict[str, Any]:
+    """The honest values for (params, k) by key, no object built: ints, xi, h,
+    alpha_k and beta_k as coordinates over O_d, and "m", the word's middle exponent."""
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
     d, xi, x = params.d, params.xi, params.x
@@ -220,18 +235,11 @@ def _derive(params: Params, k: int) -> CompressionWitness:
     r, t = bezout_rt(d, params.level * n_xi)
     m = 2 * d  # the middle exponent of the word
     n_k = -d * n_xi * (d * k + x) + d * d
-    D_k = n_xi * n_k ** 2 + d * k + x
-    root = QuadInt.sqrt_minus_d(d)
-    alpha = QuadInt.integer(d, 1 - m * n_k * n_xi ** 2) - m * n_xi * root
-    beta = -m * n_xi * xi
-    # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
-    return CompressionWitness(
-        mode=params.mode, d=d, p=params.p, q=params.q,
-        x=x if "x" in LAYOUTS[params.mode] else None,
-        xi=xi, norm_xi=n_xi, r=r, t=t,
-        h=h_matrix(params.level, d, xi, r, t), k=k, n_k=n_k, D_k=D_k,
-        g_k=Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()),
-        alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
+    u, root = m * n_xi, QuadInt.sqrt_minus_d(d)  # alpha = 1 - u n_k |xi|^2 - u root, beta = -u xi
+    return {"xi": (xi.x, xi.y), "norm_xi": n_xi, "r": r, "t": t, "n_k": n_k, "m": m,
+            "h": _h_xy(params.level, d, xi, r, t), "D_k": n_xi * n_k ** 2 + d * k + x,
+            "alpha_k": (1 - u * n_k * n_xi - u * root.x, -u * root.y),
+            "beta_k": (-u * xi.x, -u * xi.y)}
 
 
 def witness_word(n_k: int, m: int) -> Word:
@@ -246,19 +254,17 @@ def _has_witness_shape(word: Word) -> bool:
             and word[1][1] == 1 and word[3][1] == -1)
 
 
-def run_checks(params: Params, honest: CompressionWitness,
+def run_checks(params: Params, honest: dict[str, Any],
                claimed: CompressionWitness) -> dict[str, bool]:
     """The named checks on the claimed n_k, D_k, alpha_k, beta_k, word and
-    g_k, with h, |xi|^2 and the middle exponent taken from `honest`.  h and
-    the claimed g_k are read once each as coordinates and checked for
-    determinant 1 (`psl_xy`); the claimed word, of the witness shape, is
-    evaluated from its three sigma exponents, and every check decides on the
-    coordinates, with no group element built."""
+    g_k, with h, |xi|^2 and the middle exponent from `_derive`'s `honest`
+    values.  h's coordinates and the claimed g_k, read as coordinates by
+    `psl_xy`, are checked for determinant 1; the claimed word is evaluated from
+    its sigma exponents, and every check decides on coordinates, with no group element built."""
     d, x = params.d, params.x
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
-    m = honest.word[2][1]  # sigma^m, the middle term
-    h = psl_xy(honest.h)
-    a, b, c = (e for _, e in claimed.word[::2])  # sigma^a h sigma^b h^-1 sigma^c
+    m, h = honest["m"], _unimodular(*_tau_square(d), honest["h"])  # det h = 1
+    (_, a), _, (_, b), _, (_, c) = claimed.word  # sigma^a h sigma^b h^-1 sigma^c
     g_word = eval_word(d, params.xi, h, (a, b, c))
     try:
         g_closed: Optional[tuple[int, ...]] = psl_xy(claimed.g_k)
@@ -272,7 +278,7 @@ def run_checks(params: Params, honest: CompressionWitness,
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
     checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
     checks["nontrivial"] = g not in _PLUS_MINUS_ONE
-    expected_trace = 2 - 2 * m * n_k * honest.norm_xi ** 2
+    expected_trace = 2 - 2 * m * n_k * honest["norm_xi"] ** 2
     # the trace is (x11 + x22) + (y11 + y22) tau; |trace| > 2 is hyperbolic,
     # and it also excludes +-1, whose trace is +-2
     checks["hyperbolic_trace"] = g[1] + g[7] == 0 and abs(g[0] + g[6]) == abs(expected_trace) > 2
@@ -290,8 +296,15 @@ def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
     internal consistency error."""
     if mode != params.mode:
         raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
-    w = _derive(params, k)
-    for name, ok in run_checks(params, w, w).items():
+    honest = _derive(params, k)
+    xi, n_k, D_k, m = params.xi, honest["n_k"], honest["D_k"], honest["m"]
+    *h, alpha, beta = from_xy(xi, honest["h"] + honest["alpha_k"] + honest["beta_k"])
+    # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
+    w = CompressionWitness(  # positional, as keywords cost a microsecond here
+        mode, params.d, params.p, params.q, params.x if "x" in LAYOUTS[mode] else None, xi,
+        honest["norm_xi"], honest["r"], honest["t"], Mat2(*h), k, n_k, D_k,
+        Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()), alpha, beta, witness_word(n_k, m))
+    for name, ok in run_checks(params, honest, w).items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")
     return w
@@ -408,35 +421,37 @@ class VerificationReport(NamedTuple):
         return all(self.results.values())
 
 
+def _coordinates(value: object, d: int) -> object:
+    """A claimed value as `_derive` gives it, or None over a ring other than O_d."""
+    if type(value) is QuadInt:
+        return (value.x, value.y) if value.d == d else None
+    if type(value) is Mat2:
+        return value.xy() if value.a11.d == value.a12.d == value.a21.d == value.a22.d == d else None
+    return value
+
+
 def verify_witness(w: CompressionWitness) -> VerificationReport:
-    """Derive the honest record from (mode, params, k), compare the claimed
-    record with it field by field, then run the named checks on the claimed
-    values.  Every record, however malformed, gets a report; a failed entry
-    names what is at fault."""
-    layout = LAYOUTS.get(w.mode)
+    """Compare each claimed field with the honest values of (mode, params, k)
+    on coordinates, ring included, then run the named checks on the claimed
+    values.  Every record, however malformed, gets a report naming any fault."""
+    layout = LAYOUTS.get(w.mode) if type(w.mode) is str else None
     # parse_witnesses returns no such record, but one built in code may be
-    if layout is None or any(getattr(w, key) is None for key in FIELDS if key in layout):
+    if not (layout and all(FIELDS[key][4](getattr(w, key)) for key in FIELDS if key in layout)):
         return VerificationReport({"params": False})
     try:
-        if w.mode == FIG8:
-            params = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
-        else:
-            params = validate_general(w.d, w.xi, w.x)
+        params = validate_fig8(w.p, w.q) if w.mode == FIG8 else validate_general(w.d, w.xi, w.x)
         honest = _derive(params, w.k)
     except InvalidParams:
         return VerificationReport({"params": False})
     if params.d != w.d:
         return VerificationReport({"field.d": False})
-    results = {f"field.{key}": getattr(honest, key) == (canonical_sign(w.h) if key == "h"
-                                                          else getattr(w, key))
-               for key, (*_, compared) in FIELDS.items() if compared}
+    results = {name: _coordinates(canonical_sign(w.h) if key == "h" else getattr(w, key), params.d)
+               == honest[key] for name, key in _COMPARED}
     if not _has_witness_shape(w.word):  # h^N has entries of ~N bits: evaluate no other word
         results["field.word"] = False
         return VerificationReport(results)
-    # the named checks run against the *stored* values, so tampering with
-    # D_k or g_k is caught by the corresponding check as well
+    # the checks read the claimed values, so a tampered D_k or g_k fails a check as well
     checks = run_checks(params, honest, w)
     results["field.g_k"] = checks["closed_form"]  # the stored g_k is the word's value
-    for name, ok in checks.items():
-        results[f"check.{name}"] = ok
+    results.update({f"check.{name}": ok for name, ok in checks.items()})
     return VerificationReport(results)

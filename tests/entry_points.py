@@ -21,6 +21,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 F_WORD = "word: sigma^-14811 h^1 sigma^6 h^-1 sigma^-14811"
 F_H = "h: [[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]"
 F_H_NEGATED = "h: [[0-1*sqrt(-3),80+56*sqrt(-3)],[-20+14*sqrt(-3),0-1317*sqrt(-3)]]"
+F_ALPHA = "alpha_k: 86746012705-5928*sqrt(-3)"
 F_G_K = ("g_k: [[86746012705-5928*sqrt(-3),-25695903883771680-17987132718640176*sqrt(-3)],"
          "[-118560+82992*sqrt(-3),86746012705+5928*sqrt(-3)]]")
 F_G_K_NEGATED = ("g_k: [[-86746012705+5928*sqrt(-3),25695903883771680+17987132718640176*sqrt(-3)],"
@@ -70,6 +71,14 @@ def run() -> None:
                         want=EXIT_MISMATCH)
     assert [line for line in shown.splitlines() if line.endswith(": fail")] == [
         "  field.g_k: fail", "  check.closed_form: fail"], shown
+    # the first alpha_k off by one fails its field and the unit determinant; h's
+    # a12 off by one fails its field alone, as the checks read the honest h
+    for path, line, new, fails in (
+            ("f_bad_alpha.txt", F_ALPHA, F_ALPHA.replace(": 86746012705-", ": 86746012706-"),
+             ["  field.alpha_k: fail", "  check.unit_determinant: fail"]),
+            ("f_bad_h.txt", F_H, F_H.replace(",-80-", ",-81-"), ["  field.h: fail"])):
+        shown = bianchicert("verify", edited("f.txt", path, line, new, 1), want=EXIT_MISMATCH)
+        assert [row for row in shown.splitlines() if row.endswith(": fail")] == fails, shown
     bianchicert("verify", edited("f.txt", "f_omega.txt", "xi: 20+14*sqrt(-3)", "xi: 34+28*omega"))
 
     crlf = []

@@ -2,14 +2,18 @@
 
 The library decides membership in Stab(C_D) by `circles.stab_form`, the
 residue test and `congruence.in_gamma8`, all on a matrix's integer
-coordinates, and `pipeline.run_checks` builds no group element.  What the
-tests check it against lives here:
+coordinates, and `pipeline.run_checks` builds no group element; the
+verifier compares a record with the honest values on coordinates.  What the
+tests check them against lives here:
 
 - `oracle_run_checks`, the nine witness checks as first written on
   PslElements and QuadInts, with what they read: `ring`, an element's d;
   `word_value`, eval_word's value as a PslElement; `psl_eq`, projective
   equality; `is_identity`; `is_rational` and `rational_value` of a
   QuadInt; and `stab_pair`, stab_form's answer (alpha, beta) or None;
+- `oracle_verify_witness`, the verifier as first written: it derives the
+  honest record as objects (`oracle_derive`), compares each field with it
+  and runs `oracle_run_checks`;
 - `parse_psl`, the text form of a PslElement;
 - `identity(d)`, and `transpose`, `conj_transpose`, `determinant` and
   `adjugate` of a Mat2, and `reduced`, the representative of an element
@@ -38,8 +42,11 @@ from typing import NamedTuple, Optional, Union
 
 from bianchicert.circles import cocompact_certificate, is_quadratic_nonresidue
 from bianchicert.congruence import gamma8_level4_image, phi_n
-from bianchicert.pipeline import LAYOUTS, CompressionWitness, Params, witness_word
-from bianchicert.psl2 import _PLUS_MINUS_ONE, Mat2, PslElement, _first_nonzero, eval_word, parse_mat2
+from bianchicert.pipeline import (FIELDS, FIG8, LAYOUTS, CompressionWitness, InvalidParams, Params,
+                                  VerificationReport, _has_witness_shape, bezout_rt,
+                                  validate_fig8, validate_general, witness_word)
+from bianchicert.psl2 import (_PLUS_MINUS_ONE, Mat2, PslElement, _first_nonzero, canonical_sign,
+                              eval_word, parse_mat2)
 from bianchicert.quadint import QuadInt, _tau_square, from_xy, is_squarefree
 
 
@@ -166,6 +173,63 @@ def oracle_run_checks(params: Params, honest: CompressionWitness,
         checks["gamma8_membership"] = phi_n(g, 4) in image and phi_n(h, 4) in image
     checks["cocompact"] = D_k >= 1 and cocompact_certificate(d, D_k)
     return checks
+
+
+def oracle_derive(params: Params, k: int) -> CompressionWitness:
+    """The honest record for (params, k), with no checks run yet: the library's
+    derivation as first written on QuadInts and Mat2s, h included."""
+    if k < 1:
+        raise InvalidParams(f"k must be >= 1, got {k}")
+    d, xi, x = params.d, params.xi, params.x
+    n_xi = xi.norm()
+    r, t = bezout_rt(d, params.level * n_xi)
+    m = 2 * d  # the middle exponent of the word
+    n_k = -d * n_xi * (d * k + x) + d * d
+    D_k = n_xi * n_k ** 2 + d * k + x
+    root = QuadInt.sqrt_minus_d(d)
+    alpha = QuadInt.integer(d, 1 - m * n_k * n_xi ** 2) - m * n_xi * root
+    beta = -m * n_xi * xi
+    # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
+    return CompressionWitness(
+        mode=params.mode, d=d, p=params.p, q=params.q,
+        x=x if "x" in LAYOUTS[params.mode] else None,
+        xi=xi, norm_xi=n_xi, r=r, t=t,
+        h=Mat2(root, xi * (params.level * t), xi.conj(), root * r), k=k, n_k=n_k, D_k=D_k,
+        g_k=Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()),
+        alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
+
+
+def oracle_verify_witness(w: CompressionWitness) -> VerificationReport:
+    """`pipeline.verify_witness` as first written: derive the honest record
+    (`oracle_derive`), compare the claimed record with it field by field as
+    objects, then run the named checks (`oracle_run_checks`).  A record with
+    a field of the wrong kind may raise; only a missing field gets a report."""
+    layout = LAYOUTS.get(w.mode)
+    if layout is None or any(getattr(w, key) is None for key in FIELDS if key in layout):
+        return VerificationReport({"params": False})
+    try:
+        if w.mode == FIG8:
+            params = validate_fig8(w.p, w.q)  # type: ignore[arg-type]
+        else:
+            params = validate_general(w.d, w.xi, w.x)
+        honest = oracle_derive(params, w.k)
+    except InvalidParams:
+        return VerificationReport({"params": False})
+    if params.d != w.d:
+        return VerificationReport({"field.d": False})
+    results = {f"field.{key}": getattr(honest, key) == (canonical_sign(w.h) if key == "h"
+                                                          else getattr(w, key))
+               for key, (*_, compared) in FIELDS.items() if compared}
+    if not _has_witness_shape(w.word):  # h^N has entries of ~N bits: evaluate no other word
+        results["field.word"] = False
+        return VerificationReport(results)
+    # the named checks run against the *stored* values, so tampering with
+    # D_k or g_k is caught by the corresponding check as well
+    checks = oracle_run_checks(params, honest, w)
+    results["field.g_k"] = checks["closed_form"]  # the stored g_k is the word's value
+    for name, ok in checks.items():
+        results[f"check.{name}"] = ok
+    return VerificationReport(results)
 
 
 # -- isometry classes ---------------------------------------------------------

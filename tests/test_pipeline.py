@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bianchicert import pipeline
+from bianchicert import pipeline, quadint
 from bianchicert.circles import is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, CompressionWitness,
-                                  InvalidParams,
+                                  InvalidParams, _derive,
                                   bezout_rt, construct_series,
                                   construct_witness, h_matrix, parse_witnesses,
                                   render_witnesses, run_checks, validate_fig8,
@@ -24,8 +24,8 @@ from bianchicert.psl2 import Mat2, PslElement, canonical_sign, eval_word, render
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
 
 from oracles import (IsometryClass, circle_action, circle_at_origin, classify, determinant,
-                     identity, is_rational, oracle_run_checks, parse_psl, psl_eq,
-                     rational_value, word_value)
+                     identity, is_rational, oracle_run_checks, oracle_verify_witness, parse_psl,
+                     psl_eq, rational_value, word_value)
 
 GENERAL_CHECKS = tuple(name for name in CHECKS if name != "gamma8_membership")
 
@@ -343,7 +343,7 @@ def admissible_params(draw):
 
 
 class TestBuiltInCanonicalSign:
-    """`_derive` takes h and g_k as built, with no sign normalization: h's a11
+    """`construct_witness` takes h and g_k as built, with no sign normalization: h's a11
     is sqrt(-d), of trace 0 and positive y, and g_k's a11 is alpha, whose
     rational part 1 - m n_k |xi|^2 is positive as n_k < 0."""
 
@@ -467,18 +467,28 @@ class TestWordCost:
     """Constructing, rendering, parsing and verifying the honest witness takes
     no Mat2 or PslElement product and no power, an inverse included: the
     matrix work runs on coordinates.  Neither `eval_word` nor `run_checks`
-    builds a PslElement, and no check negates a matrix to compare up to sign."""
+    builds a PslElement, and no check negates a matrix to compare up to sign.
+    Verifying the honest record builds no QuadInt, validated or not, and no
+    Mat2, but fig8's xi, which `validate_fig8` builds from p and q."""
 
-    @pytest.mark.parametrize("params, k", [(validate_fig8(20, 7), 1), (WIDE_PARAMS, 999997)],
+    @pytest.mark.parametrize("params, k, built", [(validate_fig8(20, 7), 1, (1, 0, 0)),
+                                                  (WIDE_PARAMS, 999997, (0, 0, 0))],
                              ids=["fig8-20-7-k1", "wide-anchor"])
-    def test_counts(self, params, k, monkeypatch):
+    def test_counts(self, params, k, built, monkeypatch):
         counts, in_word, in_checks = Counter(), Counter(), Counter()
-        for cls, name in ((Mat2, "__mul__"), (Mat2, "__neg__"),
-                          (PslElement, "__mul__"), (PslElement, "__pow__"), (PslElement, "__post_init__")):
-            def counting(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
-                counts[_name] += 1
-                return _original(*args)
-            monkeypatch.setattr(cls, name, counting)
+
+        def counter(original, name):
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counting
+
+        for owner, name in ((Mat2, "__mul__"), (Mat2, "__neg__"), (Mat2, "__init__"),
+                            (PslElement, "__mul__"), (PslElement, "__pow__"),
+                            (PslElement, "__post_init__"), (QuadInt, "__init__"),
+                            (quadint, "_unchecked")):
+            monkeypatch.setattr(owner, name, counter(getattr(owner, name),
+                                                     f"{owner.__name__}.{name}"))
 
         def counted(function, into):
             def wrapper(*args):
@@ -494,12 +504,16 @@ class TestWordCost:
         monkeypatch.setattr(pipeline, "run_checks", counted(run_checks, in_checks))
         w = construct_witness(params.mode, params, k)
         [parsed] = parse_witnesses(render_witnesses([w]))
-        assert parsed == w and verify_witness(parsed).ok
+        assert parsed == w and canonical_sign(parsed.h) is parsed.h
+        in_verify = Counter()
+        assert counted(verify_witness, in_verify)(parsed).ok
         for name in ("Mat2.__mul__", "PslElement.__mul__", "PslElement.__pow__"):
             assert counts[name] == 0, name
         assert in_word["calls"] == in_checks["calls"] == 2  # one in construct, one in verify
         assert in_word["PslElement.__post_init__"] == in_checks["PslElement.__post_init__"] == 0
         assert in_checks["Mat2.__neg__"] == 0
+        assert (in_verify["QuadInt.__init__"], in_verify["bianchicert.quadint._unchecked"],
+                in_verify["Mat2.__init__"]) == built
 
 
 ORACLE_DS = (5, 7, 11, 13, 19, 23)
@@ -559,7 +573,7 @@ class TestRunChecksOracle:
     def test_matches_oracle(self, case, tamper, delta):
         params, honest = case
         claimed = TAMPERS[tamper](honest, delta)
-        checks = run_checks(params, honest, claimed)
+        checks = run_checks(params, _derive(params, honest.k), claimed)
         assert checks == oracle_run_checks(params, honest, claimed)
         assert all(checks.values()) == (tamper in ("honest", "-g_k"))
 
@@ -567,10 +581,55 @@ class TestRunChecksOracle:
         # sigma^0 h sigma^0 h^-1 sigma^0 is the identity, whose coordinates
         # are those of the identity over any ring
         params = validate_fig8(20, 7)
-        honest = construct_witness(FIG8, params, 1)
-        claimed = honest._replace(word=witness_word(0, 0))
+        honest = _derive(params, 1)
+        claimed = construct_witness(FIG8, params, 1)._replace(word=witness_word(0, 0))
         assert run_checks(params, honest, claimed._replace(g_k=identity(3)))["closed_form"]
         assert not run_checks(params, honest, claimed._replace(g_k=identity(7)))["closed_form"]
+
+
+def over_ring(value, d):
+    """A QuadInt, or each entry of a Mat2, with its coordinates over O_d."""
+    if type(value) is Mat2:
+        return Mat2(*(over_ring(e, d) for e in value.entries()))
+    return QuadInt(d, value.x, value.y)
+
+
+def other_ring(w, delta):
+    """O_2 for delta = -1, else O_3, or O_7 for a record over O_3."""
+    return 2 if delta < 0 else 7 if w.d == 3 else 3
+
+
+# further edits for the verifier, by delta = +-1: each h entry off by one and
+# -h; r, t and norm_xi off by one; each ring element rebuilt over another
+# ring, and the last entry of h and of g_k alone
+VERIFY_TAMPERS = {
+    **TAMPERS,
+    **{f"h.{name}": lambda w, e, at=at: w._replace(h=with_entry(w.h, at, e))
+       for at, name in enumerate(Mat2.__slots__)},
+    "-h": lambda w, e: w._replace(h=-w.h),
+    **{key: lambda w, e, key=key: w._replace(**{key: getattr(w, key) + e})
+       for key in ("r", "t", "norm_xi")},
+    **{f"{key}.ring": lambda w, e, key=key: w._replace(
+        **{key: over_ring(getattr(w, key), other_ring(w, e))})
+       for key in ("xi", "alpha_k", "beta_k", "h", "g_k")},
+    **{f"{key}.a22.ring": lambda w, e, key=key: w._replace(**{key: Mat2(
+        *getattr(w, key).entries()[:3], over_ring(getattr(w, key).a22, other_ring(w, e)))})
+       for key in ("h", "g_k")},
+}
+
+
+class TestVerifyOracle:
+    """verify_witness on coordinates gives the report of the verifier as first
+    written on objects (`oracles.oracle_verify_witness`), entries in order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(honest_case(), st.sampled_from(sorted(VERIFY_TAMPERS)), st.sampled_from((1, -1)))
+    def test_matches_oracle(self, case, tamper, delta):
+        _, honest = case
+        claimed = VERIFY_TAMPERS[tamper](honest, delta)
+        report = verify_witness(claimed)
+        assert list(report.results.items()) == list(oracle_verify_witness(claimed).results.items())
+        assert report.ok == (tamper in ("honest", "-g_k", "-h"))
 
 
 def hyperbolic_trace_oracle(record):
@@ -960,6 +1019,21 @@ LAYOUT_PROBES = {
 }
 
 
+# values of other kinds, by the type of the field they replace: for the mode
+# an int and a list; for an int a str, a bool and a float; for a QuadInt an
+# int, its coordinates and a Mat2; for a Mat2 one of ints, one with an int
+# entry and a QuadInt; for the word a str and tuples of other terms
+_Q = QuadInt(3, 1, 1)
+WRONG_KINDS = {
+    str: [3, ["fig8"]],
+    int: ["5", True, 5.0],
+    QuadInt: [5, (1, 1), Mat2(_Q, _Q, _Q, _Q)],
+    Mat2: [Mat2(1, 2, 3, 4), Mat2(_Q, _Q, _Q, 1), _Q],
+    tuple: ["sigma", (("sigma", "5"),) * 5, (("sigma", 1, 2),) * 5, ("sigma",) * 5,
+            [("sigma", 1)] * 5],
+}
+
+
 def params_of(w):
     return validate_fig8(w.p, w.q) if w.mode == FIG8 else validate_general(w.d, w.xi, w.x)
 
@@ -976,7 +1050,8 @@ class TestLayout:
     @pytest.mark.parametrize("name", sorted(FUZZ_RECORDS))
     def test_checks_run_are_the_trailer(self, name):
         w = FUZZ_RECORDS[name]
-        assert tuple(run_checks(params_of(w), w, w)) == tuple(w.checks)
+        params = params_of(w)
+        assert tuple(run_checks(params, _derive(params, w.k), w)) == tuple(w.checks)
 
     @pytest.mark.parametrize("name", sorted(FUZZ_RECORDS))
     def test_record_built_in_code_gets_a_report(self, name):
@@ -984,6 +1059,11 @@ class TestLayout:
         assert verify_witness(w._replace(mode="fig9")).results == {"params": False}
         for key in LAYOUTS[w.mode].keys() & FIELDS.keys():
             assert verify_witness(w._replace(**{key: None})).results == {"params": False}
+            # before the kind gate, such a value could raise from verify_witness: an
+            # AttributeError for h or alpha_k, a TypeError for k, a ValueError for the word
+            for value in WRONG_KINDS[type(getattr(w, key))]:
+                assert verify_witness(w._replace(**{key: value})).results == {"params": False}, (
+                    key, value)
 
 
 def same_meaning(record, honest):
