@@ -20,12 +20,13 @@ from __future__ import annotations
 import re
 from functools import cache
 from math import gcd
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import circles, congruence
 from .circles import check_odd_prime, cocompact_certificate, is_quadratic_nonresidue, stab_form
-from .psl2 import (_PLUS_MINUS_ONE, Mat2, Word, _unimodular, canonical_sign, eval_word,
-                   parse_mat2, parse_word, psl_xy, render_mat2, render_word)
+from .psl2 import (_PLUS_MINUS_ONE, Mat2, Word, canonical_sign, eval_word, parse_mat2,
+                   parse_word, psl_xy, render_mat2, render_word)
 from .quadint import RENDERED, QuadInt, _tau_square, from_rendered, from_xy, parse_quadint
 
 FIG8 = "fig8"
@@ -99,10 +100,8 @@ def validate_general(d: int, xi: QuadInt, x: Optional[int] = None) -> Params:
 
 def xi_fig8(p: int, q: int) -> QuadInt:
     """xi = p + q(4 omega + 2) = (p - 2q) + 4q tau, as 4 omega + 2 = 4 tau - 2;
-    |xi|^2 = p^2 + 12 q^2."""
-    xi = QuadInt(3, p - 2 * q, 4 * q)
-    assert xi.norm() == p ** 2 + 12 * q ** 2
-    return xi
+    |xi|^2 = (p - 2q)^2 + 4q(p - 2q) + 16q^2 = p^2 + 12 q^2, as tau^2 = tau - 1."""
+    return QuadInt(3, p - 2 * q, 4 * q)
 
 
 # -- the Bezout step and the conjugator h -----------------------------------
@@ -145,27 +144,21 @@ def _read_mat2(g: Iterator[str], d: int) -> Optional[Mat2]:
 # The kinds of value a record holds: (the line reader's parser (text, d) -> value,
 # the renderer, the pattern of render's form, the record reader's conversion
 # (iterator over the match groups, d) -> value, which takes its pattern's groups,
-# or None where render would not have written the text, and the kind's test).
+# or None where render would not have written the text, and the kind's type).
 # The parsers look parse_* up when called, so a tracer sees every call.
-_INT = (lambda text, d: int(text), str, r"(-?\d+)", lambda g, d: int(next(g)),
-        lambda v: type(v) is int)
+_INT = (lambda text, d: int(text), str, r"(-?\d+)", lambda g, d: int(next(g)), int)
 _QUADINT = (lambda text, d: parse_quadint(text, d), str, RENDERED,
-            lambda g, d: from_rendered(d, next(g), next(g), next(g), next(g)),
-            lambda v: type(v) is QuadInt)
+            lambda g, d: from_rendered(d, next(g), next(g), next(g), next(g)), QuadInt)
 _MAT2 = (lambda text, d: parse_mat2(text, d), render_mat2,
-         rf"\[\[{RENDERED},{RENDERED}\],\[{RENDERED},{RENDERED}\]\]", _read_mat2,
-         lambda v: type(v) is Mat2 and {*map(type, v.entries())} == {QuadInt})
+         rf"\[\[{RENDERED},{RENDERED}\],\[{RENDERED},{RENDERED}\]\]", _read_mat2, Mat2)
 _WORD = (lambda text, d: parse_word(text), render_word,  # the witness shape alone
          r"sigma\^(-?\d+) h\^1 sigma\^(-?\d+) h\^-1 sigma\^(-?\d+)",
          lambda g, d: (("sigma", int(next(g))), ("h", 1), ("sigma", int(next(g))), ("h", -1),
-                       ("sigma", int(next(g)))),
-         lambda v: type(v) is tuple and all(type(t) is tuple and len(t) == 2 and type(t[0]) is str
-                                            and type(t[1]) is int for t in v))
+                       ("sigma", int(next(g)))), tuple)
 # Every key a record may carry, in render order: key -> its kind, then whether
 # verify_witness compares the claimed value with the honest one as field.<key>.
 FIELDS: dict[str, tuple] = {
-    "mode": (lambda text, d: text, str, r"(\w+)", lambda g, d: next(g), lambda v: type(v) is str,
-             False),
+    "mode": (lambda text, d: text, str, r"(\w+)", lambda g, d: next(g), str, False),
     "d": (*_INT[:2], r"(?P<d>-?\d+)", *_INT[3:], False),  # sqrt(-(?P=d)) refers to it
     "p": (*_INT, False), "q": (*_INT, False), "x": (*_INT, False),
     "xi": (*_QUADINT, True), "norm_xi": (*_INT, True), "r": (*_INT, True), "t": (*_INT, True),
@@ -189,6 +182,10 @@ TRAILERS = {mode: {key: value for key, value in layout.items() if value is not N
             for mode, layout in LAYOUTS.items()}
 # verify_witness's entries: FIELDS decides which keys it compares, in render order
 _COMPARED = tuple((f"field.{key}", key) for key, (*_, compared) in FIELDS.items() if compared)
+# verify_witness's kind gate: per mode, a reader of its layout's fields and their types
+_KINDS = {mode: (attrgetter(*filter(layout.__contains__, FIELDS)),
+                 tuple(kind[4] for key, kind in FIELDS.items() if key in layout))
+          for mode, layout in LAYOUTS.items()}
 
 
 class CompressionWitness(NamedTuple):
@@ -258,12 +255,13 @@ def run_checks(params: Params, honest: dict[str, Any],
                claimed: CompressionWitness) -> dict[str, bool]:
     """The named checks on the claimed n_k, D_k, alpha_k, beta_k, word and
     g_k, with h, |xi|^2 and the middle exponent from `_derive`'s `honest`
-    values.  h's coordinates and the claimed g_k, read as coordinates by
-    `psl_xy`, are checked for determinant 1; the claimed word is evaluated from
-    its sigma exponents, and every check decides on coordinates, with no group element built."""
+    values.  The claimed g_k, read as coordinates by `psl_xy`, is checked for
+    determinant 1; h has it by `bezout_rt`, and x is a non-residue mod d by
+    `validate_*`.  The claimed word is evaluated from its sigma exponents, and
+    every check decides on coordinates, with no group element built."""
     d, x = params.d, params.x
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
-    m, h = honest["m"], _unimodular(*_tau_square(d), honest["h"])  # det h = 1
+    m, h = honest["m"], honest["h"]
     (_, a), _, (_, b), _, (_, c) = claimed.word  # sigma^a h sigma^b h^-1 sigma^c
     g_word = eval_word(d, params.xi, h, (a, b, c))
     try:
@@ -276,7 +274,7 @@ def run_checks(params: Params, honest: dict[str, Any],
     checks["closed_form"] = (g_closed is not None and claimed.g_k.a11.d == d
                              and (g_word == g_closed or g_word == tuple([-v for v in g_closed])))
     checks["unit_determinant"] = alpha.norm() - D_k * beta.norm() == 1
-    checks["residue_class"] = D_k % d == x and is_quadratic_nonresidue(x, d)
+    checks["residue_class"] = D_k % d == x
     checks["nontrivial"] = g not in _PLUS_MINUS_ONE
     expected_trace = 2 - 2 * m * n_k * honest["norm_xi"] ** 2
     # the trace is (x11 + x22) + (y11 + y22) tau; |trace| > 2 is hyperbolic,
@@ -312,16 +310,13 @@ def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
 
 def construct_series(mode: str, params: Params,
                      k_range: Iterable[int]) -> list[CompressionWitness]:
-    """Witnesses for each k, with a strict-monotonicity certificate on D_k."""
+    """Witnesses for each k, k_range listed first: one past memory raises
+    MemoryError at once.  D_k = N n_k^2 + d k + x rises strictly with k, as
+    n_k <= -2d falls by d^2 N per step (N = |xi|^2 >= 1), so it is unchecked."""
     ks = list(k_range)
     if not ks:
         raise InvalidParams("empty k range")
-    witnesses = [construct_witness(mode, params, k) for k in ks]
-    for prev, cur in zip(witnesses, witnesses[1:]):
-        if not cur.D_k > prev.D_k:
-            raise ConsistencyError(
-                f"D_k not strictly increasing: D_{prev.k}={prev.D_k}, D_{cur.k}={cur.D_k}")
-    return witnesses
+    return [construct_witness(mode, params, k) for k in ks]
 
 
 # -- serialization and verification -----------------------------------------
@@ -434,9 +429,11 @@ def verify_witness(w: CompressionWitness) -> VerificationReport:
     """Compare each claimed field with the honest values of (mode, params, k)
     on coordinates, ring included, then run the named checks on the claimed
     values.  Every record, however malformed, gets a report naming any fault."""
-    layout = LAYOUTS.get(w.mode) if type(w.mode) is str else None
+    kinds = _KINDS.get(w.mode) if type(w.mode) is str else None
     # parse_witnesses returns no such record, but one built in code may be
-    if not (layout and all(FIELDS[key][4](getattr(w, key)) for key in FIELDS if key in layout)):
+    if not (kinds and tuple(map(type, kinds[0](w))) == kinds[1]
+            and {*map(type, w.h.entries() + w.g_k.entries())} == {QuadInt}
+            and all(type(t) is tuple and tuple(map(type, t)) == (str, int) for t in w.word)):
         return VerificationReport({"params": False})
     try:
         params = validate_fig8(w.p, w.q) if w.mode == FIG8 else validate_general(w.d, w.xi, w.x)

@@ -10,7 +10,7 @@ power by binary powering.
 
 `eval_word` evaluates the one word shape that commands evaluate,
 sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates, and
-returns the value's coordinates.
+returns the value's coordinates, of determinant 1 by algebra, unchecked.
 """
 
 from __future__ import annotations
@@ -98,12 +98,8 @@ def psl_xy(m: Mat2) -> tuple[int, ...]:
     PslElement and `pipeline.run_checks` apply.  Raises ValueError otherwise."""
     if not (type(m.a11) is type(m.a12) is type(m.a21) is type(m.a22) is QuadInt):
         raise ValueError("PslElement entries must be QuadInt over one ring")
-    return _unimodular(*tau_square_of(*m.entries()), m.xy())  # two rings raise
-
-
-def _unimodular(s: int, n: int, xy: tuple[int, ...]) -> tuple[int, ...]:
-    """xy, which must have determinant 1 over the ring with tau^2 = s*tau - n."""
-    if det_xy(s, n, xy) != (1, 0):
+    xy = m.xy()
+    if det_xy(*tau_square_of(*m.entries()), xy) != (1, 0):  # two rings raise
         raise ValueError("PslElement requires determinant 1")
     return xy
 
@@ -177,14 +173,14 @@ def parse_mat2(text: str, d: int) -> Mat2:
 def eval_word(d: int, xi: QuadInt, h: tuple[int, ...],
               exponents: tuple[int, int, int]) -> tuple[int, ...]:
     """The coordinates of sigma^a h sigma^b h^-1 sigma^c over O_d, for
-    sigma = (1, xi; 0, 1), h given by its coordinates and exponents (a, b, c);
-    det-checked once.  xi over another ring raises ValueError.
+    sigma = (1, xi; 0, 1), h given by its coordinates and exponents (a, b, c).
+    xi over another ring raises ValueError.
 
     The middle factor is the transvection T = 1 + b*xi*(p; q)(-q, p), (p; q)
-    the first column of h, which is h sigma^b adj(h) = h sigma^b h^-1 when
-    det h = 1, as `psl_xy` ensures.  sigma^a on the left adds a*xi times
-    row 2 of T to row 1; sigma^c on the right adds c*xi times column 1 to
-    column 2.  The value is the matrix that the product of PslElements gives."""
+    h's first column: h sigma^b h^-1 when det h = 1, as `bezout_rt` asserts.
+    sigma^a on the left adds a*xi times row 2 of T to row 1, sigma^c on the
+    right c*xi times column 1 to column 2: the product of PslElements.  The
+    value's determinant, det T = 1 + b*xi*(p*q - q*p) = 1 for any h, is unchecked."""
     if xi.d != d:
         raise ValueError(f"mixed rings: d={xi.d} vs d={d}")
     a, b, c = exponents
@@ -199,9 +195,8 @@ def eval_word(d: int, xi: QuadInt, h: tuple[int, ...],
     m11x, m11y = mul_add(s, n, a * xi.x, a * xi.y, t21x, t21y, 1 - pqx, -pqy, 1, 0)
     m12x, m12y = mul_add(s, n, a * xi.x, a * xi.y, 1 + pqx, pqy, t12x, t12y, 1, 0)
     # (sigma^a T) sigma^c: column 2 plus c*xi times column 1
-    return _unimodular(s, n, (
-        m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
-        t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0)))
+    return (m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
+            t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0))
 
 
 def render_word(word: Word) -> str:

@@ -80,6 +80,16 @@ def run() -> None:
         shown = bianchicert("verify", edited("f.txt", path, line, new, 1), want=EXIT_MISMATCH)
         assert [row for row in shown.splitlines() if row.endswith(": fail")] == fails, shown
     bianchicert("verify", edited("f.txt", "f_omega.txt", "xi: 20+14*sqrt(-3)", "xi: 34+28*omega"))
+    # verify validates x again: a residue x reads no verdict, and the first
+    # record's x another non-residue fails what x derives and residue_class
+    shown = bianchicert("verify", edited("w.txt", "w_residue_x.txt", "x: 3", "x: 2"),
+                        want=EXIT_MISMATCH)
+    assert [row for row in shown.splitlines() if row.startswith("  ")] == ["  params: fail"] * 3
+    shown = bianchicert("verify", edited("w.txt", "w_other_x.txt", "x: 3", "x: 5", 1),
+                        want=EXIT_MISMATCH)
+    assert [row for row in shown.splitlines() if row.endswith(": fail")] == [
+        "  field.n_k: fail", "  field.D_k: fail", "  field.alpha_k: fail",
+        "  check.residue_class: fail"], shown
 
     crlf = []
     for number, line in enumerate(Path("f.txt").read_text().splitlines()):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bianchicert import pipeline, quadint
+from bianchicert import congruence, pipeline, quadint
 from bianchicert.circles import is_prime
 from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, CompressionWitness,
@@ -20,7 +20,7 @@ from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, Compre
                                   render_witnesses, run_checks, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
-from bianchicert.psl2 import Mat2, PslElement, canonical_sign, eval_word, render_word
+from bianchicert.psl2 import Mat2, PslElement, canonical_sign, det_xy, eval_word, render_word
 from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
 
 from oracles import (IsometryClass, circle_action, circle_at_origin, classify, determinant,
@@ -1159,3 +1159,121 @@ class TestVerifyFuzz:
         assert sorted(text.splitlines()) == sorted(record.render().splitlines())
         if verify_witness(record).ok:
             assert same_meaning(record, honest)
+
+
+@st.composite
+def valid_params(draw):
+    """Params of either mode: fig8 at a slope with |p| <= 4*10^6 and
+    |q| <= 10^6, or a d in ORACLE_DS with a drawn xi and a drawn or default x."""
+    try:
+        if draw(st.booleans()):
+            return validate_fig8(4 * draw(st.integers(-10 ** 6, 10 ** 6)),
+                                 draw(st.integers(-10 ** 6, 10 ** 6)))
+        d = draw(st.sampled_from(ORACLE_DS))
+        xi = QuadInt(d, draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(-10 ** 6, 10 ** 6)))
+        return validate_general(d, xi, draw(st.one_of(st.none(), st.integers(2, d - 1))))
+    except InvalidParams:
+        assume(False)
+
+
+class TestSettledFacts:
+    """The facts that the library decides once and no longer re-checks, each
+    held here: h's determinant (asserted by `bezout_rt`), x's residue class
+    (decided by `validate_*`), D_k's growth in k and |xi|^2 for fig8 (both
+    algebra).  `psl2.eval_word`'s determinant is held in test_psl2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_params())
+    def test_h_has_determinant_one(self, params):
+        assert det_xy(*quadint._tau_square(params.d), _derive(params, 1)["h"]) == (1, 0)
+
+    @pytest.mark.parametrize("d", (3, *ORACLE_DS))
+    def test_x_is_a_nonresidue(self, d):
+        squares = {i * i % d for i in range(d)}
+        for x in range(2, d):
+            try:
+                accepted = validate_general(d, QuadInt(d, 1, 0), x).x == x
+            except InvalidParams:
+                accepted = False
+            assert accepted == (x not in squares), x
+        assert validate_general(d, QuadInt(d, 1, 0)).x not in squares
+        if d == 3:
+            assert validate_fig8(20, 7).x not in squares
+        # verify validates a record's params again, so a residue x reads no verdict
+        w = construct_witness(GENERAL, validate_general(d, QuadInt(d, 1, 0)), 1)
+        for x in sorted(squares - {0, 1}):
+            assert verify_witness(w._replace(x=x)).results == {"params": False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_params(), st.integers(1, 10 ** 6))
+    def test_D_k_rises_and_n_k_is_negative(self, params, k):
+        # n_k = d^2 - d N (d k + x) <= -2d as N >= 1 and x >= 2, and it falls
+        # by d^2 N per step, so D_k = N n_k^2 + d k + x rises strictly
+        honest, later = _derive(params, k), _derive(params, k + 1)
+        assert honest["n_k"] <= -2 * params.d < 0
+        assert later["n_k"] - honest["n_k"] == -params.d ** 2 * honest["norm_xi"]
+        assert later["D_k"] > honest["D_k"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9))
+    def test_xi_fig8_norm(self, p, q):
+        assert xi_fig8(p, q).norm() == p ** 2 + 12 * q ** 2
+
+    def test_h_is_one_class_mod_4(self):
+        # q is odd as 4 | p and gcd(p, q) = 1, and -3r - 4|xi|^2 t = 1 gives
+        # r = 1 (mod 4): h = (sqrt(-3), 0; 2, sqrt(-3)) mod 4, in Gamma_8's image
+        rng = random.Random(55)
+        for _ in range(300):
+            params = random_valid_slope(rng, bound=10 ** 6)
+            h = _derive(params, rng.randint(1, 10 ** 6))["h"]
+            assert tuple(v % 4 for v in h) == (3, 2, 0, 0, 2, 0, 3, 2)
+        assert congruence.in_gamma8(3, (3, 2, 0, 0, 2, 0, 3, 2))
+
+
+class TestCocompactIsItsOwnCheck:
+    """`cocompact` asks whether the claimed D_k is a non-residue mod d;
+    `residue_class` whether D_k = x (mod d).  On the first record of the
+    d = 7 round trip (D_k = 5759153956 = 3 mod 7), D_k + 1 = 4 is a residue
+    and fails both, while D_k + 2 = 5 is another non-residue and fails
+    `residue_class` alone."""
+
+    @pytest.mark.parametrize("delta, cocompact", ((1, False), (2, True)))
+    def test_tampered_D_k(self, delta, cocompact):
+        w = construct_witness(GENERAL, validate_general(7, 1 + 7 * QuadInt.tau(7)), 1)
+        assert (w.D_k, w.D_k % 7) == (5759153956, 3)
+        results = verify_witness(w._replace(D_k=w.D_k + delta)).results
+        failed = [name for name, ok in results.items() if not ok]
+        assert failed == ["field.D_k", "check.unit_determinant", "check.residue_class",
+                          "check.stabilizer_membership", *(() if cocompact else ("check.cocompact",))]
+
+
+class TestClaimedG_k:
+    """The checks read the claimed g_k, each as on group elements: a g_k of
+    the other sign passes them all, +-1 fails nontrivial, and a unimodular g_k
+    outside Gamma_8's level-4 image fails gamma8_membership."""
+
+    def test_other_sign_verifies_as_written(self):
+        w = construct_witness(FIG8, validate_fig8(20, 7), 1)
+        report = verify_witness(w._replace(g_k=-w.g_k))
+        assert report.ok and report.results == verify_witness(w).results
+
+    @pytest.mark.parametrize("sign", ("+", "-"))
+    def test_plus_minus_one_is_trivial(self, sign):
+        # sigma^0 h sigma^0 h^-1 sigma^0 is the identity: closed_form passes
+        params = validate_fig8(20, 7)
+        w = construct_witness(FIG8, params, 1)._replace(word=witness_word(0, 0))
+        claimed = w._replace(g_k=identity(3) if sign == "+" else -identity(3))
+        checks = run_checks(params, _derive(params, 1), claimed)
+        assert checks == oracle_run_checks(params, w, claimed)
+        assert [name for name, ok in checks.items() if not ok] == [
+            "nontrivial", "hyperbolic_trace", "normal_closure_word"]
+
+    def test_unimodular_g_k_outside_gamma8(self):
+        params = validate_fig8(20, 7)
+        w = construct_witness(FIG8, params, 1)
+        s = Mat2(*(QuadInt.integer(3, v) for v in (0, -1, 1, 0)))
+        assert not congruence.in_gamma8(3, s.xy())
+        checks = run_checks(params, _derive(params, 1), w._replace(g_k=s))
+        assert checks == oracle_run_checks(params, w, w._replace(g_k=s))
+        assert [name for name, ok in checks.items() if not ok] == [
+            "closed_form", "hyperbolic_trace", "stabilizer_membership", "gamma8_membership"]

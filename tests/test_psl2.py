@@ -548,6 +548,20 @@ class TestObjectLevelDifferential:
                 eval_word(ring(h), xi, h.rep.xy(), (3, 1, -2))
 
 
+class TestEvalWordDeterminant:
+    """eval_word's value has determinant 1 for any coordinates of h, of any
+    determinant: it is sigma^a T sigma^c with T = 1 + b xi (p; q)(-q, p) for
+    h's first column (p; q), and det T = 1 + b xi (-q p + p q) = 1.  So
+    eval_word checks no determinant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=10, max_size=10),
+           HUGE_EXPONENT, HUGE_EXPONENT, HUGE_EXPONENT)
+    def test_any_h(self, d, cs, a, b, c):
+        xi = QuadInt(d, cs[0], cs[1])
+        assert det_xy(*tau_square_of(xi), eval_word(d, xi, tuple(cs[2:]), (a, b, c))) == (1, 0)
+
+
 class TestSerialization:
     def test_canonical_sign(self):
         m = PslElement(-MU.rep)
