@@ -50,9 +50,20 @@ def _witness_summary(w: CompressionWitness) -> str:
     return f"{w.mode} d={w.d} {head} k={w.k}: n_k={w.n_k} D_k={w.D_k} checks=ok"
 
 
+def _write(text: str) -> None:
+    """Write text to stdout now, for every command.  A reader that stopped
+    early (`| head -1`) is not a crash: the rest of the output goes to
+    os.devnull, and the command's exit code stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # now: a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -104,10 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_witness(w)
         lines = [f"witness k={w.k} mode={w.mode}: {'PASS' if report.ok else 'FAIL'}"]
         lines += [f"  {name}: {'pass' if ok else 'fail'}" for name, ok in report.results.items()]
-        try:  # flush now: a reader that stopped early (`| head -1`) raises here, not at exit
-            print("\n".join(lines), flush=True)
-        except BrokenPipeError:  # not a crash: the rest goes to os.devnull, the verdict stands
-            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        _write("\n".join(lines) + "\n")
         all_ok = all_ok and report.ok
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
@@ -120,10 +128,10 @@ def cmd_residues(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     nonresidue = [is_quadratic_nonresidue(x, d) for x in range(1, d)]  # entry x-1 is x's
-    print(f"d = {d}")
-    print(f"quadratic residues: {[x for x, n in enumerate(nonresidue, 1) if not n]}")
-    print(f"non-residues: {[x for x, n in enumerate(nonresidue, 1) if n]}")
-    print(f"smallest non-residue: {nonresidue.index(True) + 1}")
+    _write(f"d = {d}\n"
+           f"quadratic residues: {[x for x, n in enumerate(nonresidue, 1) if not n]}\n"
+           f"non-residues: {[x for x, n in enumerate(nonresidue, 1) if n]}\n"
+           f"smallest non-residue: {nonresidue.index(True) + 1}\n")
     return EXIT_OK
 
 
@@ -142,7 +150,7 @@ def cmd_appendix(_args: argparse.Namespace) -> int:
         if w.g_k != row.g_k:
             print(f"MISMATCH in g_{row.k}", file=sys.stderr)
             return EXIT_MISMATCH
-    print("appendix regression: all 10 rows and h match bit-exactly")
+    _write("appendix regression: all 10 rows and h match bit-exactly\n")
     return EXIT_OK
 
 

@@ -194,9 +194,6 @@ class QuadInt(Frozen):
         ox, oy = self._coords(other)
         return _unchecked(self.d, self.x - ox, self.y - oy)
 
-    def __rsub__(self, other: "QuadInt | int") -> "QuadInt":
-        return (-self) + other
-
     def __neg__(self) -> "QuadInt":
         return _unchecked(self.d, -self.x, -self.y)
 

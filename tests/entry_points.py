@@ -1,10 +1,14 @@
-"""The entry points of the reachability gate in `test_hygiene.py`.
+"""What the commands must do: the one statement of it, and the entry points
+of the reachability gate in `test_hygiene.py`.
 
-`run()` calls `bianchicert.cli.main` in this process over every command that
-the CI workflow `.github/workflows/tier1.yml` runs, plus one `construct
---format text`, and asserts each exit code as the workflow does.  It works in
-the current directory, where it writes the witness files and their edited
-copies, and then runs the three demos.
+`run()` calls `bianchicert.cli.main` in this process over each command and
+edited witness file, asserts each exit code, the `: fail` lines of each
+verdict and the `error:` line of each refusal, and then runs the three
+demos.  It works in the current directory, where it writes the witness
+files and their edited copies.  The CI workflow `.github/workflows/tier1.yml`
+runs it as one step; the workflow's own steps check only what needs a
+shell: the installed console script, the time limits of the refusals and a
+reader that closes the pipe early.
 
 Run:  PYTHONPATH=src:tests python -c "import entry_points; entry_points.run()"
 """
@@ -29,11 +33,13 @@ F_G_K_NEGATED = ("g_k: [[-86746012705+5928*sqrt(-3),25695903883771680+1798713271
 
 
 def bianchicert(*argv: str, want: int = EXIT_OK) -> str:
-    """The stdout of `bianchicert argv`, which must exit with `want`."""
+    """The stdout of `bianchicert argv`, which must exit with `want`, and
+    name its fault on a line `error: ...` if that is bad input."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         got = main(list(argv))
     assert got == want, f"bianchicert {' '.join(argv)} exited {got}, not {want}: {err.getvalue()}"
+    assert want != EXIT_BAD_INPUT or err.getvalue().startswith("error:"), err.getvalue()
     return out.getvalue()
 
 

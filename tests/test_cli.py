@@ -29,14 +29,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*args):
-    """`python *args` against src/, with the int-to-str digit limit pinned at
-    CPython's default."""
+def process_env():
+    """The environment of a `python` child against src/, with the int-to-str
+    digit limit pinned at CPython's default."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+    return {**os.environ, "PYTHONPATH": pythonpath, "PYTHONINTMAXSTRDIGITS": "4300"}
+
+
+def run_process(*args):
+    """`python *args` in `process_env()`."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=process_env(), timeout=120)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader stopped early, as `| head -1` does."""
+
+    def write(self, _text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..3"),
+    ("construct", "fig8", "--p", "20", "--q", "7", "--k", "1..3", "--format", "text"),
+    ("residues", "--d", "7"),
+    ("appendix",),
+], ids=["construct", "construct-text", "residues", "appendix"])
+def test_closed_stdout_is_not_a_crash(capsys, monkeypatch, argv):
+    # the rest of the output goes to os.devnull, and the exit code stands
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(list(argv))
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_commands_import_no_rational_arithmetic(tmp_path):
@@ -320,10 +347,6 @@ class TestVerify:
                              ids=["pass", "fail"])
     def test_closed_stdout_is_not_a_crash(self, tmp_path, capsys, monkeypatch, tampered,
                                           verdict):
-        class ClosedPipe(io.StringIO):  # a reader that stopped early, as `| head -1` does
-            def write(self, _text):
-                raise BrokenPipeError(32, "Broken pipe")
-
         path = self.witness_file(tmp_path, capsys)
         if tampered:
             path.write_text(path.read_text().replace("86746012705", "86746012706", 1))
@@ -382,6 +405,17 @@ class TestResidues:
                                         sorted(set(range(1, d)) - squares)), d
             smallest = min(set(range(1, d)) - squares)
             assert self.lines(out)["smallest non-residue"] == str(smallest), d
+
+    def test_reader_that_stops_early(self):
+        # the tables of d = 100003 (about 800 KB) overfill the pipe, whose
+        # reader closes it after 5 bytes
+        with subprocess.Popen([sys.executable, "-m", "bianchicert.cli", "residues", "--d",
+                               "100003"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=process_env()) as proc:
+            assert proc.stdout.read(5) == b"d = 1"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (EXIT_OK, b"")
 
     def test_large_prime_is_fast(self, capsys):
         # a scan of the residue list for each x took about 9 s at this d

@@ -15,15 +15,15 @@ carries nothing that only tests reach (the test-local oracles live in
 The name-based check is fooled by a name that something else also bears, so a
 reachability gate backs it for functions, methods and properties, the
 dunders included: a fresh interpreter installs a profile hook before
-`bianchicert` is imported, then runs `entry_points.run()` (every command of
-the CI workflow through `cli.main`, with the exit codes the workflow asserts,
-then the three demos), and each definition must be entered or be named, with
-the reason it is kept, in `ORACLES` (kept for a caller outside the commands)
-or `ENTRY_EXEMPT` (a hook that Python calls for a caller, exempt by its
-qualified name only).  A code object is matched to its definition by file and
-first line, the first decorator's line for a decorated one.  An `ORACLES`
-entry that the run enters, or an entry of either that is no longer defined,
-fails the gate too.
+`bianchicert` is imported, then runs `entry_points.run()` (every command
+through `cli.main` with its exit code and verdict asserted, then the three
+demos; the CI workflow runs the same function as one step), and each
+definition must be entered or be named, with the reason it is kept, in
+`ORACLES` (kept for a caller outside the commands) or `ENTRY_EXEMPT` (a hook
+that Python calls for a caller, exempt by its qualified name only).  A code
+object is matched to its definition by file and first line, the first
+decorator's line for a decorated one.  An `ORACLES` entry that the run
+enters, or an entry of either that is no longer defined, fails the gate too.
 
 `quadint._unchecked`, which builds a QuadInt without validating d, is named
 nowhere outside `quadint.py`, and neither is the basis case split
@@ -174,7 +174,6 @@ ORACLES = {
     "Mat2.__mul__": "benchmarks/spans.py wraps it by name; ROADMAP item 3 drops that layer",
     "PslElement.__mul__": "the group product of the object-level tests, their reference",
     "PslElement.__pow__": "benchmarks/spans.py wraps it by name; ROADMAP item 3 drops that layer",
-    "QuadInt.__rsub__": "tests write -1 - omega (TestRingOps::test_omega_squared)",
     "QuadInt.half_pair": "the basis conversion of tests/oracles.py (ROADMAP aim 2)",
     "ResidueMatrix.inv": "the finite model's inverse; waits on ROADMAP item 1",
     "CompressionWitness.assumptions": "read only by acceptance criterion 6; ROADMAP item 1 "
