@@ -7,7 +7,7 @@ every intermediate exactly.
 Run:  python3 demos/demo_fig8.py
 """
 
-from bianchicert.pipeline import FIG8, bezout_rt, construct_series, h_matrix, validate_fig8
+from bianchicert.pipeline import FIG8, bezout_rt, construct_series, h_xy, validate_fig8
 from bianchicert.psl2 import Mat2, PslElement, eval_word, render_word
 from bianchicert.quadint import from_xy
 
@@ -22,11 +22,13 @@ def main() -> None:
     r, t = bezout_rt(3, 4 * n)
     print(f"Bezout: -3*{r} - {4 * n}*({t}) = {-3 * r - 4 * n * t}")
 
-    h = PslElement(h_matrix(params.level, 3, xi, r, t))
+    # coordinates on {1, tau}, tau^2 = s*tau - n with (s, n) = (1, 1) in O_3;
+    # each value is wrapped as a group element for printing
+    h = PslElement(Mat2(*from_xy(xi, h_xy(1, params.level, (xi.x, xi.y), r, t))))
     print(f"h = {h.render()}")
 
-    # sigma^0 h sigma^6 h^-1 sigma^0, wrapped as a group element for printing
-    f = PslElement(Mat2(*from_xy(xi, eval_word(3, xi, h.rep.xy(), (0, 6, 0)))))
+    # sigma^0 h sigma^6 h^-1 sigma^0
+    f = PslElement(Mat2(*from_xy(xi, eval_word(1, 1, (xi.x, xi.y), h.rep.xy(), (0, 6, 0)))))
     print(f"h sigma^6 h^-1 = {f.render()}   trace = {f.trace()}")
 
     print()

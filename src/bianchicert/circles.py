@@ -17,11 +17,11 @@ from .quadint import _tau_square, is_prime
 def stab_form(d: int, xy: tuple[int, ...], D: int) -> bool:
     """Whether the matrix over O_d with coordinates xy has the shape
     (alpha, D beta; conj(beta), conj(alpha)) with |alpha|^2 - D|beta|^2 = 1:
-    membership in Stab_{PSL2(O_d)}(C_D).  Shape and norm equation are
-    invariant under M -> -M, so -M need not be tried.  The shape is read on
-    coordinates, as conj(x + y*tau) = (x + s*y) - y*tau, and the norms as
-    |x + y*tau|^2 = x^2 + s*x*y + n*y^2.
-    """
+    membership in Stab_{PSL2(O_d)}(C_D).  xy must have determinant 1, as
+    `run_checks`'s do; the EQUIVALENT proofs of tests/test_mutants.py use it.
+    Shape and norm equation are invariant under M -> -M, so -M need not be
+    tried.  The shape is read on coordinates, as conj(x + y*tau) = (x + s*y)
+    - y*tau, and the norms as |x + y*tau|^2 = x^2 + s*x*y + n*y^2."""
     if D < 1:
         raise ValueError(f"D must be a positive integer, got {D}")
     s, n = _tau_square(d)

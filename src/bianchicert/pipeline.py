@@ -8,11 +8,12 @@ gcd(p, q) = 1) and the Gamma_8 level-4 certificate added to the checks.
 
 A witness packages (params, r, t, h, k, n_k, D_k, g_k, alpha_k, beta_k),
 a generator word certifying g_k lies in the normal closure of sigma, and
-named exactness checks.  `_derive` gives the honest values as ints and
-coordinates; `run_checks(params, honest, claimed)` decides the checks on
-them and the claimed record's coordinates, and `verify_witness` compares
-each claimed field with them.  `parse_witnesses` reads a block in render's
-form with one match of its mode's pattern, any other line by line.
+named exactness checks.  `witness_values` and `h_xy` give the closed form by
+ring operations alone, on ints or symbols; `_derive` gives the honest values
+as ints and coordinates, `run_checks(params, honest, claimed)` decides the
+checks on them and the claimed record's coordinates, and `verify_witness`
+compares each claimed field with them.  `parse_witnesses` reads a block in
+render's form with one match of its mode's pattern, any other line by line.
 """
 
 from __future__ import annotations
@@ -122,16 +123,12 @@ def bezout_rt(d: int, c: int) -> tuple[int, int]:
     return r, t
 
 
-def h_matrix(level: int, d: int, xi: QuadInt, r: int, t: int) -> Mat2:
-    """The conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r), of
-    determinant 1 when -d r - level |xi|^2 t = 1."""
-    return Mat2(*from_xy(xi, _h_xy(level, d, xi, r, t)))
-
-
-def _h_xy(level: int, d: int, xi: QuadInt, r: int, t: int) -> tuple[int, ...]:
-    root, (s, _) = QuadInt.sqrt_minus_d(d), _tau_square(d)  # conj(x + y tau) = x + s y - y tau
-    return (root.x, root.y, level * t * xi.x, level * t * xi.y, xi.x + s * xi.y, -xi.y,
-            root.x * r, root.y * r)
+def h_xy(s: Any, level: Any, xi: tuple[Any, Any], r: Any, t: Any) -> tuple[Any, ...]:
+    """The coordinates of the conjugator (sqrt(-d), level xi t; conj(xi), sqrt(-d) r),
+    of determinant 1 when -d r - level |xi|^2 t = 1, with sqrt(-d) = -s + (1 + s) tau
+    and conj(x + y tau) = x + s y - y tau.  Ring operations alone, as `witness_values`."""
+    x, y = xi
+    return (-s, 1 + s, level * t * x, level * t * y, x + s * y, -y, -s * r, (1 + s) * r)
 
 
 # -- witnesses --------------------------------------------------------------
@@ -222,21 +219,33 @@ class CompressionWitness(NamedTuple):
                        for key, value in LAYOUTS[self.mode].items())
 
 
+def witness_values(s: Any, n: Any, d: Any, xi: tuple[Any, Any], x: Any,
+                   k: Any) -> dict[str, Any]:
+    """The closed form for (d, xi, x, k) over the ring with tau^2 = s*tau - n, by
+    ring operations alone, so ints and symbols both work: |xi|^2, n_k, the word's
+    middle exponent m = 2d, D_k, and alpha_k, beta_k and g_k = (alpha, D beta;
+    conj(beta), conj(alpha)) as coordinates, with sqrt(-d) = -s + (1 + s) tau."""
+    xx, xy = xi
+    n_xi = xx * xx + s * xx * xy + n * xy * xy
+    m = 2 * d
+    n_k = -d * n_xi * (d * k + x) + d * d
+    D_k = n_xi * n_k ** 2 + d * k + x
+    u = m * n_xi  # alpha = 1 - u n_k |xi|^2 - u sqrt(-d), beta = -u xi
+    ax, ay, bx, by = 1 - u * n_k * n_xi + u * s, -u * (1 + s), -u * xx, -u * xy
+    return {"norm_xi": n_xi, "n_k": n_k, "m": m, "D_k": D_k, "alpha_k": (ax, ay),
+            "beta_k": (bx, by),
+            "g_k": (ax, ay, D_k * bx, D_k * by, bx + s * by, -by, ax + s * ay, -ay)}
+
+
 def _derive(params: Params, k: int) -> dict[str, Any]:
-    """The honest values for (params, k) by key, no object built: ints, xi, h,
-    alpha_k and beta_k as coordinates over O_d, and "m", the word's middle exponent."""
+    """The honest values for (params, k) by key, no object built: `witness_values`
+    on the ring's integer coordinates, then the Bezout step, r, t and h."""
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
-    d, xi, x = params.d, params.xi, params.x
-    n_xi = xi.norm()
-    r, t = bezout_rt(d, params.level * n_xi)
-    m = 2 * d  # the middle exponent of the word
-    n_k = -d * n_xi * (d * k + x) + d * d
-    u, root = m * n_xi, QuadInt.sqrt_minus_d(d)  # alpha = 1 - u n_k |xi|^2 - u root, beta = -u xi
-    return {"xi": (xi.x, xi.y), "norm_xi": n_xi, "r": r, "t": t, "n_k": n_k, "m": m,
-            "h": _h_xy(params.level, d, xi, r, t), "D_k": n_xi * n_k ** 2 + d * k + x,
-            "alpha_k": (1 - u * n_k * n_xi - u * root.x, -u * root.y),
-            "beta_k": (-u * xi.x, -u * xi.y)}
+    (s, n), xi = _tau_square(params.d), (params.xi.x, params.xi.y)
+    honest = witness_values(s, n, params.d, xi, params.x, k)
+    r, t = bezout_rt(params.d, params.level * honest["norm_xi"])
+    return {**honest, "xi": xi, "r": r, "t": t, "h": h_xy(s, params.level, xi, r, t)}
 
 
 def witness_word(n_k: int, m: int) -> Word:
@@ -263,7 +272,7 @@ def run_checks(params: Params, honest: dict[str, Any],
     n_k, D_k, alpha, beta = claimed.n_k, claimed.D_k, claimed.alpha_k, claimed.beta_k
     m, h = honest["m"], honest["h"]
     (_, a), _, (_, b), _, (_, c) = claimed.word  # sigma^a h sigma^b h^-1 sigma^c
-    g_word = eval_word(d, params.xi, h, (a, b, c))
+    g_word = eval_word(*_tau_square(d), honest["xi"], h, (a, b, c))
     try:
         g_closed: Optional[tuple[int, ...]] = psl_xy(claimed.g_k)
     except ValueError:
@@ -296,12 +305,12 @@ def construct_witness(mode: str, params: Params, k: int) -> CompressionWitness:
         raise InvalidParams(f"mode {mode!r} does not match {params.mode!r} parameters")
     honest = _derive(params, k)
     xi, n_k, D_k, m = params.xi, honest["n_k"], honest["D_k"], honest["m"]
-    *h, alpha, beta = from_xy(xi, honest["h"] + honest["alpha_k"] + honest["beta_k"])
+    *h, alpha, g12, g21, g22, beta = from_xy(xi, honest["h"] + honest["g_k"] + honest["beta_k"])
     # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
     w = CompressionWitness(  # positional, as keywords cost a microsecond here
         mode, params.d, params.p, params.q, params.x if "x" in LAYOUTS[mode] else None, xi,
         honest["norm_xi"], honest["r"], honest["t"], Mat2(*h), k, n_k, D_k,
-        Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()), alpha, beta, witness_word(n_k, m))
+        Mat2(alpha, g12, g21, g22), alpha, beta, witness_word(n_k, m))
     for name, ok in run_checks(params, honest, w).items():
         if not ok:
             raise ConsistencyError(f"witness check failed: {name}")

@@ -9,8 +9,8 @@ gives the matrix's coordinates.  PslElement enforces it and takes every
 power by binary powering.
 
 `eval_word` evaluates the one word shape that commands evaluate,
-sigma^a h sigma^b h^-1 sigma^c, in one closed form on coordinates, and
-returns the value's coordinates, of determinant 1 by algebra, unchecked.
+sigma^a h sigma^b h^-1 sigma^c, in one closed form by ring operations on
+coordinates, ints or symbols; its value has determinant 1 by algebra, unchecked.
 """
 
 from __future__ import annotations
@@ -170,33 +170,31 @@ def parse_mat2(text: str, d: int) -> Mat2:
     return Mat2(*(parse_quadint(g, d) for g in m.groups()))
 
 
-def eval_word(d: int, xi: QuadInt, h: tuple[int, ...],
-              exponents: tuple[int, int, int]) -> tuple[int, ...]:
-    """The coordinates of sigma^a h sigma^b h^-1 sigma^c over O_d, for
-    sigma = (1, xi; 0, 1), h given by its coordinates and exponents (a, b, c).
-    xi over another ring raises ValueError.
+def eval_word(s: Any, n: Any, xi: tuple[Any, Any], h: tuple[Any, ...],
+              exponents: tuple[Any, Any, Any]) -> tuple[Any, ...]:
+    """The coordinates of sigma^a h sigma^b h^-1 sigma^c over the ring with
+    tau^2 = s*tau - n, for sigma = (1, xi; 0, 1), xi and h given by their
+    coordinates and exponents (a, b, c), by ring operations alone (ints or symbols).
 
     The middle factor is the transvection T = 1 + b*xi*(p; q)(-q, p), (p; q)
     h's first column: h sigma^b h^-1 when det h = 1, as `bezout_rt` asserts.
     sigma^a on the left adds a*xi times row 2 of T to row 1, sigma^c on the
     right c*xi times column 1 to column 2: the product of PslElements.  The
     value's determinant, det T = 1 + b*xi*(p*q - q*p) = 1 for any h, is unchecked."""
-    if xi.d != d:
-        raise ValueError(f"mixed rings: d={xi.d} vs d={d}")
     a, b, c = exponents
-    s, n = _tau_square(d)
+    xx, xy = xi
     px, py, _, _, qx, qy, _, _ = h
-    ptx, pty = mul_add(s, n, px, py, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*p
-    qtx, qty = mul_add(s, n, qx, qy, b * xi.x, b * xi.y, 0, 0, 0, 0)  # b*xi*q
+    ptx, pty = mul_add(s, n, px, py, b * xx, b * xy, 0, 0, 0, 0)  # b*xi*p
+    qtx, qty = mul_add(s, n, qx, qy, b * xx, b * xy, 0, 0, 0, 0)  # b*xi*q
     pqx, pqy = mul_add(s, n, ptx, pty, qx, qy, 0, 0, 0, 0)  # b*xi*p*q
     t12x, t12y = mul_add(s, n, ptx, pty, px, py, 0, 0, 0, 0)  # b*xi*p^2
     t21x, t21y = mul_add(s, n, -qtx, -qty, qx, qy, 0, 0, 0, 0)  # -b*xi*q^2
     # sigma^a T: row 1 of T plus a*xi times row 2
-    m11x, m11y = mul_add(s, n, a * xi.x, a * xi.y, t21x, t21y, 1 - pqx, -pqy, 1, 0)
-    m12x, m12y = mul_add(s, n, a * xi.x, a * xi.y, 1 + pqx, pqy, t12x, t12y, 1, 0)
+    m11x, m11y = mul_add(s, n, a * xx, a * xy, t21x, t21y, 1 - pqx, -pqy, 1, 0)
+    m12x, m12y = mul_add(s, n, a * xx, a * xy, 1 + pqx, pqy, t12x, t12y, 1, 0)
     # (sigma^a T) sigma^c: column 2 plus c*xi times column 1
-    return (m11x, m11y, *mul_add(s, n, c * xi.x, c * xi.y, m11x, m11y, m12x, m12y, 1, 0),
-            t21x, t21y, *mul_add(s, n, c * xi.x, c * xi.y, t21x, t21y, 1 + pqx, pqy, 1, 0))
+    return (m11x, m11y, *mul_add(s, n, c * xx, c * xy, m11x, m11y, m12x, m12y, 1, 0),
+            t21x, t21y, *mul_add(s, n, c * xx, c * xy, t21x, t21y, 1 + pqx, pqy, 1, 0))
 
 
 def render_word(word: Word) -> str:

@@ -11,17 +11,17 @@ construction.  All coordinates are Python ints (arbitrary precision).
 `_tau_square(d)`, cached per d, is the one statement of these conventions:
 it rejects a d that is not positive and square-free, and otherwise gives
 (s, n) with tau^2 = s*tau - n, where s = 1 exactly when tau = (1 + sqrt(-d))/2.
-Validation of d, products, norms, conjugates, the half-pair view (2x + s*y,
-(2 - s)*y), its inverse, `render` and both readers of text read it:
-`from_rendered`, of the groups of render's form, and `parse_quadint`, term by term.
+Validation of d, products, norms, the half-pair view (2x + s*y, (2 - s)*y),
+its inverse, `render` and both readers of text read it: `from_rendered`, of
+the groups of render's form, and `parse_quadint`, term by term.
 Its square-free test accepts a prime d at once through `is_prime`, which is
 also the odd-prime test of `circles.check_odd_prime`.
 
 The public constructors (`QuadInt(d, x, y)` and the classmethods) validate d.
 Arithmetic results inherit d from an operand that was already validated, so
-`+`, `-`, `*`, `conj` and `from_xy` build them with `_unchecked`, which only
-this module may call.  An operand of `+`, `-` or `*` must be an int or a
-QuadInt of the same ring.
+`+`, `-`, `*` and `from_xy` build them with `_unchecked`, which only this
+module may call.  An operand of `+`, `-` or `*` must be an int or a QuadInt
+of the same ring.
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ class QuadInt(Frozen):
     def tau(cls, d: int) -> "QuadInt":
         return cls(d, 0, 1)
 
-    @staticmethod
-    @cache  # per accepted d; a rejected d raises
-    def sqrt_minus_d(d: int) -> "QuadInt":
-        return QuadInt.from_half_pair(d, 0, 2)
-
     @classmethod
     def from_half_pair(cls, d: int, b1: int, b2: int) -> "QuadInt":
         """The element (b1 + b2*sqrt(-d))/2; requires b1 = b2 (mod 2).
@@ -204,11 +199,6 @@ class QuadInt(Frozen):
         return _unchecked(self.d, *mul_add(*_tau_square(self.d), self.x, self.y, ox, oy, 0, 0, 0, 0))
 
     __rmul__ = __mul__
-
-    def conj(self) -> "QuadInt":
-        """Image under sqrt(-d) -> -sqrt(-d): conj(tau) = s - tau."""
-        s, _ = _tau_square(self.d)
-        return _unchecked(self.d, self.x + s * self.y, -self.y)
 
     def norm(self) -> int:
         """self * conj(self), a non-negative rational integer."""

@@ -15,9 +15,9 @@ tests check them against lives here:
   honest record as objects (`oracle_derive`), compares each field with it
   and runs `oracle_run_checks`;
 - `parse_psl`, the text form of a PslElement;
-- `identity(d)`, and `transpose`, `conj_transpose`, `determinant` and
-  `adjugate` of a Mat2, and `reduced`, the representative of an element
-  mod (n);
+- `conj`, the conjugate of a QuadInt; `identity(d)`, and `transpose`,
+  `conj_transpose`, `determinant` and `adjugate` of a Mat2, and `reduced`,
+  the representative of an element mod (n);
 - `IsometryClass` and `classify`, the trace classification;
 - circle triples (a, B, c), the discriminant invariant and the two
   PSL2(O_d) actions;
@@ -63,8 +63,14 @@ def transpose(m: Mat2) -> Mat2:
     return Mat2(m.a11, m.a21, m.a12, m.a22)
 
 
+def conj(a: QuadInt) -> QuadInt:
+    """Image under sqrt(-d) -> -sqrt(-d): conj(x + y tau) = x + s y - y tau."""
+    s, _ = _tau_square(a.d)
+    return QuadInt(a.d, a.x + s * a.y, -a.y)
+
+
 def conj_transpose(m: Mat2) -> Mat2:
-    return Mat2(m.a11.conj(), m.a21.conj(), m.a12.conj(), m.a22.conj())
+    return Mat2(conj(m.a11), conj(m.a21), conj(m.a12), conj(m.a22))
 
 
 def determinant(m: Mat2):
@@ -94,7 +100,8 @@ def ring(g: PslElement) -> int:
 def word_value(xi: QuadInt, h: PslElement, exponents: tuple[int, int, int]) -> PslElement:
     """sigma^a h sigma^b h^-1 sigma^c as a PslElement: eval_word's coordinates,
     det-checked again as a group element."""
-    return PslElement(Mat2(*from_xy(xi, eval_word(ring(h), xi, h.rep.xy(), exponents))))
+    return PslElement(Mat2(*from_xy(xi, eval_word(*_tau_square(ring(h)), (xi.x, xi.y), h.rep.xy(),
+                                                  exponents))))
 
 
 def psl_eq(g: PslElement, o: PslElement) -> bool:
@@ -135,7 +142,7 @@ def stab_pair(M: PslElement, D: int) -> Optional[tuple[QuadInt, QuadInt]]:
     ax, ay, bx, by, cx, cy, ex, ey = m.xy()
     if (ex == ax + s * ay and ey == -ay and bx == D * (cx + s * cy) and by == -D * cy
             and m.a11.norm() - D * m.a21.norm() == 1):
-        return (m.a11, m.a21.conj())
+        return (m.a11, conj(m.a21))
     return None
 
 
@@ -186,7 +193,7 @@ def oracle_derive(params: Params, k: int) -> CompressionWitness:
     m = 2 * d  # the middle exponent of the word
     n_k = -d * n_xi * (d * k + x) + d * d
     D_k = n_xi * n_k ** 2 + d * k + x
-    root = QuadInt.sqrt_minus_d(d)
+    root = QuadInt.from_half_pair(d, 0, 2)
     alpha = QuadInt.integer(d, 1 - m * n_k * n_xi ** 2) - m * n_xi * root
     beta = -m * n_xi * xi
     # canonical as built: h's a11 sqrt(-d) has y > 0, alpha's 1 - m n_k |xi|^2 > 0 as n_k < 0
@@ -194,8 +201,8 @@ def oracle_derive(params: Params, k: int) -> CompressionWitness:
         mode=params.mode, d=d, p=params.p, q=params.q,
         x=x if "x" in LAYOUTS[params.mode] else None,
         xi=xi, norm_xi=n_xi, r=r, t=t,
-        h=Mat2(root, xi * (params.level * t), xi.conj(), root * r), k=k, n_k=n_k, D_k=D_k,
-        g_k=Mat2(alpha, beta * D_k, beta.conj(), alpha.conj()),
+        h=Mat2(root, xi * (params.level * t), conj(xi), root * r), k=k, n_k=n_k, D_k=D_k,
+        g_k=Mat2(alpha, beta * D_k, conj(beta), conj(alpha)),
         alpha_k=alpha, beta_k=beta, word=witness_word(n_k, m))
 
 
@@ -274,7 +281,7 @@ class CircleTriple(NamedTuple):
     def matrix(self) -> Mat2:
         """The Hermitian matrix (a, B; conj(B), c)."""
         d = self.d
-        return Mat2(QuadInt.integer(d, self.a), self.B, self.B.conj(), QuadInt.integer(d, self.c))
+        return Mat2(QuadInt.integer(d, self.a), self.B, conj(self.B), QuadInt.integer(d, self.c))
 
 
 def primitive_triple(a: int, B: QuadInt, c: int) -> CircleTriple:
@@ -316,7 +323,7 @@ def hermitian_action(T: PslElement, C: CircleTriple) -> CircleTriple:
     m = T.rep * C.matrix() * conj_transpose(T.rep)
     a = rational_value(m.a11)
     c = rational_value(m.a22)
-    if m.a21 != m.a12.conj():
+    if m.a21 != conj(m.a12):
         raise AssertionError("Hermitian structure lost")
     return _signed_triple(a, m.a12, c)
 
@@ -524,7 +531,7 @@ class QuadRat:
         return QuadRat.make(self.d, a.x, a.y, self.den * o.den)
 
     def conj(self) -> "QuadRat":
-        a = QuadInt(self.d, self.x, self.y).conj()
+        a = conj(QuadInt(self.d, self.x, self.y))
         return QuadRat(self.d, a.x, a.y, self.den)
 
     def norm(self) -> Fraction:

@@ -12,7 +12,7 @@ from bianchicert.pipeline import GENERAL, construct_series, validate_general, ve
 from bianchicert.psl2 import Mat2, PslElement
 from bianchicert.quadint import QuadInt, parse_quadint
 
-from oracles import (CircleTriple, circle_action, circle_at_origin, conj_transpose,
+from oracles import (CircleTriple, circle_action, circle_at_origin, conj, conj_transpose,
                      discriminant, hermitian_action, identity, parse_psl, primitive_triple,
                      rational_value, ring, stab_pair, transpose)
 from test_psl2 import random_psl
@@ -130,7 +130,7 @@ def raw_triple(draw, d):
     a, c = (draw(st.sampled_from((0, 0, 1, -1)) | st.integers(-9, 9)) for _ in range(2))
     kind = draw(st.sampled_from(("zero", "root", "integer", "any")))
     x, y = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
-    B = {"zero": QuadInt.integer(d, 0), "root": QuadInt.sqrt_minus_d(d) * x,
+    B = {"zero": QuadInt.integer(d, 0), "root": QuadInt.from_half_pair(d, 0, 2) * x,
          "integer": QuadInt.integer(d, x), "any": QuadInt(d, x, y)}[kind]
     return a, B, c
 
@@ -223,8 +223,8 @@ def object_stab_form(M, D):
     """stab_form as written on objects: conjugates, a product and QuadInt
     equality before the norm equation."""
     m = M.rep
-    alpha, beta = m.a11, m.a21.conj()
-    if m.a22 == alpha.conj() and m.a12 == beta * D and alpha.norm() - D * beta.norm() == 1:
+    alpha, beta = m.a11, conj(m.a21)
+    if m.a22 == conj(alpha) and m.a12 == beta * D and alpha.norm() - D * beta.norm() == 1:
         return (alpha, beta)
     return None
 
@@ -250,10 +250,10 @@ def stab_case(draw):
         M, D = PslElement(w.g_k), draw(st.sampled_from((w.D_k, w.D_k + 1, 1, D)))
     elif kind == "a12 only":
         c = QuadInt(d, draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
-        M = PslElement.from_entries(one, c.conj() * D, c, one + c.norm() * D)
+        M = PslElement.from_entries(one, conj(c) * D, c, one + c.norm() * D)
     elif kind == "a22 only":
         a = QuadInt(d, draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
-        M = PslElement.from_entries(a, QuadInt.integer(d, a.norm() - 1), one, a.conj())
+        M = PslElement.from_entries(a, QuadInt.integer(d, a.norm() - 1), one, conj(a))
     else:
         M, D = draw(unimodular_psl(d)), draw(st.sampled_from((1, D)))
     return M, D
@@ -271,9 +271,9 @@ class TestStabFormOnCoordinates:
     def test_one_entry_off(self):
         one, c = QuadInt.integer(7, 1), QuadInt(7, 2, -3)
         D = 5
-        a12_only = PslElement.from_entries(one, c.conj() * D, c, one + c.norm() * D)
+        a12_only = PslElement.from_entries(one, conj(c) * D, c, one + c.norm() * D)
         a = QuadInt(7, 2, 1)
-        a22_only = PslElement.from_entries(a, QuadInt.integer(7, a.norm() - 1), one, a.conj())
+        a22_only = PslElement.from_entries(a, QuadInt.integer(7, a.norm() - 1), one, conj(a))
         for m in (a12_only, a22_only):
             assert not stab_form(7, m.rep.xy(), D) and object_stab_form(m, D) is None
         # with D = |a|^2 - 1 the second shape holds in full

@@ -14,7 +14,7 @@ from bianchicert.congruence import (ResidueMatrix, enumerate_psl2, gamma8_genera
                                     phi_n, reduce_level, residue_identity,
                                     residue_matrix)
 from bianchicert.psl2 import Mat2, PslElement
-from bianchicert.quadint import QuadInt
+from bianchicert.quadint import QuadInt, from_xy
 
 from oracles import adjugate, determinant, identity, parse_psl, reduced
 from test_psl2 import random_psl
@@ -41,7 +41,7 @@ class TestPhiN:
     def test_conjugator_matches_displayed_element(self):
         # the conjugator for any valid slope reduces to the same level-4
         # class as ((1,2;0,1)(1,0;omega,1))^2
-        from bianchicert.pipeline import bezout_rt, h_matrix, validate_fig8
+        from bianchicert.pipeline import bezout_rt, h_xy, validate_fig8
         omega = QuadInt.tau(3) - 1
         a = parse_psl("[[1,2],[0,1]]", 3)
         b = PslElement.from_entries(QuadInt.integer(3, 1), QuadInt.integer(3, 0),
@@ -58,7 +58,8 @@ class TestPhiN:
                 continue
             seen += 1
             r, t = bezout_rt(3, 4 * params.xi.norm())
-            h = PslElement(h_matrix(4, 3, params.xi, r, t))
+            xi = params.xi
+            h = PslElement(Mat2(*from_xy(xi, h_xy(1, 4, (xi.x, xi.y), r, t))))
             assert phi_n(h, 4) == phi_n(g, 4)
 
 

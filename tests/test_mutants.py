@@ -4,8 +4,9 @@ verdict has a test that fails without it.
 `MUTANTS` names single edits of the library, each a row (file, old text, new
 text, killing node).  The old text occurs exactly once in its file, so a row
 whose text has gone or been repeated fails.  Every clause of
-`pipeline.run_checks` has a row, and so does each part of `verify_witness`'s
-kind gate.  A mutant is applied to a copy of `src`, `tests`, `demos` and
+`pipeline.run_checks` has a row, and so do each part of `verify_witness`'s
+kind gate and the middle exponent and beta's sign in `witness_values`.  A
+mutant is applied to a copy of `src`, `tests`, `demos` and
 `pyproject.toml` in a temporary directory, and its node runs there in a fresh
 interpreter with that copy as the working directory and its `src` and
 `tests` on PYTHONPATH, so no import reaches the unmutated tree; the node must
@@ -39,6 +40,7 @@ COCOMPACT = "tests/test_pipeline.py::TestCocompactIsItsOwnCheck::test_tampered_D
 TRACE = "tests/test_pipeline.py::TestHyperbolicTrace::test_matches_classify"
 NON_POSITIVE_D_K = "tests/test_pipeline.py::TestVerifyIsTotal::test_non_positive_D_k"
 BUILT_IN_CODE = "tests/test_pipeline.py::TestLayout::test_record_built_in_code_gets_a_report"
+SYMBOLIC = "tests/test_symbolic.py::test_word_is_the_closed_form[fig8]"
 CLOSED = "(g_word == g_closed or g_word == tuple([-v for v in g_closed]))"
 
 # name -> (file, old text, new text, the node that must fail, or None for a
@@ -98,6 +100,9 @@ MUTANTS = {
     "kind gate without the word's pairs":
         (PIPELINE, "all(type(t) is tuple and tuple(map(type, t)) == (str, int) for t in w.word)",
          "True", BUILT_IN_CODE),
+    "witness_values with m = 2d + 1": (PIPELINE, "m = 2 * d\n", "m = 2 * d + 1\n", SYMBOLIC),
+    "witness_values with beta's sign flipped": (PIPELINE, "-u * xx, -u * xy", "u * xx, u * xy",
+                                                SYMBOLIC),
 }
 # Each survivor kept, with the proof that it changes no verdict.
 EQUIVALENT = {

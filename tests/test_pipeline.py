@@ -16,14 +16,14 @@ from bianchicert.congruence import SURJECTIVITY_NOTE
 from bianchicert.pipeline import (CHECKS, FIELDS, FIG8, GENERAL, LAYOUTS, CompressionWitness,
                                   InvalidParams, _derive,
                                   bezout_rt, construct_series,
-                                  construct_witness, h_matrix, parse_witnesses,
+                                  construct_witness, h_xy, parse_witnesses,
                                   render_witnesses, run_checks, validate_fig8,
                                   validate_general, verify_witness,
                                   witness_word, xi_fig8)
 from bianchicert.psl2 import Mat2, PslElement, canonical_sign, det_xy, eval_word, render_word
-from bianchicert.quadint import PRIME_LIMIT, QuadInt, parse_quadint
+from bianchicert.quadint import PRIME_LIMIT, QuadInt, _tau_square, from_xy, parse_quadint
 
-from oracles import (IsometryClass, circle_action, circle_at_origin, classify, determinant,
+from oracles import (IsometryClass, circle_action, circle_at_origin, classify, conj, determinant,
                      identity, is_rational, oracle_run_checks, oracle_verify_witness, parse_psl,
                      psl_eq, rational_value, word_value)
 
@@ -65,13 +65,19 @@ def fig8_middle_closed_form(xi):
     """h sigma^6 h^-1 = (1 - 6n sqrt(-3), -18 xi; -6n conj(xi), 1 + 6n sqrt(-3))
     with n = |xi|^2."""
     n = xi.norm()
-    root = QuadInt.sqrt_minus_d(3)
+    root = QuadInt.from_half_pair(3, 0, 2)
     one = QuadInt.integer(3, 1)
-    return PslElement(Mat2(one - 6 * n * root, -18 * xi, -6 * n * xi.conj(), one + 6 * n * root))
+    return PslElement(Mat2(one - 6 * n * root, -18 * xi, -6 * n * conj(xi), one + 6 * n * root))
+
+
+def h_mat2(params, r, t):
+    """The conjugator h of params as a Mat2: `h_xy` over params' ring, wrapped by `from_xy`."""
+    xi = params.xi
+    return Mat2(*from_xy(xi, h_xy(_tau_square(params.d)[0], params.level, (xi.x, xi.y), r, t)))
 
 
 def fig8_h(params):
-    return PslElement(h_matrix(4, 3, params.xi, *bezout_rt(3, 4 * params.xi.norm())))
+    return PslElement(h_mat2(params, *bezout_rt(3, 4 * params.xi.norm())))
 
 
 def fig8_middle_factor(params):
@@ -240,7 +246,7 @@ class TestMiddleFactor:
         f = fig8_middle_factor(params)
         rep = canonical_sign(f.rep)
         assert rep.a12 == -18 * xi
-        assert rep.a21 == -6 * xi.norm() * xi.conj()
+        assert rep.a21 == -6 * xi.norm() * conj(xi)
         assert f.trace() == QuadInt.integer(3, 2)
 
     def test_word_matches_closed_form(self):
@@ -308,7 +314,7 @@ class TestConstructGeneral:
         params = validate_general(7, 1 + 7 * eta)
         w = construct_witness(GENERAL, params, 2)
         r, t = bezout_rt(7, 106)
-        h = PslElement(h_matrix(1, 7, params.xi, r, t))
+        h = PslElement(h_mat2(params, r, t))
         assert w.word == witness_word(w.n_k, 14)
         g = word_value(params.xi, h, (w.n_k, 14, w.n_k))
         assert psl_eq(g, PslElement(w.g_k))
@@ -351,9 +357,9 @@ class TestBuiltInCanonicalSign:
     @given(admissible_params(), st.one_of(st.integers(1, 10), st.integers(1, 2**64)))
     def test_h_and_g_k_are_their_own_canonical_sign(self, params, k):
         d, xi = params.d, params.xi
-        h = h_matrix(params.level, d, xi, *bezout_rt(d, params.level * xi.norm()))
+        h = h_mat2(params, *bezout_rt(d, params.level * xi.norm()))
         w = construct_witness(params.mode, params, k)
-        g = Mat2(w.alpha_k, w.beta_k * w.D_k, w.beta_k.conj(), w.alpha_k.conj())
+        g = Mat2(w.alpha_k, w.beta_k * w.D_k, conj(w.beta_k), conj(w.alpha_k))
         assert canonical_sign(h) == h and canonical_sign(g) == g
         assert (w.h, w.g_k) == (h, g)
 

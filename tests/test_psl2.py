@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bianchicert import psl2
 from bianchicert.psl2 import (Mat2, PslElement, canonical_sign, det_xy, eval_word, parse_mat2,
                               parse_word, render_word)
-from bianchicert.quadint import QuadInt, parse_quadint, tau_square_of
+from bianchicert.quadint import QuadInt, _tau_square, parse_quadint, tau_square_of
 
 from oracles import (IsometryClass, QuatAlgebra, Quaternion, adjugate, classify, determinant,
                      identity, is_identity, parse_psl, psl_eq, rho, ring, word_value)
@@ -61,7 +61,7 @@ class TestDet:
         assert det(h) == QuadInt.integer(3, 1)
 
     def test_diagonal_roots(self):
-        root = QuadInt.sqrt_minus_d(3)
+        root = QuadInt.from_half_pair(3, 0, 2)
         zero = QuadInt.integer(3, 0)
         assert det(Mat2(root, zero, zero, root)) == QuadInt.integer(3, -3)
 
@@ -360,7 +360,7 @@ class TestClassify:
             assert classify(PslElement(-m.rep)) is classify(m)
 
     def test_nonreal_trace_hyperbolic(self):
-        root = QuadInt.sqrt_minus_d(2)
+        root = QuadInt.from_half_pair(2, 0, 2)
         t = PslElement.from_entries(QuadInt.integer(2, 1), root,
                                     QuadInt.integer(2, 0), QuadInt.integer(2, 1))
         s = psl("[[0,-1],[1,0]]", 2)
@@ -375,7 +375,7 @@ GOLDEN_H = "[[0+1*sqrt(-3),-80-56*sqrt(-3)],[20-14*sqrt(-3),0+1317*sqrt(-3)]]"
 
 class TestEvalWord:
     def test_single_generator(self):
-        assert eval_word(3, q("1"), identity(3).xy(), (1, 0, 0)) == MU.rep.xy()
+        assert eval_word(1, 1, (1, 0), identity(3).xy(), (1, 0, 0)) == MU.rep.xy()
 
     def test_displayed_product(self):
         # ((1,2;0,1)(1,0;omega,1))^2 = (sqrt(-3)-4, 2+2 sqrt(-3); -2, sqrt(-3))
@@ -413,11 +413,12 @@ class TestEvalWordDifferential:
         xi, u, v = (QuadInt(d, x, y) for x, y in zip(cs[::2], cs[1::2]))
         one = QuadInt.integer(d, 1)
         h = PslElement.from_entries(one + u * v, u, v, one)
-        assert eval_word(d, xi, h.rep.xy(), (a, b, c)) == oracle_witness_word(xi, h, a, b, c).xy()
+        value = eval_word(*_tau_square(d), (xi.x, xi.y), h.rep.xy(), (a, b, c))
+        assert value == oracle_witness_word(xi, h, a, b, c).xy()
 
     def test_witness_shape(self):
         xi, h = q(GOLDEN_XI), psl(GOLDEN_H)
-        value = eval_word(3, xi, h.rep.xy(), (-14811, 6, -14811))
+        value = eval_word(1, 1, (xi.x, xi.y), h.rep.xy(), (-14811, 6, -14811))
         assert value == oracle_witness_word(xi, h, -14811, 6, -14811).xy()
 
 
@@ -439,7 +440,7 @@ def sign_entry(draw, d):
     if kind == "zero":
         return QuadInt.integer(d, 0)
     if kind == "root":
-        return QuadInt.sqrt_minus_d(d) * x
+        return QuadInt.from_half_pair(d, 0, 2) * x
     return QuadInt(d, x, 0 if kind == "integer" else y)
 
 
@@ -541,11 +542,6 @@ class TestObjectLevelDifferential:
                      lambda: PslElement(mixed)):
             with pytest.raises(ValueError, match=MIXED_RINGS):
                 call()
-        one7 = QuadInt.integer(other, 1)
-        h7 = PslElement.from_entries(one7, one7, one7, one7 + one7)
-        for xi, h in ((t, h7), (QuadInt(other, *cs), PslElement(u))):
-            with pytest.raises(ValueError, match=MIXED_RINGS):
-                eval_word(ring(h), xi, h.rep.xy(), (3, 1, -2))
 
 
 class TestEvalWordDeterminant:
@@ -558,8 +554,8 @@ class TestEvalWordDeterminant:
     @given(st.sampled_from(OBJECT_DS), st.lists(HUGE_COORD, min_size=10, max_size=10),
            HUGE_EXPONENT, HUGE_EXPONENT, HUGE_EXPONENT)
     def test_any_h(self, d, cs, a, b, c):
-        xi = QuadInt(d, cs[0], cs[1])
-        assert det_xy(*tau_square_of(xi), eval_word(d, xi, tuple(cs[2:]), (a, b, c))) == (1, 0)
+        s, n = _tau_square(d)
+        assert det_xy(s, n, eval_word(s, n, tuple(cs[:2]), tuple(cs[2:]), (a, b, c))) == (1, 0)
 
 
 class TestSerialization:

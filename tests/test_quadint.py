@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from bianchicert import quadint
 from bianchicert.circles import is_quadratic_nonresidue
-from bianchicert.pipeline import (FIG8, GENERAL, CompressionWitness, construct_series,
+from bianchicert.pipeline import (FIG8, GENERAL, CompressionWitness, construct_series, h_xy,
                                   validate_fig8, validate_general, witness_word)
 from bianchicert.psl2 import Mat2
-from bianchicert.quadint import PRIME_LIMIT, QuadInt, is_prime, is_squarefree, parse_quadint
+from bianchicert.quadint import (PRIME_LIMIT, QuadInt, _tau_square, from_xy, is_prime, is_squarefree,
+                                 parse_quadint)
 
-from oracles import reduced
+from oracles import conj, reduced
 from test_pipeline import ODD_PRIMES, assert_readers_agree
 
 
@@ -133,9 +134,11 @@ class TestBasisConventions:
 
     @pytest.mark.parametrize("d", BASIS_DS)
     def test_sqrt_minus_d(self, d):
-        r = QuadInt.sqrt_minus_d(d)
+        r = QuadInt.from_half_pair(d, 0, 2)
         assert (r.x, r.y) == oracle_sqrt_minus_d(d)
         assert r * r == QuadInt.integer(d, -d)
+        # h's a11, where h_xy and witness_values write sqrt(-d) = -s + (1 + s) tau
+        assert h_xy(_tau_square(d)[0], 1, (0, 0), 0, 0)[:2] == oracle_sqrt_minus_d(d)
 
 
 class TestValidateOnce:
@@ -198,7 +201,7 @@ class TestIsPrime:
     @pytest.mark.parametrize("d", [10**14 + 31, sympy.prevprime(PRIME_LIMIT)])
     def test_a_large_prime_is_square_free_at_once(self, d):
         start = time.perf_counter()
-        assert is_squarefree(d) and QuadInt.sqrt_minus_d(d).norm() == d
+        assert is_squarefree(d) and QuadInt.from_half_pair(d, 0, 2).norm() == d
         assert time.perf_counter() - start < 0.1  # trial division to sqrt(d) takes seconds
 
 
@@ -225,7 +228,7 @@ class TestKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 1000003])
     def test_results_equal_public_construction(self, d):
         a, b = QuadInt(d, 5, -3), QuadInt(d, -2**70, 11)
-        results = [a + b, a - b, -a, a * b, a * 7, 7 * a, a + 2, a - 2, a.conj()]
+        results = [a + b, a - b, -a, a * b, a * 7, 7 * a, a + 2, a - 2, *from_xy(a, (1, 2))]
         for r in results:
             assert type(r) is QuadInt
             public = QuadInt(r.d, r.x, r.y)
@@ -250,7 +253,7 @@ class TestKernel:
         m * m
         assert calls["__post_init__"] == 0
         calls.clear()
-        a + b, a - b, -a, a * 3, a.conj()  # results inherit d
+        a + b, a - b, -a, a * 3, from_xy(a, (1, 2))  # results inherit d
         QuadInt(7, 0, 0)  # a public construction validates
         assert calls == Counter({"__mul__": 1, "__post_init__": 1})
 
@@ -262,25 +265,25 @@ class TestKernel:
 
 class TestConj:
     def test_golden_entry(self):
-        assert qi("20+14*sqrt(-3)", 3).conj() == qi("20-14*sqrt(-3)", 3)
+        assert conj(qi("20+14*sqrt(-3)", 3)) == qi("20-14*sqrt(-3)", 3)
 
     def test_rational_fixed(self):
-        assert QuadInt.integer(7, 5).conj() == QuadInt.integer(7, 5)
+        assert conj(QuadInt.integer(7, 5)) == QuadInt.integer(7, 5)
 
     def test_involution(self):
         rng = random.Random(1)
         for _ in range(200):
             for d in (1, 2, 3, 7):
                 a = random_element(rng, d)
-                assert a.conj().conj() == a
+                assert conj(conj(a)) == a
 
     def test_ring_automorphism(self):
         rng = random.Random(2)
         for _ in range(300):
             d = rng.choice((1, 2, 3, 7, 11))
             a, b = random_element(rng, d), random_element(rng, d)
-            assert (a + b).conj() == a.conj() + b.conj()
-            assert (a * b).conj() == a.conj() * b.conj()
+            assert conj(a + b) == conj(a) + conj(b)
+            assert conj(a * b) == conj(a) * conj(b)
 
 
 class TestNorm:
@@ -294,7 +297,7 @@ class TestNorm:
     def test_d7_eta(self):
         # oracle: expand (1+7*eta)(1+7*conj(eta)) with eta = (1+sqrt(-7))/2
         a = qi("1+7*eta", 7)
-        product = a * a.conj()
+        product = a * conj(a)
         assert product == QuadInt.integer(7, 106)
         assert a.norm() == 106
         # cross-check the closed form p^2 + p q + 2 q^2 at p=1, q=7
@@ -320,7 +323,7 @@ class TestTrace:
     """The field trace a + conj(a) is the first half coordinate."""
 
     def test_purely_imaginary(self):
-        assert QuadInt.sqrt_minus_d(3).half_pair()[0] == 0
+        assert QuadInt.from_half_pair(3, 0, 2).half_pair()[0] == 0
 
     def test_rational(self):
         assert QuadInt.integer(3, 7).half_pair()[0] == 14
@@ -348,7 +351,7 @@ class TestReduceMod:
             assert reduced(a * n, n).is_zero()
 
     def test_sqrt_minus_3_shift(self):
-        assert reduced(qi("-4+1*sqrt(-3)", 3), 4) == reduced(QuadInt.sqrt_minus_d(3), 4)
+        assert reduced(qi("-4+1*sqrt(-3)", 3), 4) == reduced(QuadInt.from_half_pair(3, 0, 2), 4)
 
     def test_homomorphism(self):
         rng = random.Random(6)
